@@ -5,11 +5,13 @@
 # (the Index's memoized decompositions, the fork-join runtime, and the
 # match/pmdag state-set arena shared by parallel path workers). The race
 # pass uses -short: it targets thread-safety, not the statistical sweeps,
-# which the plain test run already covers.
+# which the plain test run already covers. It then repeats the par
+# resize tests, whose global worker-count flips must not leak into the
+# tests that follow them.
 
 GO ?= go
 
-.PHONY: check ci lint vet build test race coverage bench bench-index bench-serve bench-engines benchstat bench-smoke bench-load serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
+.PHONY: check ci lint vet build test race coverage bench bench-index bench-serve benchstat bench-smoke bench-load serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
 
 check: lint build test race
 
@@ -36,6 +38,7 @@ test:
 
 race:
 	$(GO) test -race -short ./internal/index ./internal/core ./internal/par ./internal/match ./internal/pmdag ./internal/serve ./internal/obs
+	$(GO) test -count=20 -run 'Parallelism|Resize' ./internal/par
 
 # Full-suite coverage profile with a ratcheted floor (see the script for
 # the ratchet policy). CI uploads coverage.out as an artifact.
@@ -53,15 +56,6 @@ bench-index:
 # per-request Index construction on warm repeated patterns.
 bench-serve:
 	$(GO) test -bench=BenchmarkServeLoad -run '^$$' -benchtime 200x .
-
-# The execution-substrate ablation: work-stealing pool vs semaphore
-# engine on synthetic balanced/skewed band loads (CPU- and latency-
-# bound), plus the decide-hit/decide-miss cancellation matrix on a grid
-# target. GOMAXPROCS=4 exercises the parallel paths even on small CI
-# boxes; BENCH_4.json records a snapshot with interpretation notes.
-bench-engines:
-	GOMAXPROCS=4 $(GO) test -bench 'EngineAblation|DecideCancellation' -run '^$$' -benchtime 3x ./internal/par ./internal/core
-	$(GO) test -bench EngineLatencyLoad -run '^$$' -benchtime 5x ./internal/par
 
 # Boot the planarsid daemon, fire a scripted curl burst, check answers.
 serve-smoke:

@@ -78,12 +78,11 @@
 // arms the deterministic fault-injection harness (testing only; see
 // internal/fault and scripts/chaos-smoke.sh).
 //
-// The parallel runtime is sized with -procs (0 tracks GOMAXPROCS) and
-// selected with -par-engine (the work-stealing pool by default; the
-// semaphore engine is kept for ablations). Request contexts are honored
-// end to end: a client that disconnects — or outlives -deadline — has
-// its query cancelled mid-band instead of burning cores to completion,
-// and requests that are already dead at admission are refused with 499.
+// The parallel runtime — a work-stealing pool — is sized with -procs
+// (0 tracks GOMAXPROCS). Request contexts are honored end to end: a
+// client that disconnects — or outlives -deadline — has its query
+// cancelled mid-band instead of burning cores to completion, and
+// requests that are already dead at admission are refused with 499.
 package main
 
 import (
@@ -119,7 +118,6 @@ func main() {
 	maxQueued := flag.Int("max-queued", 4096, "queued-request bound before 503s")
 	maxGraphN := flag.Int("max-graph-n", 1<<21, "largest accepted graph (vertices)")
 	procs := flag.Int("procs", 0, "worker count for the parallel runtime (0 tracks GOMAXPROCS)")
-	engine := flag.String("par-engine", "pool", "parallel execution engine: pool (work-stealing) or semaphore (ablation)")
 	deadline := flag.Duration("deadline", 0, "per-request deadline; expired queries are cancelled mid-band and answered 504 (0 = none)")
 	snapDir := flag.String("snapshot-dir", "", "snapshot directory: warm-boot from its *.snap files, persist on graceful shutdown, expose POST /snapshot (empty disables persistence)")
 	adaptive := flag.Bool("adaptive-window", false, "adapt the micro-batch window to the arrival rate (-window becomes the cap; idle traffic dispatches near-immediately)")
@@ -138,18 +136,10 @@ func main() {
 	})
 	flag.Parse()
 
-	switch *engine {
-	case "pool":
-		par.SetEngine(par.EnginePool)
-	case "semaphore":
-		par.SetEngine(par.EngineSemaphore)
-	default:
-		log.Fatalf("planarsid: -par-engine wants pool or semaphore, got %q", *engine)
-	}
 	if *procs > 0 {
 		par.SetParallelism(*procs)
 	}
-	log.Printf("planarsid: parallel runtime: %d workers (%s engine)", par.Parallelism(), *engine)
+	log.Printf("planarsid: parallel runtime: %d workers", par.Parallelism())
 	if *faultSpec != "" {
 		if err := fault.Enable(*faultSpec, *faultSeed); err != nil {
 			log.Fatalf("planarsid: -fault: %v", err)

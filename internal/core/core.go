@@ -20,16 +20,13 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"planarsi/internal/fault"
 	"planarsi/internal/graph"
 	"planarsi/internal/match"
-	"planarsi/internal/naive"
 	"planarsi/internal/obs"
 	"planarsi/internal/par"
-	"planarsi/internal/pmdag"
 	"planarsi/internal/treedecomp"
 	"planarsi/internal/wd"
 )
@@ -244,36 +241,14 @@ func DecideFrom(src CoverSource, g, h *graph.Graph, opt Options) (bool, error) {
 		// of g, which no target-side cache can serve.
 		return decideDisconnected(g, h, l, opt)
 	}
-	return decideConnectedFrom(src, g, h, opt)
-}
-
-// decideConnectedFrom runs the Theorem 2.1 pipeline: up to MaxRuns
-// prepared covers, each band solved exactly, early exit on the first hit.
-func decideConnectedFrom(src CoverSource, g, h *graph.Graph, opt Options) (bool, error) {
-	k := h.N()
-	if k == 1 {
+	if h.N() == 1 {
 		return g.N() >= 1, nil
 	}
-	d := graph.Diameter(h)
-	runs := opt.maxRuns(g.N())
-	for run := 0; run < runs; run++ {
-		if opt.Cancel.Cancelled() {
-			return false, par.ErrCancelled
-		}
-		t0 := opt.Trace.Begin()
-		pc := src.Prepared(k, d, run)
-		tracePrepare(opt, run, t0, pc)
-		opt.addRun(len(pc.Bands))
-		if preparedHasOccurrence(pc, h, run, opt) {
-			return true, nil
-		}
-	}
-	if err := opt.Cancel.Err(); err != nil {
-		// The last run may have been felled mid-flight: a negative answer
-		// is only trustworthy when every band ran to completion.
+	hits, err := witnessRuns(src.Prepared, g.N(), []*graph.Graph{h}, decideWitness, opt)
+	if err != nil {
 		return false, err
 	}
-	return false, nil
+	return hits[0] != nil, nil
 }
 
 // tracePrepare emits one "prepare" span for a cover repetition, pricing
@@ -285,83 +260,6 @@ func tracePrepare(opt Options, run int, t0 time.Time, pc *PreparedCover) {
 		return
 	}
 	opt.Trace.SpanCost("prepare", run, -1, t0, "", obs.Cost{Bytes: pc.MemBytes()})
-}
-
-// preparedHasOccurrence solves every band of the prepared cover in
-// parallel and reports whether any contains the pattern. Decision bands
-// run DecideOnly: the engines recycle consumed child sets as the
-// bottom-up order advances, so peak memory per band is the active
-// decomposition frontier, not the whole tree.
-//
-// The first band to find an occurrence fires a band-local child
-// canceller, so sibling bands already mid-DP abandon their runs at the
-// next node/path checkpoint instead of completing — the answer is
-// already decided (yes-answers are exact). The child also inherits the
-// request token, so a gone client fells every band the same way.
-//
-// Every band emits exactly one "band" trace span (including skipped and
-// cancelled ones, with the outcome in the note), so a traced query's
-// band-span count equals the Stats.Bands contribution of its runs.
-func preparedHasOccurrence(pc *PreparedCover, h *graph.Graph, run int, opt Options) bool {
-	var found atomic.Bool
-	local := par.NewChild(opt.Cancel)
-	inner := opt
-	inner.Cancel = local
-	bands := pc.Bands
-	par.ForGrain(0, len(bands), 1, func(i int) {
-		injectBandFaults()
-		pb := &bands[i]
-		t0 := inner.Trace.Begin()
-		// The found.Load() check is the pre-pool band-granularity early
-		// exit (skip bands not yet started once the answer is known); it
-		// stays unconditional so the bandCancelEnabled ablation gate
-		// isolates exactly the *mid-flight* cancellation on top of it.
-		// pb.Band is nil when a cancelled prepare skipped the band; the
-		// token is observed fired before any such band is reached.
-		if found.Load() || local.Cancelled() || pb.Band == nil || pb.Band.G.N() < h.N() {
-			inner.Trace.Span("band", run, i, t0, "skipped")
-			return
-		}
-		eng, ok := solvePreparedMode(pb, h, false, true, inner)
-		if !ok {
-			// Fallback: the band decomposition was too wide for the
-			// engine; the naive baseline is exact on the band (and not
-			// cancellable mid-search, so bail if the answer is decided).
-			// Fallback bands contribute zero DP cost: the naive search
-			// is outside the state-machinery the counters price.
-			if local.Cancelled() {
-				inner.Trace.Span("band", run, i, t0, "cancelled")
-				return
-			}
-			if naive.Decide(pb.Band.G, h) {
-				found.Store(true)
-				cancelSiblings(local)
-				inner.Trace.Span("band", run, i, t0, "fallback:found")
-			} else {
-				inner.Trace.Span("band", run, i, t0, "fallback:miss")
-			}
-			return
-		}
-		// The band's cost is snapshotted once and feeds both the span and
-		// the query totals; cancelled bands keep their partial cost (the
-		// work was performed even though the answer is discarded).
-		bandCost := eng.Problem().Cost.Snapshot()
-		inner.addBandCost(bandCost)
-		// A fired token here means our own DP may have aborted mid-run:
-		// its partial result must not be read (and is not needed).
-		if local.Cancelled() {
-			inner.Trace.SpanCost("band", run, i, t0, "cancelled", bandCost)
-			return
-		}
-		if eng.Found() {
-			found.Store(true)
-			cancelSiblings(local)
-			inner.Trace.SpanCost("band", run, i, t0, "found", bandCost)
-		} else {
-			inner.Trace.SpanCost("band", run, i, t0, "miss", bandCost)
-		}
-	})
-	return found.Load()
 }
 
 // injectBandFaults is the chaos hook at the head of every per-band
@@ -376,56 +274,4 @@ func preparedHasOccurrence(pc *PreparedCover, h *graph.Graph, run int, opt Optio
 func injectBandFaults() {
 	fault.Sleep(fault.BandLatency)
 	fault.Check(fault.DPPanic)
-}
-
-// bandCancelEnabled gates the first-hit sibling cancellation. It exists
-// only for the engine ablation benchmark (decide-hit latency with and
-// without mid-band cancellation); production code never clears it.
-var bandCancelEnabled atomic.Bool
-
-func init() { bandCancelEnabled.Store(true) }
-
-func cancelSiblings(local *par.Canceller) {
-	if bandCancelEnabled.Load() {
-		local.Cancel()
-	}
-}
-
-// solvePrepared runs the selected engine on a prepared band, keeping the
-// full per-node state sets (required by Enumerate). ok=false signals that
-// the decomposition exceeded the engine's bag capacity and the caller
-// must use the naive fallback. The prepared band is only read, so
-// concurrent queries may share it.
-func solvePrepared(pb *PreparedBand, h *graph.Graph, separating bool, opt Options) (*match.Result, bool) {
-	return solvePreparedMode(pb, h, separating, false, opt)
-}
-
-// solvePreparedMode is solvePrepared with an explicit decideOnly switch:
-// decision callers let the engines recycle child state sets as soon as
-// they are consumed (only Found is valid on the result).
-func solvePreparedMode(pb *PreparedBand, h *graph.Graph, separating, decideOnly bool, opt Options) (*match.Result, bool) {
-	opt.noteWidth(pb.Width)
-	if pb.Fallback {
-		opt.noteFallback()
-		return nil, false
-	}
-	b := pb.Band
-	// Each band gets its own cost counter so callers can attribute the
-	// engine's counters to this band's span before folding them into the
-	// query totals; nil when no sink wants cost, keeping the engines'
-	// flush sites on the single-nil-check path.
-	var bc *obs.CostCounter
-	if opt.costed() {
-		bc = new(obs.CostCounter)
-	}
-	p := &match.Problem{G: b.G, H: h, ND: pb.ND, Allowed: b.Allowed, S: b.S,
-		Separating: separating, DecideOnly: decideOnly, Cancel: opt.Cancel,
-		Trace: opt.Trace, Cost: bc}
-	if separating || opt.Engine == EngineSequential {
-		// The path-DAG engine covers plain mode only (its state universe
-		// enumeration has no separating labels).
-		return match.Run(p, opt.Tracker), true
-	}
-	eng, _ := pmdag.Run(p, opt.Tracker)
-	return eng, true
 }

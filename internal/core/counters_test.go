@@ -1,0 +1,215 @@
+package core
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"sort"
+	"strings"
+	"testing"
+
+	"planarsi/internal/graph"
+	"planarsi/internal/obs"
+	"planarsi/internal/par"
+	"planarsi/internal/wd"
+)
+
+// pinnedCounters is everything deterministic a pipeline call reports:
+// the Stats shape, the DP cost totals and the work/depth counters.
+type pinnedCounters struct {
+	Runs, Bands   int
+	FallbackBands int64
+	MaxBandWidth  int
+	Cost          obs.Cost
+	Work, Rounds  int64
+}
+
+// twoHubWheel is two wheels sharing a rim of the given length: removing
+// the rim separates the hubs, and no triangle does.
+func twoHubWheel(rim int) (*graph.Graph, []bool) {
+	b := graph.NewBuilder(rim + 2)
+	hub1, hub2 := int32(rim), int32(rim+1)
+	for i := 0; i < rim; i++ {
+		b.AddEdge(int32(i), int32((i+1)%rim))
+		b.AddEdge(int32(i), hub1)
+		b.AddEdge(int32(i), hub2)
+	}
+	s := make([]bool, rim+2)
+	s[hub1], s[hub2] = true, true
+	return b.Build(), s
+}
+
+// TestDeterministicCountersPinned pins, for fixed seeds, the exact
+// counters of one-pattern calls. Misses and capped counts run every band
+// to completion, so their counters hold at any parallelism; hits cancel
+// their sibling bands, so those cases pin band order with
+// SetParallelism(1). The answers (and witnesses) are pinned alongside.
+// Every band span must carry one of the single-pattern outcome notes.
+func TestDeterministicCountersPinned(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 73))
+	planar := graph.RandomPlanar(220, 0.7, rng)
+	small := graph.RandomPlanar(60, 0.7, rng)
+	grid := graph.Grid(12, 12)
+	wheel, terminals := twoHubWheel(6)
+
+	cases := []struct {
+		name       string
+		sequential bool // pin par.SetParallelism(1)
+		run        func(Options) (string, error)
+		answer     string
+		want       pinnedCounters
+		notes      string // band-note histogram, pinned for sequential cases
+	}{
+		{
+			name: "decide-miss",
+			run: func(o Options) (string, error) {
+				ok, err := Decide(grid, graph.Cycle(3), o)
+				return fmt.Sprint(ok), err
+			},
+			answer: "false",
+			want: pinnedCounters{Runs: 19, Bands: 418, MaxBandWidth: 2,
+				Cost: obs.Cost{Nodes: 13109, States: 193836, Joins: 7318, Emissions: 227384, Bytes: 8606892},
+				Work: 515510, Rounds: 6765},
+		},
+		{
+			name: "decide-miss-sequential-engine",
+			run: func(o Options) (string, error) {
+				o.Engine = EngineSequential
+				ok, err := Decide(grid, graph.Cycle(5), o)
+				return fmt.Sprint(ok), err
+			},
+			answer: "false",
+			want: pinnedCounters{Runs: 19, Bands: 341, MaxBandWidth: 3,
+				Cost: obs.Cost{Nodes: 21080, States: 1023000, Joins: 105840, Emissions: 1452824, Bytes: 65461088},
+				Work: 1040721, Rounds: 21829},
+		},
+		{
+			name: "count-capped",
+			run: func(o Options) (string, error) {
+				o.MaxRuns = 3
+				n, err := Count(small, graph.Path(3), o)
+				return fmt.Sprint(n), err
+			},
+			answer: "2234",
+			want: pinnedCounters{Runs: 3, Bands: 18, MaxBandWidth: 3,
+				Cost: obs.Cost{Nodes: 2002, States: 95983, Joins: 20798, Emissions: 108234, Bytes: 4399988},
+				Work: 211982, Rounds: 1405},
+		},
+		{
+			name: "separating-miss",
+			run: func(o Options) (string, error) {
+				occ, err := DecideSeparating(wheel, graph.Cycle(3), terminals, o)
+				return fmt.Sprint(occ), err
+			},
+			answer: "[]",
+			want: pinnedCounters{Runs: 11, Bands: 27, MaxBandWidth: 4,
+				Cost: obs.Cost{Nodes: 385, States: 23346, Emissions: 28609, Bytes: 1491008},
+				Work: 23960, Rounds: 454},
+		},
+		{
+			name:       "decide-hit",
+			sequential: true,
+			run: func(o Options) (string, error) {
+				o.Seed = 1 // a miss band precedes the hit
+				ok, err := Decide(planar, graph.Cycle(3), o)
+				return fmt.Sprint(ok), err
+			},
+			answer: "true",
+			want: pinnedCounters{Runs: 1, Bands: 7, MaxBandWidth: 2,
+				Cost: obs.Cost{Nodes: 20, States: 476, Emissions: 589, Bytes: 21988},
+				Work: 2705, Rounds: 38},
+			notes: "found×1 miss×1 skipped×5",
+		},
+		{
+			name:       "find-witness",
+			sequential: true,
+			run: func(o Options) (string, error) {
+				occ, err := FindOne(planar, graph.Path(5), o)
+				if occ != nil && !VerifyOccurrence(planar, graph.Path(5), occ) {
+					return "", fmt.Errorf("invalid witness %v", occ)
+				}
+				return fmt.Sprint(occ), err
+			},
+			answer: "[22 5 136 67 44]",
+			want: pinnedCounters{Runs: 1, Bands: 5, MaxBandWidth: 3,
+				Cost: obs.Cost{Nodes: 969, States: 548990, Joins: 173267, Emissions: 649329, Bytes: 24584044},
+				Work: 1073162, Rounds: 639},
+			notes: "found×1 skipped×4",
+		},
+		{
+			name:       "separating-hit",
+			sequential: true,
+			run: func(o Options) (string, error) {
+				occ, err := DecideSeparating(wheel, graph.Cycle(6), terminals, o)
+				if occ != nil && !VerifySeparating(wheel, graph.Cycle(6), terminals, occ) {
+					return "", fmt.Errorf("invalid separating witness %v", occ)
+				}
+				return fmt.Sprint(occ), err
+			},
+			answer: "[0 1 2 3 4 5]",
+			want: pinnedCounters{Runs: 1, Bands: 2, MaxBandWidth: 4,
+				Cost: obs.Cost{Nodes: 17, States: 45547, Emissions: 66590, Bytes: 2914816},
+				Work: 45603, Rounds: 23},
+			notes: "found×1 skipped×1",
+		},
+	}
+	soloNotes := map[string]bool{"skipped": true, "cancelled": true, "found": true, "miss": true,
+		"fallback:found": true, "fallback:miss": true}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.sequential {
+				par.SetParallelism(1)
+				defer par.SetParallelism(0)
+			}
+			var st Stats
+			tr := wd.NewTracker()
+			rec := obs.NewRecorder(1 << 16)
+			got, err := c.run(Options{Seed: 5, Stats: &st, Tracker: tr, Trace: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			have := pinnedCounters{Runs: st.Runs, Bands: st.Bands, FallbackBands: st.FallbackBands,
+				MaxBandWidth: st.MaxBandWidth, Cost: st.Cost, Work: tr.Work(), Rounds: tr.Rounds()}
+			if got != c.answer || have != c.want {
+				t.Errorf("answer %s counters %#v\nwant   %s counters %#v", got, have, c.answer, c.want)
+			}
+			spans, dropped := rec.Snapshot()
+			if dropped != 0 {
+				t.Fatalf("recorder dropped %d spans", dropped)
+			}
+			hist := map[string]int{}
+			bands := 0
+			for _, sp := range spans {
+				if sp.Name != "band" {
+					continue
+				}
+				bands++
+				hist[sp.Note]++
+				if !soloNotes[sp.Note] && !strings.HasPrefix(sp.Note, "occs=") {
+					t.Errorf("run %d band %d: note %q is not a single-pattern outcome", sp.Run, sp.Band, sp.Note)
+				}
+			}
+			if bands != st.Bands {
+				t.Errorf("%d band spans, Stats.Bands = %d", bands, st.Bands)
+			}
+			if c.sequential {
+				if notes := noteHistogram(hist); notes != c.notes {
+					t.Errorf("band notes %q, want %q", notes, c.notes)
+				}
+			}
+		})
+	}
+}
+
+// noteHistogram renders note counts as "note×n" in sorted note order.
+func noteHistogram(hist map[string]int) string {
+	keys := make([]string, 0, len(hist))
+	for k := range hist {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%s×%d", k, hist[k])
+	}
+	return strings.Join(parts, " ")
+}

@@ -53,11 +53,14 @@ func decideDisconnected(g, h *graph.Graph, l int, opt Options) (bool, error) {
 				ok = false
 				break
 			}
-			found, err := decideConnectedFrom(freshSource{gi, inner}, gi, hi, inner)
+			if hi.N() == 1 {
+				continue // any vertex of the class hosts it
+			}
+			hits, err := witnessRuns(freshSource{gi, inner}.Prepared, gi.N(), []*graph.Graph{hi}, decideWitness, inner)
 			if err != nil {
 				return false, err
 			}
-			ok = found
+			ok = hits[0] != nil
 		}
 		if ok {
 			return true, nil

@@ -1,15 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"sync"
-
 	"planarsi/internal/graph"
-	"planarsi/internal/match"
-	"planarsi/internal/naive"
-	"planarsi/internal/obs"
-	"planarsi/internal/par"
 )
 
 // List returns (w.h.p.) every occurrence of the connected pattern h in g,
@@ -48,54 +40,12 @@ func ListFrom(src CoverSource, g, h *graph.Graph, opt Options) ([]Occurrence, er
 		}
 		return out, nil
 	}
-	d := graph.Diameter(h)
-	found := make(map[string]Occurrence)
-	logN := math.Log2(float64(g.N()) + 2)
-	j := 0
-	streak := 0
-	for {
-		if opt.Cancel.Cancelled() {
-			return nil, par.ErrCancelled
-		}
-		t0 := opt.Trace.Begin()
-		pc := src.Prepared(k, d, j)
-		tracePrepare(opt, j, t0, pc)
-		run := j
-		j++
-		opt.addRun(len(pc.Bands))
-		occs := enumeratePrepared(pc, h, run, opt)
-		added := 0
-		for _, o := range occs {
-			key := o.Key()
-			if _, dup := found[key]; !dup {
-				found[key] = o
-				added++
-			}
-		}
-		if added > 0 {
-			streak = 0
-		} else {
-			streak++
-		}
-		// Stopping rule of Theorem 4.2: terminate after log2(j) + Θ(log n)
-		// consecutive empty iterations.
-		threshold := int(math.Ceil(math.Log2(float64(j)+1))) + int(math.Ceil(2*logN)) + 1
-		if streak >= threshold {
-			break
-		}
-		if opt.MaxRuns > 0 && j >= opt.MaxRuns {
-			break
-		}
-	}
-	// A token that fired during the last iterations may have truncated
-	// enumeration (bands silently skip when cancelled); the stopping rule
-	// could then break with an incomplete `found`. Never return partial
-	// data with a nil error.
-	if err := opt.Cancel.Err(); err != nil {
+	found, err := listRuns(src.Prepared, g.N(), []*graph.Graph{h}, opt)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]Occurrence, 0, len(found))
-	for _, o := range found {
+	out := make([]Occurrence, 0, len(found[0]))
+	for _, o := range found[0] {
 		out = append(out, o)
 	}
 	return out, nil
@@ -139,155 +89,9 @@ func FindOneFrom(src CoverSource, g, h *graph.Graph, opt Options) (Occurrence, e
 	if k == 1 {
 		return Occurrence{0}, nil
 	}
-	d := graph.Diameter(h)
-	runs := opt.maxRuns(g.N())
-	for run := 0; run < runs; run++ {
-		if opt.Cancel.Cancelled() {
-			return nil, par.ErrCancelled
-		}
-		t0 := opt.Trace.Begin()
-		pc := src.Prepared(k, d, run)
-		tracePrepare(opt, run, t0, pc)
-		opt.addRun(len(pc.Bands))
-		if occ := findInPrepared(pc, h, run, opt); occ != nil {
-			return occ, nil
-		}
-	}
-	if err := opt.Cancel.Err(); err != nil {
+	hits, err := witnessRuns(src.Prepared, g.N(), []*graph.Graph{h}, findWitness, opt)
+	if err != nil {
 		return nil, err
 	}
-	return nil, nil
-}
-
-// enumeratePrepared lists every occurrence contained in some band of the
-// prepared cover, translated to original vertex ids. Following Section
-// 4.2.1, only occurrences touching the band's lowest BFS level are
-// reported, so each occurrence inside a cluster is produced by exactly one
-// band (the one whose lowest level is the occurrence's closest-to-root
-// level); this keeps the per-run work proportional to the number of
-// occurrences rather than d times it.
-func enumeratePrepared(pc *PreparedCover, h *graph.Graph, run int, opt Options) []Occurrence {
-	bands := pc.Bands
-	results := make([][]Occurrence, len(bands))
-	par.ForGrain(0, len(bands), 1, func(i int) {
-		injectBandFaults()
-		t0 := opt.Trace.Begin()
-		if opt.Cancel.Cancelled() || bands[i].Band == nil {
-			opt.Trace.Span("band", run, i, t0, "skipped")
-			return
-		}
-		occs, cost := enumerateBand(&bands[i], h, opt)
-		results[i] = occs
-		opt.addBandCost(cost)
-		if opt.Trace != nil {
-			// The note's occurrence count is only rendered on traced
-			// queries; unexercised fmt stays off the untraced path.
-			opt.Trace.SpanCost("band", run, i, t0, fmt.Sprintf("occs=%d", len(occs)), cost)
-		}
-	})
-	var out []Occurrence
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
-}
-
-// enumerateBand lists the band's occurrences that touch its lowest
-// level, returning the band's DP cost alongside (zero for tiny bands
-// and naive fallbacks).
-func enumerateBand(pb *PreparedBand, h *graph.Graph, opt Options) ([]Occurrence, obs.Cost) {
-	b := pb.Band
-	if b.G.N() < h.N() {
-		return nil, obs.Cost{}
-	}
-	var local []match.Assignment
-	var cost obs.Cost
-	if eng, ok := solvePrepared(pb, h, false, opt); ok {
-		cost = eng.Problem().Cost.Snapshot()
-		if opt.Cancel.Cancelled() {
-			// The DP may have aborted mid-run; Enumerate on a partial
-			// result is unsound and the answer is being discarded anyway.
-			return nil, cost
-		}
-		local = eng.Enumerate(0)
-	} else {
-		for _, a := range naive.Search(b.G, h, naive.Options{}) {
-			local = append(local, match.Assignment(a))
-		}
-	}
-	var out []Occurrence
-	for _, a := range local {
-		if !touchesLowest(b.LowestLevelLocal, a) {
-			continue
-		}
-		occ := make(Occurrence, len(a))
-		for u, lv := range a {
-			occ[u] = b.Orig[lv]
-		}
-		out = append(out, occ)
-	}
-	return out, cost
-}
-
-func touchesLowest(lowest []bool, a match.Assignment) bool {
-	for _, lv := range a {
-		if lv >= 0 && lowest[lv] {
-			return true
-		}
-	}
-	return false
-}
-
-// findInPrepared returns one occurrence from any band of the prepared
-// cover (original ids), or nil. The first band to store a hit cancels
-// its siblings mid-DP through a band-local child token (the answer is a
-// single witness; completing the other bands is pure waste).
-func findInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Options) Occurrence {
-	bands := pc.Bands
-	bandCancel := par.NewChild(opt.Cancel)
-	inner := opt
-	inner.Cancel = bandCancel
-	var mu sync.Mutex
-	var hit Occurrence
-	par.ForGrain(0, len(bands), 1, func(i int) {
-		injectBandFaults()
-		pb := &bands[i]
-		b := pb.Band
-		t0 := inner.Trace.Begin()
-		if bandCancel.Cancelled() || b == nil || b.G.N() < h.N() {
-			inner.Trace.Span("band", run, i, t0, "skipped")
-			return
-		}
-		var local []match.Assignment
-		var cost obs.Cost
-		if eng, ok := solvePrepared(pb, h, false, inner); ok {
-			cost = eng.Problem().Cost.Snapshot()
-			inner.addBandCost(cost)
-			if bandCancel.Cancelled() {
-				inner.Trace.SpanCost("band", run, i, t0, "cancelled", cost)
-				return
-			}
-			local = eng.Enumerate(1)
-		} else {
-			for _, a := range naive.Search(b.G, h, naive.Options{Limit: 1}) {
-				local = append(local, match.Assignment(a))
-			}
-		}
-		if len(local) == 0 {
-			inner.Trace.SpanCost("band", run, i, t0, "miss", cost)
-			return
-		}
-		inner.Trace.SpanCost("band", run, i, t0, "found", cost)
-		occ := make(Occurrence, len(local[0]))
-		for u, lv := range local[0] {
-			occ[u] = b.Orig[lv]
-		}
-		mu.Lock()
-		if hit == nil {
-			hit = occ
-		}
-		mu.Unlock()
-		cancelSiblings(bandCancel)
-	})
-	return hit
+	return hits[0], nil
 }

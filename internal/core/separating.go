@@ -1,14 +1,10 @@
 package core
 
 import (
-	"sync"
-
 	"planarsi/internal/cover"
 	"planarsi/internal/graph"
 	"planarsi/internal/match"
 	"planarsi/internal/naive"
-	"planarsi/internal/obs"
-	"planarsi/internal/par"
 )
 
 // DecideSeparating implements Lemma 5.3: it searches for an occurrence of
@@ -54,80 +50,12 @@ func DecideSeparatingFrom(src SeparatingSource, g, h *graph.Graph, s []bool, opt
 	if terminals < 2 {
 		return nil, nil
 	}
-	k := h.N()
-	d := graph.Diameter(h)
-	runs := opt.maxRuns(g.N())
-	for run := 0; run < runs; run++ {
-		if opt.Cancel.Cancelled() {
-			return nil, par.ErrCancelled
-		}
-		t0 := opt.Trace.Begin()
-		pc := src.PreparedSeparating(s, k, d, run)
-		tracePrepare(opt, run, t0, pc)
-		opt.addRun(len(pc.Bands))
-		if occ := findSeparatingInPrepared(pc, h, run, opt); occ != nil {
-			return occ, nil
-		}
-	}
-	if err := opt.Cancel.Err(); err != nil {
+	prepared := func(k, d, run int) *PreparedCover { return src.PreparedSeparating(s, k, d, run) }
+	hits, err := witnessRuns(prepared, g.N(), []*graph.Graph{h}, separatingWitness, opt)
+	if err != nil {
 		return nil, err
 	}
-	return nil, nil
-}
-
-// findSeparatingInPrepared solves every separating band and returns one
-// witness occurrence in original vertex ids, or nil. As in
-// findInPrepared, the first witness cancels the sibling bands mid-DP,
-// and every band emits exactly one "band" span with its outcome and DP
-// cost.
-func findSeparatingInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Options) Occurrence {
-	bands := pc.Bands
-	bandCancel := par.NewChild(opt.Cancel)
-	inner := opt
-	inner.Cancel = bandCancel
-	var mu sync.Mutex
-	var hit Occurrence
-	par.ForGrain(0, len(bands), 1, func(i int) {
-		injectBandFaults()
-		pb := &bands[i]
-		b := pb.Band
-		t0 := inner.Trace.Begin()
-		if bandCancel.Cancelled() || b == nil || b.G.N() < h.N() {
-			inner.Trace.Span("band", run, i, t0, "skipped")
-			return
-		}
-		var local match.Assignment
-		var cost obs.Cost
-		if eng, ok := solvePrepared(pb, h, true, inner); ok {
-			cost = eng.Problem().Cost.Snapshot()
-			inner.addBandCost(cost)
-			if bandCancel.Cancelled() {
-				inner.Trace.SpanCost("band", run, i, t0, "cancelled", cost)
-				return
-			}
-			if as := eng.Enumerate(1); len(as) > 0 {
-				local = as[0]
-			}
-		} else {
-			local = separatingBrute(b, h)
-		}
-		if local == nil {
-			inner.Trace.SpanCost("band", run, i, t0, "miss", cost)
-			return
-		}
-		inner.Trace.SpanCost("band", run, i, t0, "found", cost)
-		occ := make(Occurrence, len(local))
-		for u, lv := range local {
-			occ[u] = b.Orig[lv]
-		}
-		mu.Lock()
-		if hit == nil {
-			hit = occ
-		}
-		mu.Unlock()
-		cancelSiblings(bandCancel)
-	})
-	return hit
+	return hits[0], nil
 }
 
 // separatingBrute is the exact fallback for bands whose decomposition

@@ -11,6 +11,7 @@ import (
 
 	"planarsi/internal/core"
 	"planarsi/internal/graph"
+	"planarsi/internal/par"
 	"planarsi/internal/snap"
 )
 
@@ -114,6 +115,10 @@ func TestApplyEditsOracle(t *testing.T) {
 		t.Fatalf("artifact snapshots diverged: edited %d bytes, fresh %d bytes", be.Len(), bf.Len())
 	}
 
+	// A Find witness is whichever band certifies the pattern first, so
+	// the witnesses are comparable only with band order pinned.
+	par.SetParallelism(1)
+	defer par.SetParallelism(0)
 	got := editOracleQueries(t, ix)
 	want := editOracleQueries(t, fresh)
 	for i := range want {

@@ -165,12 +165,7 @@ func newEngineMeta(p *Problem, m nodeMeta) *Result {
 
 // NewEngine prepares a Result shell usable as a transition engine without
 // running the bottom-up DP (pmdag drives the transitions itself).
-func NewEngine(p *Problem) *Result {
-	if p.ND.Width+1 > MaxBag {
-		panic(fmt.Sprintf("match: bag size %d exceeds %d", p.ND.Width+1, MaxBag))
-	}
-	return newEngineMeta(p, buildNodeMeta(p.G, p.ND))
-}
+func NewEngine(p *Problem) *Result { return NewEngines([]*Problem{p})[0] }
 
 // NewEngines prepares one engine per problem of a multi-pattern sweep.
 // All problems must share the same target graph and nice decomposition
@@ -224,11 +219,7 @@ func (r *Result) Found() bool {
 
 // Run executes the sequential bottom-up DP (Section 3.2) and returns the
 // per-node valid state sets.
-func Run(p *Problem, tr *wd.Tracker) *Result {
-	r := NewEngine(p)
-	runSequential([]*Result{r}, tr)
-	return r
-}
+func Run(p *Problem, tr *wd.Tracker) *Result { return RunMulti([]*Problem{p}, tr)[0] }
 
 // RunMulti executes the sequential bottom-up DP for several patterns in
 // one pass over the shared decomposition: the node traversal is walked

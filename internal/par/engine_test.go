@@ -2,26 +2,16 @@ package par
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// withEngine runs f under each package-level engine, restoring the pool
-// default afterwards: both substrates must satisfy the same combinator
-// contracts.
+// withEngine runs f as the "pool" subtest: the combinator contracts the
+// work-stealing pool behind the package-level functions must satisfy.
 func withEngine(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	for _, k := range []EngineKind{EnginePool, EngineSemaphore} {
-		name := "pool"
-		if k == EngineSemaphore {
-			name = "semaphore"
-		}
-		t.Run(name, func(t *testing.T) {
-			SetEngine(k)
-			defer SetEngine(EnginePool)
-			f(t)
-		})
-	}
+	t.Run("pool", f)
 }
 
 func TestEnginesCoverRangeExactlyOnce(t *testing.T) {
@@ -82,10 +72,16 @@ func TestEnginesReducePackPrefix(t *testing.T) {
 // correct while SetParallelism keeps swapping the shared pool under
 // them (run under -race by make race).
 func TestPoolNestedForConcurrentResize(t *testing.T) {
-	SetEngine(EnginePool)
-	defer SetParallelism(0)
 	stop := make(chan struct{})
+	var flipper sync.WaitGroup
+	// Deferred calls run last-in first-out: the flipper is stopped and
+	// joined before the unpin, so no late SetParallelism outlives the test.
+	defer SetParallelism(0)
+	defer flipper.Wait()
+	defer close(stop)
+	flipper.Add(1)
 	go func() {
+		defer flipper.Done()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -104,13 +100,11 @@ func TestPoolNestedForConcurrentResize(t *testing.T) {
 			t.Fatalf("iteration %d: total=%d want 900", iter, total.Load())
 		}
 	}
-	close(stop)
 }
 
 // TestSetParallelismOneRetiresPool: downsizing to a sequential
 // configuration must not strand the shared pool's parked workers.
 func TestSetParallelismOneRetiresPool(t *testing.T) {
-	SetEngine(EnginePool)
 	SetParallelism(3)
 	defer SetParallelism(0)
 	var sum atomic.Int64
@@ -139,7 +133,6 @@ func TestSetParallelismOneRetiresPool(t *testing.T) {
 // shared pool at once; every loop must still cover its range exactly
 // once (scopes from different goroutines steal from each other).
 func TestPoolSharedAcrossGoroutines(t *testing.T) {
-	SetEngine(EnginePool)
 	const G = 8
 	errc := make(chan error, G)
 	for g := 0; g < G; g++ {

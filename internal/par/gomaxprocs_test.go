@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -60,10 +61,17 @@ func TestSetParallelism(t *testing.T) {
 // flips, for the race detector.
 func TestParallelismConcurrentResize(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-
 	stop := make(chan struct{})
+	var flipper sync.WaitGroup
+	// Deferred calls run last-in first-out: the flipper is stopped and
+	// joined before GOMAXPROCS is restored, so no late resize outlives
+	// the test.
+	defer runtime.GOMAXPROCS(old)
+	defer flipper.Wait()
+	defer close(stop)
+	flipper.Add(1)
 	go func() {
+		defer flipper.Done()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -80,5 +88,4 @@ func TestParallelismConcurrentResize(t *testing.T) {
 			t.Fatalf("iteration %d: %d calls, want 1000", iter, sum.Load())
 		}
 	}
-	close(stop)
 }

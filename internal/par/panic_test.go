@@ -111,45 +111,39 @@ func TestPanicWrappedExactlyOnceAcrossNesting(t *testing.T) {
 }
 
 func TestPackagePanicIsolationBothEngines(t *testing.T) {
-	for _, kind := range []EngineKind{EnginePool, EngineSemaphore} {
-		name := map[EngineKind]string{EnginePool: "pool", EngineSemaphore: "semaphore"}[kind]
-		t.Run(name, func(t *testing.T) {
-			prev := CurrentEngine()
-			SetEngine(kind)
-			defer SetEngine(prev)
-			SetParallelism(4)
-			defer SetParallelism(0)
+	withEngine(t, func(t *testing.T) {
+		SetParallelism(4)
+		defer SetParallelism(0)
 
-			pe := recoverPanicError(t, func() {
-				ForGrain(0, 64, 1, func(i int) {
-					if i == 17 {
-						panic("for-panic")
-					}
-				})
+		pe := recoverPanicError(t, func() {
+			ForGrain(0, 64, 1, func(i int) {
+				if i == 17 {
+					panic("for-panic")
+				}
 			})
-			if pe == nil || pe.Value != "for-panic" {
-				t.Fatalf("For: pe=%v", pe)
-			}
-
-			pe = recoverPanicError(t, func() {
-				Do(
-					func() {},
-					func() { panic("do-panic") },
-					func() {},
-				)
-			})
-			if pe == nil || pe.Value != "do-panic" {
-				t.Fatalf("Do: pe=%v", pe)
-			}
-
-			// The engine must be fully usable afterwards.
-			var sum atomic.Int64
-			For(0, 1000, func(i int) { sum.Add(int64(i)) })
-			if sum.Load() != 999*1000/2 {
-				t.Fatalf("engine wedged after panic: sum=%d", sum.Load())
-			}
 		})
-	}
+		if pe == nil || pe.Value != "for-panic" {
+			t.Fatalf("For: pe=%v", pe)
+		}
+
+		pe = recoverPanicError(t, func() {
+			Do(
+				func() {},
+				func() { panic("do-panic") },
+				func() {},
+			)
+		})
+		if pe == nil || pe.Value != "do-panic" {
+			t.Fatalf("Do: pe=%v", pe)
+		}
+
+		// The pool must be fully usable afterwards.
+		var sum atomic.Int64
+		For(0, 1000, func(i int) { sum.Add(int64(i)) })
+		if sum.Load() != 999*1000/2 {
+			t.Fatalf("pool wedged after panic: sum=%d", sum.Load())
+		}
+	})
 }
 
 func TestReducePanicPropagates(t *testing.T) {

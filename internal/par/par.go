@@ -3,40 +3,28 @@
 // parallel prefix sums, packing, an explicit work-stealing pool, and a
 // lightweight cooperative cancellation token (Canceller).
 //
-// Two execution engines back the package-level functions (Do, For,
-// Reduce, ...).
+// The package-level functions (Do, For, Reduce, ...) run every
+// operation as a structured fork-join scope on a shared, lazily started
+// work-stealing Pool (Chase-Lev deques, help-while-joining — the greedy
+// scheduler the paper's Brent-style bounds assume). Scopes keep load
+// balanced when item costs are skewed: an idle participant steals
+// half-ranges from whoever is behind.
 //
-// The default engine (EnginePool) runs every operation as a structured
-// fork-join scope on a shared, lazily started work-stealing Pool
-// (Chase-Lev deques, help-while-joining — the greedy scheduler the
-// paper's Brent-style bounds assume). Scopes make nesting deadlock-free
-// and keep load balanced when item costs are skewed: an idle participant
-// steals half-ranges from whoever is behind, instead of the semaphore
-// engine's degrade-to-inline-sequential behavior.
-//
-// The semaphore engine (EngineSemaphore) is the previous substrate —
-// goroutines throttled by a semaphore sized to the worker count, with an
-// inline sequential fallback when no slot is free. It stays selectable
-// via SetEngine for the engine ablation benchmarks.
-//
-// Both engines draw their worker count from the same source: SetParallelism
-// when pinned, else runtime.GOMAXPROCS(0) re-read per operation.
+// The worker count is SetParallelism's when pinned, else
+// runtime.GOMAXPROCS(0) re-read per operation; with one worker every
+// operation runs inline and sequentially.
 package par
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// engine is one sizing of the package-level runtime: a worker count and
-// the semaphore of spare worker slots (the calling goroutine always works
-// too, so there are procs-1 spare slots). Engines are immutable; resizing
-// installs a fresh engine, and operations in flight keep the engine they
-// captured at entry, so every acquire is released on the same channel.
+// engine is one sizing of the package-level runtime. Engines are
+// immutable; resizing installs a fresh engine, and operations in flight
+// keep the engine they captured at entry.
 type engine struct {
 	procs int
-	sem   chan struct{}
 	// pinned marks an engine installed by SetParallelism: current() stops
 	// tracking runtime.GOMAXPROCS until SetParallelism(0) unpins.
 	pinned bool
@@ -50,7 +38,7 @@ func newEngine(procs int, pinned bool) *engine {
 	if procs < 1 {
 		procs = 1
 	}
-	return &engine{procs: procs, sem: make(chan struct{}, procs-1), pinned: pinned}
+	return &engine{procs: procs, pinned: pinned}
 }
 
 // current returns the engine sizing to use for one operation, first
@@ -76,7 +64,7 @@ func current() *engine {
 	return e
 }
 
-// Parallelism reports the number of workers the package-level engines use:
+// Parallelism reports the number of workers the package-level functions use:
 // the value fixed by SetParallelism, or runtime.GOMAXPROCS(0) (re-read on
 // every operation, not frozen at package init).
 func Parallelism() int { return current().procs }
@@ -99,30 +87,8 @@ func SetParallelism(n int) {
 	}
 }
 
-// EngineKind selects the package-level execution engine.
-type EngineKind uint32
-
-const (
-	// EnginePool runs operations as fork-join scopes on the shared
-	// work-stealing pool (the default).
-	EnginePool EngineKind = iota
-	// EngineSemaphore runs operations on semaphore-throttled goroutines
-	// with inline sequential fallback (the pre-pool substrate, kept
-	// selectable for the ablation benchmarks).
-	EngineSemaphore
-)
-
-var engineKind atomic.Uint32 // EnginePool by default
-
-// CurrentEngine reports which engine the package-level functions use.
-func CurrentEngine() EngineKind { return EngineKind(engineKind.Load()) }
-
-// SetEngine selects the package-level execution engine. Operations in
-// flight finish on the engine they started with.
-func SetEngine(k EngineKind) { engineKind.Store(uint32(k)) }
-
-// sharedPool is the lazily started pool behind the EnginePool package
-// functions, swapped whenever the requested worker count changes.
+// sharedPool is the lazily started pool behind the package functions,
+// swapped whenever the requested worker count changes.
 var sharedPool atomic.Pointer[Pool]
 
 // poolFor returns a shared pool with the given parallelism, starting or
@@ -171,8 +137,7 @@ func runBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
 		grain = 1
 	}
 	if hi-lo <= grain {
-		// A single block: run inline without touching either engine's
-		// machinery.
+		// A single block: run inline without touching the pool.
 		body(lo, hi)
 		return
 	}
@@ -182,10 +147,6 @@ func runBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
 		for l := lo; l < hi; l += grain {
 			body(l, min(l+grain, hi))
 		}
-		return
-	}
-	if CurrentEngine() == EngineSemaphore {
-		semBlocks(e, lo, hi, grain, body)
 		return
 	}
 	p := poolFor(e.procs)
@@ -213,10 +174,6 @@ func Do(fs ...func()) {
 		}
 		return
 	}
-	if CurrentEngine() == EngineSemaphore {
-		semDo(e, fs)
-		return
-	}
 	p := poolFor(e.procs)
 	c := p.enter()
 	defer p.exit(c)
@@ -226,40 +183,6 @@ func Do(fs ...func()) {
 		tasks[i] = func(*Ctx) { f() }
 	}
 	c.Do(tasks...)
-}
-
-// semDo is Do on the semaphore engine. Panics on forked goroutines are
-// captured and re-panicked on the caller after every fork has finished;
-// an inline panic propagates directly, but the deferred Wait still
-// drains the forks first, so the group stays structured either way.
-func semDo(e *engine, fs []func()) {
-	var wg sync.WaitGroup
-	var first atomic.Pointer[PanicError]
-	func() {
-		defer wg.Wait()
-		for _, f := range fs[1:] {
-			select {
-			case e.sem <- struct{}{}:
-				wg.Add(1)
-				go func(f func()) {
-					defer func() {
-						if v := recover(); v != nil {
-							first.CompareAndSwap(nil, asPanicError(v))
-						}
-						<-e.sem
-						wg.Done()
-					}()
-					f()
-				}(f)
-			default:
-				f()
-			}
-		}
-		fs[0]()
-	}()
-	if pe := first.Load(); pe != nil {
-		panic(pe)
-	}
 }
 
 // For runs f(i) for every i in [lo, hi), possibly in parallel, with an
@@ -291,50 +214,6 @@ func ForGrain(lo, hi, grain int, f func(i int)) {
 // body on each block, possibly in parallel.
 func ForBlocks(lo, hi, grain int, body func(lo, hi int)) {
 	runBlocks(current(), lo, hi, grain, body)
-}
-
-// semBlocks is the semaphore engine's block runner: recursive halving,
-// forking the right half into a worker slot when one is free and
-// degrading to inline sequential execution otherwise. Panics on forked
-// goroutines are captured and re-panicked once at the operation root
-// after all forks have drained; inline panics propagate directly, with
-// the deferred Waits keeping every in-flight fork joined first.
-func semBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
-	var first atomic.Pointer[PanicError]
-	var run func(lo, hi int)
-	run = func(lo, hi int) {
-		for hi-lo > grain {
-			mid := lo + (hi-lo)/2
-			select {
-			case e.sem <- struct{}{}:
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func(l, h int) {
-					defer func() {
-						if v := recover(); v != nil {
-							first.CompareAndSwap(nil, asPanicError(v))
-						}
-						<-e.sem
-						wg.Done()
-					}()
-					run(l, h)
-				}(mid, hi)
-				defer wg.Wait()
-				run(lo, mid)
-				return
-			default:
-				run(lo, mid)
-				lo = mid
-			}
-		}
-		if lo < hi {
-			body(lo, hi)
-		}
-	}
-	run(lo, hi)
-	if pe := first.Load(); pe != nil {
-		panic(pe)
-	}
 }
 
 // alignedBlocks partitions [lo, hi) into ⌈n/grain⌉ consecutive blocks of

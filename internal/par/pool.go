@@ -18,10 +18,10 @@ import (
 // pool — the submitting goroutine always works too) live for the pool's
 // lifetime and do nothing but steal and execute. *Scopes* are transient:
 // every structured fork-join operation (a Pool.Run, or one package-level
-// Do/For/Reduce call on the pool engine) registers a deque for its
-// duration, forks into it, and helps until its own joins resolve. The
-// scope's owner never blocks — it pops its own deque, steals from every
-// registered deque, or runs an unclaimed future inline — which makes
+// Do/For/Reduce call) registers a deque for its duration, forks into
+// it, and helps until its own joins resolve. The scope's owner never
+// blocks — it pops its own deque, steals from every registered deque,
+// or runs an unclaimed future inline — which makes
 // arbitrary nesting deadlock-free: a nested operation on a worker
 // goroutine simply opens another scope whose tasks remain stealable by
 // everyone.

@@ -27,7 +27,7 @@ type PoolStats struct {
 	// GOMAXPROCS changes observed by poolFor).
 	Resizes int64
 	// Workers is the live shared pool's participant count, 0 when no
-	// pool is installed (sequential configuration or semaphore engine).
+	// pool is installed (sequential configuration).
 	Workers int
 	// Parked is how many of those workers are currently blocked waiting
 	// for work; Workers - Parked approximates the active worker count.

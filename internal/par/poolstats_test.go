@@ -5,14 +5,11 @@ import (
 	"testing"
 )
 
-// TestReadPoolStats drives enough forked work through the pool engine
+// TestReadPoolStats drives enough forked work through the shared pool
 // to exercise the event counters and checks the snapshot invariants:
 // counters are monotonic, the live pool's shape is reported, and the
 // parked count never exceeds the worker count.
 func TestReadPoolStats(t *testing.T) {
-	if CurrentEngine() != EnginePool {
-		t.Skip("pool stats describe the work-stealing engine")
-	}
 	before := ReadPoolStats()
 
 	var sum atomic.Int64

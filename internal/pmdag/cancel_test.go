@@ -25,30 +25,29 @@ func cancelTestProblem(t *testing.T, seed uint64) *match.Problem {
 
 // TestEmissionParityAcrossParEngines: with no cancellation, the
 // state-emission counter (the Lemma 3.1 work measure) is deterministic
-// — identical across the pool and semaphore par engines, and identical
-// with an unfired token attached.
+// — identical on the sequential runtime (SetParallelism(1)) and the
+// default parallel one, and identical with an unfired token attached.
 func TestEmissionParityAcrossParEngines(t *testing.T) {
 	p := cancelTestProblem(t, 31)
 
-	par.SetEngine(par.EnginePool)
-	engPool, _ := Run(p, nil)
+	engPar, _ := Run(p, nil)
 
-	par.SetEngine(par.EngineSemaphore)
-	engSem, _ := Run(p, nil)
-	par.SetEngine(par.EnginePool)
+	par.SetParallelism(1)
+	engSeq, _ := Run(p, nil)
+	par.SetParallelism(0)
 
 	pt := *p
 	pt.Cancel = par.NewCanceller() // never fired
 	engTok, _ := Run(&pt, nil)
 
-	if a, b := engPool.StatesGenerated(), engSem.StatesGenerated(); a != b {
-		t.Fatalf("emission parity broken across par engines: pool=%d semaphore=%d", a, b)
+	if a, b := engPar.StatesGenerated(), engSeq.StatesGenerated(); a != b {
+		t.Fatalf("emission parity broken across parallelism: default=%d sequential=%d", a, b)
 	}
-	if a, b := engPool.StatesGenerated(), engTok.StatesGenerated(); a != b {
+	if a, b := engPar.StatesGenerated(), engTok.StatesGenerated(); a != b {
 		t.Fatalf("unfired token changed emissions: %d vs %d", a, b)
 	}
-	if engPool.Found() != engSem.Found() || engPool.Found() != engTok.Found() {
-		t.Fatal("engines disagree on Found")
+	if engPar.Found() != engSeq.Found() || engPar.Found() != engTok.Found() {
+		t.Fatal("runs disagree on Found")
 	}
 }
 

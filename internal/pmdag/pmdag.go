@@ -75,19 +75,30 @@ func Run(p *match.Problem, tr *wd.Tracker) (*match.Result, *Stats) {
 	return RunConfig(p, Config{}, tr)
 }
 
-// RunMulti executes the path-DAG engine for several patterns sharing
-// one target and decomposition, walking the layered path decomposition
-// once: LayersParallel and Decompose — the per-(G, ND) work — run a
-// single time, then every (path, pattern) pair is processed in parallel
-// by the unchanged per-path pipeline. Each pattern's per-node state
-// sets, emission counts and cost flushes are byte-identical to a solo
-// Run; a pattern whose Cancel fires drops out at its next path
-// checkpoint (partial Result, one trace event) without stopping its
-// batch-mates. Per-pattern DAG stats are not aggregated (the decide
-// pipeline discards them).
+// RunConfig is Run with explicit engine configuration.
+func RunConfig(p *match.Problem, cfg Config, tr *wd.Tracker) (*match.Result, *Stats) {
+	engs, stats := run([]*match.Problem{p}, cfg, tr)
+	return engs[0], stats
+}
+
+// RunMulti executes the path-DAG engine for several patterns sharing one
+// target and decomposition. Each pattern's per-node state sets, emission
+// counts and cost flushes are byte-identical to a solo Run; a pattern
+// whose Cancel fires drops out at its next path checkpoint (partial
+// Result, one trace event) without stopping its batch-mates.
 func RunMulti(ps []*match.Problem, tr *wd.Tracker) []*match.Result {
+	engs, _ := run(ps, Config{}, tr)
+	return engs
+}
+
+// run walks the layered path decomposition once for every problem:
+// LayersParallel and Decompose — the per-(G, ND) work — run a single
+// time, then each layer's (path, problem) pairs are processed in
+// parallel by the per-path pipeline. The returned Stats sum the DAG
+// counters over all problems (MaxHops is the maximum).
+func run(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result, *Stats) {
 	if len(ps) == 0 {
-		return nil
+		return nil, nil
 	}
 	for _, p := range ps {
 		if p.Separating {
@@ -98,37 +109,6 @@ func RunMulti(ps []*match.Problem, tr *wd.Tracker) []*match.Result {
 	nd := ps[0].ND
 	layers := treepath.LayersParallel(nd.Parent, tr)
 	pd := treepath.Decompose(nd.Parent, layers)
-	cancelTraced := make([]atomic.Bool, len(ps))
-	for _, pathIDs := range pd.PathsByLayer() {
-		ids := pathIDs
-		// Paths of a layer are independent for every pattern, and the
-		// patterns never share mutable state, so the (path, pattern)
-		// grid of one layer is a single flat parallel loop.
-		par.For(0, len(ids)*len(ps), func(t int) {
-			j, x := t/len(ps), t%len(ps)
-			p := ps[x]
-			if p.Cancel.Cancelled() {
-				if p.Trace != nil && !cancelTraced[x].Swap(true) {
-					p.Trace.Event("pmdag.cancel", -1, -1, "path-DAG engine abandoned at path checkpoint")
-				}
-				return
-			}
-			processPath(engs[x], pd.Paths[ids[j]], Config{}, tr)
-		})
-		tr.AddPhaseRounds("pmdag-layers", 1)
-	}
-	return engs
-}
-
-// RunConfig is Run with explicit engine configuration.
-func RunConfig(p *match.Problem, cfg Config, tr *wd.Tracker) (*match.Result, *Stats) {
-	if p.Separating {
-		panic("pmdag: separating mode is handled by the sequential engine")
-	}
-	eng := match.NewEngine(p)
-	nd := p.ND
-	layers := treepath.LayersParallel(nd.Parent, tr)
-	pd := treepath.Decompose(nd.Parent, layers)
 	stats := &Stats{Layers: pd.NumLayers, Paths: len(pd.Paths)}
 	for _, path := range pd.Paths {
 		if len(path) > stats.LongestPath {
@@ -137,27 +117,30 @@ func RunConfig(p *match.Problem, cfg Config, tr *wd.Tracker) (*match.Result, *St
 	}
 	var dagV, dagE, forestE, shortcutE atomic.Int64
 	var maxHops atomic.Int64
-	var cancelTraced atomic.Bool
-	for _, pathIDs := range pd.PathsByLayer() {
-		ids := pathIDs
-		// All paths of a layer are independent: their bottom nodes only
-		// depend on strictly lower layers (Lemma 3.2).
-		par.For(0, len(ids), func(j int) {
+	cancelTraced := make([]atomic.Bool, len(ps))
+	for _, ids := range pd.PathsByLayer() {
+		// All paths of a layer are independent — their bottom nodes only
+		// depend on strictly lower layers (Lemma 3.2) — and the problems
+		// never share mutable state, so the (path, problem) grid of one
+		// layer is a single flat parallel loop.
+		par.For(0, len(ids)*len(ps), func(t int) {
+			j, x := t/len(ps), t%len(ps)
+			p := ps[x]
 			// Cancellation checkpoint at path granularity: a fired token
 			// (request gone, or a sibling band already found an
-			// occurrence) abandons the run. Skipped paths leave nil sets,
-			// which is safe: any later path would observe the same
-			// monotonic token before reading them, and callers that saw
-			// Cancel fire discard the whole Result.
+			// occurrence) abandons the problem's run. Skipped paths leave
+			// nil sets, which is safe: any later path would observe the
+			// same monotonic token before reading them, and callers that
+			// saw Cancel fire discard the whole Result.
 			if p.Cancel.Cancelled() {
 				// One trace event per run marks the abandonment point;
 				// every concurrently skipped path observes the same token.
-				if p.Trace != nil && !cancelTraced.Swap(true) {
+				if p.Trace != nil && !cancelTraced[x].Swap(true) {
 					p.Trace.Event("pmdag.cancel", -1, -1, "path-DAG engine abandoned at path checkpoint")
 				}
 				return
 			}
-			st := processPath(eng, pd.Paths[ids[j]], cfg, tr)
+			st := processPath(engs[x], pd.Paths[ids[j]], cfg, tr)
 			dagV.Add(st.DAGVertices)
 			dagE.Add(st.DAGEdges)
 			forestE.Add(st.ForestEdges)
@@ -176,7 +159,7 @@ func RunConfig(p *match.Problem, cfg Config, tr *wd.Tracker) (*match.Result, *St
 	stats.ForestEdges = forestE.Load()
 	stats.ShortcutEdges = shortcutE.Load()
 	stats.MaxHops = int(maxHops.Load())
-	return eng, stats
+	return engs, stats
 }
 
 // bottomStates computes the complete valid state set of a path's bottom
