@@ -7,7 +7,8 @@
 # pass uses -short: it targets thread-safety, not the statistical sweeps,
 # which the plain test run already covers. It then repeats the par
 # resize tests, whose global worker-count flips must not leak into the
-# tests that follow them.
+# tests that follow them, and the Index's memo-deadlock regression test
+# (no pool task may wait on a memoized artifact build).
 
 GO ?= go
 
@@ -39,6 +40,7 @@ test:
 race:
 	$(GO) test -race -short ./internal/index ./internal/core ./internal/par ./internal/match ./internal/pmdag ./internal/serve ./internal/obs
 	$(GO) test -count=20 -run 'Parallelism|Resize' ./internal/par
+	$(GO) test -count=20 -short -run TestMemoBuildsOffPool ./internal/index
 
 # Full-suite coverage profile with a ratcheted floor (see the script for
 # the ratchet policy). CI uploads coverage.out as an artifact.

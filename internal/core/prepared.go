@@ -18,6 +18,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"sync/atomic"
 
 	"planarsi/internal/cover"
 	"planarsi/internal/estc"
@@ -108,19 +109,53 @@ func (pc *PreparedCover) MemBytes() int64 {
 	return b
 }
 
-// prepare decomposes every band of cov in parallel. A fired Cancel token
-// skips the remaining bands, leaving their PreparedBand entries zeroed
-// (Band == nil): consumers observe the same monotonic token before
-// touching any skipped band, and a cancelled prepare is never cached (an
-// Index builds covers with its own token-free Options).
-func prepare(cov *cover.Cover, opt Options) *PreparedCover {
+// prepare decomposes every band of cov in parallel and returns the
+// prepared cover with how many bands it kept from prev and how many it
+// decomposed.
+//
+// prev is nil for a fresh build. After an edge edit it is the same key's
+// cover on the old graph: the geometry (one in-cluster BFS per cluster)
+// is cheap to recompute, the decompositions are not, so a band
+// bit-identical to prev's band of the same (cluster, level) — the band
+// identity within one clustering; cover.Band.Equal includes graph.Equal
+// on the band graph — reuses prev's PreparedBand outright. Because reuse
+// needs bit-identity and treedecomp.Build is deterministic in its input,
+// the result equals a fresh build on the edited graph: same bands, same
+// decompositions, same bytes.
+//
+// A fired Cancel token skips the remaining bands, leaving their
+// PreparedBand entries zeroed (Band == nil): consumers observe the same
+// monotonic token before touching any skipped band, and a cancelled
+// prepare is never cached (an Index builds covers with its own
+// token-free Options).
+func prepare(cov *cover.Cover, prev *PreparedCover, opt Options) (*PreparedCover, int, int) {
+	type bandID struct{ cluster, level int32 }
+	var old map[bandID]*PreparedBand
+	if prev != nil {
+		old = make(map[bandID]*PreparedBand, len(prev.Bands))
+		for i := range prev.Bands {
+			if pb := &prev.Bands[i]; pb.Band != nil {
+				old[bandID{pb.Band.Cluster, pb.Band.Level}] = pb
+			}
+		}
+	}
 	pc := &PreparedCover{Cover: cov, Bands: make([]PreparedBand, len(cov.Bands))}
+	var kept, rebuilt atomic.Int64
 	par.ForGrain(0, len(cov.Bands), 1, func(i int) {
 		injectBandFaults()
 		if opt.Cancel.Cancelled() {
 			return
 		}
 		b := cov.Bands[i]
+		if pb, ok := old[bandID{b.Cluster, b.Level}]; ok && pb.Band.Equal(b) {
+			// Share the old band object outright so entries kept across
+			// a generation keep their exact pointers (and snapshot
+			// encoders see one band, not two equal copies).
+			cov.Bands[i] = pb.Band
+			pc.Bands[i] = *pb
+			kept.Add(1)
+			return
+		}
 		td := treedecomp.Build(b.G, opt.Heuristic)
 		nd := treedecomp.MakeNice(td)
 		pb := PreparedBand{Band: b, Width: td.Width()}
@@ -130,34 +165,42 @@ func prepare(cov *cover.Cover, opt Options) *PreparedCover {
 			pb.ND = nd
 		}
 		pc.Bands[i] = pb
+		rebuilt.Add(1)
 	})
-	return pc
+	return pc, int(kept.Load()), int(rebuilt.Load())
 }
 
 // PrepareRun builds and decomposes run `run`'s plain cover of g for
 // patterns of size k and diameter d — the fresh, uncached path.
 func PrepareRun(g *graph.Graph, k, d, run int, opt Options) *PreparedCover {
-	return PrepareFromClustering(g, ClusterRun(g, CoverBeta(k, opt), run, opt), k, d, opt)
+	pc, _, _ := PrepareFromClustering(g, ClusterRun(g, CoverBeta(k, opt), run, opt), nil, k, d, opt)
+	return pc
 }
 
 // PrepareFromClustering decomposes the plain cover induced by an existing
-// clustering (shared across pattern diameters by a cache).
-func PrepareFromClustering(g *graph.Graph, cl *estc.Clustering, k, d int, opt Options) *PreparedCover {
+// clustering (shared across pattern diameters by a cache), reusing the
+// unchanged bands of prev, the same shape's cover before an edge edit,
+// when prev is non-nil (see prepare). It also returns how many bands
+// were kept and how many decomposed.
+func PrepareFromClustering(g *graph.Graph, cl *estc.Clustering, prev *PreparedCover, k, d int, opt Options) (*PreparedCover, int, int) {
 	cov := cover.FromClustering(g, cl, cover.Params{K: k, D: d, Beta: opt.Beta}, opt.Tracker)
-	return prepare(cov, opt)
+	return prepare(cov, prev, opt)
 }
 
 // PrepareSeparatingRun is PrepareRun for the Section 5.2.1 separating
 // covers (band minors carrying Allowed and S marks for terminal set s).
 func PrepareSeparatingRun(g *graph.Graph, s []bool, k, d, run int, opt Options) *PreparedCover {
-	return PrepareSeparatingFromClustering(g, ClusterRun(g, CoverBeta(k, opt), run, opt), s, k, d, opt)
+	pc, _, _ := PrepareSeparatingFromClustering(g, ClusterRun(g, CoverBeta(k, opt), run, opt), s, nil, k, d, opt)
+	return pc
 }
 
-// PrepareSeparatingFromClustering decomposes the separating cover induced
-// by an existing clustering.
-func PrepareSeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, k, d int, opt Options) *PreparedCover {
+// PrepareSeparatingFromClustering is PrepareFromClustering for separating
+// covers. Separating bands are minors of the whole graph, so an edit
+// anywhere can change any band's contracted complement; the bit-identity
+// check reuses only the minors that are truly untouched.
+func PrepareSeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, prev *PreparedCover, k, d int, opt Options) (*PreparedCover, int, int) {
 	cov := cover.SeparatingFromClustering(g, cl, s, cover.Params{K: k, D: d, Beta: opt.Beta}, opt.Tracker)
-	return prepare(cov, opt)
+	return prepare(cov, prev, opt)
 }
 
 // A CoverSource supplies the prepared plain cover for each independent

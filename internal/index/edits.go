@@ -134,138 +134,67 @@ func (ix *Index) ApplyEdits(b EditBatch) (EditResult, error) {
 // the fresh-build code path otherwise. Entries still under construction
 // are skipped, exactly as Snapshot skips them: their builders publish
 // into the old generation, and a later query against next rebuilds them
-// on demand, bit-identically.
+// on demand, bit-identically. next is unpublished and editMu serializes
+// us, so filling its tables races nothing.
 func (ix *Index) migrate(old, next *generation, res *EditResult) {
-	// Snapshot old's completed entries under its lock; construction of
-	// next needs no locks (it is unpublished and editMu serializes us).
-	old.mu.Lock()
-	clusters := make(map[clusterKey]*clusterEntry, len(old.clusters))
-	for key, e := range old.clusters {
-		if e.done.Load() {
-			clusters[key] = e
+	var plain, sep []memoEntry[coverKey, *core.PreparedCover]
+	var clusters []memoEntry[clusterKey, *estc.Clustering]
+	old.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
+		if e.key.sep {
+			sep = append(sep, e)
+		} else {
+			plain = append(plain, e)
 		}
-	}
-	plain := make(map[coverKey]*coverEntry, len(old.plain))
-	for key, e := range old.plain {
-		if e.done.Load() {
-			plain[key] = e
-		}
-	}
-	sep := make(map[sepKey]*coverEntry, len(old.sep))
-	for key, e := range old.sep {
-		if e.done.Load() {
-			sep[key] = e
-		}
-	}
-	old.mu.Unlock()
+	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
+		clusters = append(clusters, e)
+	})
 
 	// Clusterings first: covers share them, and the kept/rebuilt
 	// decision below wants the migrated pointer.
-	for key, e := range clusters {
-		beta := math.Float64frombits(key.betaBits)
-		cl2 := core.ClusterRun(next.g, beta, key.run, ix.opt)
-		if e.cl.Equal(cl2) {
-			next.clusters[key] = e
-			res.Clusterings.Kept++
-			ix.inval[invalClustering].retained.Add(1)
-		} else {
-			next.clusters[key] = newDoneClusterEntry(cl2)
+	cls := make(map[clusterKey]*estc.Clustering)
+	res.Clusterings = next.clusters.carry(clusters, func(key clusterKey, cl *estc.Clustering) (*estc.Clustering, bool) {
+		cl2 := core.ClusterRun(next.g, math.Float64frombits(key.betaBits), key.run, ix.opt)
+		if cl.Equal(cl2) {
+			cl2 = cl
+		}
+		cls[key] = cl2
+		return cl2, cl2 == cl
+	})
+
+	refresh := func(key coverKey, pc *core.PreparedCover) (*core.PreparedCover, bool) {
+		beta := core.CoverBeta(key.k, ix.opt)
+		ckey := clusterKey{math.Float64bits(beta), key.run}
+		cl, ok := cls[ckey]
+		if !ok {
+			// The old generation memoized the cover but not its
+			// clustering (e.g. after a partial snapshot restore): build
+			// and install it, counted as a rebuilt clustering.
+			cl = core.ClusterRun(next.g, beta, key.run, ix.opt)
+			cls[ckey] = cl
+			next.clusters.put(ckey, cl, cl.MemBytes())
 			res.Clusterings.Rebuilt++
-			ix.inval[invalClustering].invalidated.Add(1)
 		}
+		pc2, kept, rebuilt := next.prepare(key, cl, pc)
+		res.Bands.Kept += kept
+		res.Bands.Rebuilt += rebuilt
+		// Every band reused, none appeared or disappeared, and the
+		// cover-level metadata (inducing clustering, BFS depth proxy)
+		// unchanged: pc2 references pc's band pointers throughout, so
+		// the two are bit-identical.
+		survived := rebuilt == 0 && len(pc2.Bands) == len(pc.Bands) &&
+			pc2.Cover.Clustering == pc.Cover.Clustering && pc2.Cover.BFSRounds == pc.Cover.BFSRounds
+		return pc2, survived
 	}
+	res.PlainCovers = next.plain.carry(plain, refresh)
+	res.SeparatingCovers = next.sep.carry(sep, refresh)
 
-	for key, e := range plain {
-		cl := ix.migratedClustering(next, core.CoverBeta(key.k, ix.opt), key.run, res)
-		pc2, kept, rebuilt := core.RefreshPrepared(next.g, cl, e.pc, key.k, key.d, ix.opt)
-		ix.countBands(res, kept, rebuilt)
-		if coverSurvived(e, pc2, rebuilt) {
-			next.plain[key] = e
-			res.PlainCovers.Kept++
-			ix.inval[invalCover].retained.Add(1)
-		} else {
-			next.plain[key] = newDoneCoverEntry(pc2)
-			res.PlainCovers.Rebuilt++
-			ix.inval[invalCover].invalidated.Add(1)
-		}
+	for c, d := range [numInvalClasses]ClassDelta{
+		invalClustering: res.Clusterings,
+		invalCover:      res.PlainCovers,
+		invalSeparating: res.SeparatingCovers,
+		invalBand:       res.Bands,
+	} {
+		ix.inval[c].retained.Add(uint64(d.Kept))
+		ix.inval[c].invalidated.Add(uint64(d.Rebuilt))
 	}
-
-	for key, e := range sep {
-		cl := ix.migratedClustering(next, core.CoverBeta(key.k, ix.opt), key.run, res)
-		s := unpackMask(key.s, next.g.N())
-		pc2, kept, rebuilt := core.RefreshPreparedSeparating(next.g, cl, s, e.pc, key.k, key.d, ix.opt)
-		ix.countBands(res, kept, rebuilt)
-		if coverSurvived(e, pc2, rebuilt) {
-			next.sep[key] = e
-			res.SeparatingCovers.Kept++
-			ix.inval[invalSeparating].retained.Add(1)
-		} else {
-			next.sep[key] = newDoneCoverEntry(pc2)
-			res.SeparatingCovers.Rebuilt++
-			ix.inval[invalSeparating].invalidated.Add(1)
-		}
-	}
-}
-
-// countBands accumulates one refreshed cover's band reuse into the batch
-// result and the lifetime counters.
-func (ix *Index) countBands(res *EditResult, kept, rebuilt int) {
-	res.Bands.Kept += kept
-	res.Bands.Rebuilt += rebuilt
-	ix.inval[invalBand].retained.Add(uint64(kept))
-	ix.inval[invalBand].invalidated.Add(uint64(rebuilt))
-}
-
-// coverSurvived decides whether a migrated cover entry can be kept
-// verbatim: every band was reused, none appeared or disappeared, and the
-// cover-level metadata (inducing clustering, BFS depth proxy) is
-// unchanged. The refreshed cover pc2 references old band pointers for
-// every kept band, so these checks make old and new bit-identical.
-func coverSurvived(e *coverEntry, pc2 *core.PreparedCover, rebuilt int) bool {
-	return rebuilt == 0 &&
-		len(pc2.Bands) == len(e.pc.Bands) &&
-		pc2.Cover.Clustering == e.pc.Cover.Clustering &&
-		pc2.Cover.BFSRounds == e.pc.Cover.BFSRounds
-}
-
-// migratedClustering returns next's clustering for (beta, run), building
-// and installing it if cover migration reaches it before any clustering
-// entry did (possible when the old generation memoized a cover but not
-// its clustering, e.g. after a partial snapshot restore). A build here
-// counts as a rebuilt clustering.
-func (ix *Index) migratedClustering(next *generation, beta float64, run int, res *EditResult) *estc.Clustering {
-	key := clusterKey{math.Float64bits(beta), run}
-	if e, ok := next.clusters[key]; ok {
-		return e.cl
-	}
-	cl := core.ClusterRun(next.g, beta, run, ix.opt)
-	next.clusters[key] = newDoneClusterEntry(cl)
-	res.Clusterings.Rebuilt++
-	ix.inval[invalClustering].invalidated.Add(1)
-	return cl
-}
-
-// newDoneClusterEntry wraps a freshly built clustering as a completed
-// memo entry (the once pre-fired, as FromSnapshot does).
-func newDoneClusterEntry(cl *estc.Clustering) *clusterEntry {
-	e := &clusterEntry{}
-	e.once.Do(func() {
-		e.cl = cl
-		e.bytes = cl.MemBytes()
-		e.done.Store(true)
-	})
-	return e
-}
-
-// newDoneCoverEntry wraps a refreshed prepared cover as a completed memo
-// entry.
-func newDoneCoverEntry(pc *core.PreparedCover) *coverEntry {
-	e := &coverEntry{}
-	e.once.Do(func() {
-		e.pc = pc
-		e.bytes = pc.MemBytes()
-		e.bands = len(pc.Bands)
-		e.done.Store(true)
-	})
-	return e
 }

@@ -12,16 +12,14 @@ package index
 // generation, which is then held alive only by the queries still
 // draining on it.
 //
-// The generation carries the memoized-build machinery that used to live
-// on the Index: the per-key sync.Once entries, the depoison-on-panic
-// discipline, and the CoverSource/SeparatingSource implementations the
-// core pipeline consumes.
+// The generation carries the three memo tables (see memo.go) and the
+// CoverSource/SeparatingSource implementations the core pipeline
+// consumes.
 
 import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"planarsi/internal/core"
 	"planarsi/internal/estc"
@@ -49,10 +47,9 @@ type generation struct {
 	embedErr   error
 	embedBytes atomic.Int64
 
-	mu       sync.Mutex
-	clusters map[clusterKey]*clusterEntry
-	plain    map[coverKey]*coverEntry
-	sep      map[sepKey]*coverEntry
+	clusters *memo[clusterKey, *estc.Clustering]
+	plain    *memo[coverKey, *core.PreparedCover]
+	sep      *memo[coverKey, *core.PreparedCover]
 
 	// refs is the pin count; retired marks a generation that has been
 	// swapped out. When a retired generation's last pin drops, drainOnce
@@ -69,9 +66,9 @@ func (ix *Index) newGeneration(epoch uint64, g *graph.Graph) *generation {
 		ix:       ix,
 		epoch:    epoch,
 		g:        g,
-		clusters: make(map[clusterKey]*clusterEntry),
-		plain:    make(map[coverKey]*coverEntry),
-		sep:      make(map[sepKey]*coverEntry),
+		clusters: newMemo[clusterKey, *estc.Clustering](&ix.memo[memoClustering]),
+		plain:    newMemo[coverKey, *core.PreparedCover](&ix.memo[memoPlainCover]),
+		sep:      newMemo[coverKey, *core.PreparedCover](&ix.memo[memoSepCover]),
 	}
 	gen.refs.Store(1)
 	return gen
@@ -136,34 +133,24 @@ func (gen *generation) adoptEmbedding(from *generation) {
 	})
 }
 
+// completed visits every completed entry of the generation's tables:
+// plain and separating covers first (cover), then clusterings (cluster).
+// The tables lock separately, and a cover completes only after its
+// clustering, so this order guarantees that every visited cover's
+// clustering is visited too. Stats, MemoStats, Snapshot and migration
+// all list the tables through here. Each visit runs under its table's
+// lock (see memo.each).
+func (gen *generation) completed(cover func(memoEntry[coverKey, *core.PreparedCover]), cluster func(memoEntry[clusterKey, *estc.Clustering])) {
+	gen.plain.each(cover)
+	gen.sep.each(cover)
+	gen.clusters.each(cluster)
+}
+
 // clustering returns the memoized ESTC clustering for (beta, run).
 func (gen *generation) clustering(beta float64, run int) *estc.Clustering {
-	ix := gen.ix
-	key := clusterKey{math.Float64bits(beta), run}
-	gen.mu.Lock()
-	e, ok := gen.clusters[key]
-	if !ok {
-		e = &clusterEntry{}
-		gen.clusters[key] = e
-	}
-	gen.mu.Unlock()
-	ix.memo[memoClustering].touch(ok && e.done.Load())
-	e.once.Do(func() {
-		t0 := time.Now()
-		defer depoisonOnPanic(&e.done, func() {
-			gen.mu.Lock()
-			if gen.clusters[key] == e {
-				delete(gen.clusters, key)
-			}
-			gen.mu.Unlock()
-		})
-		e.cl = core.ClusterRun(gen.g, beta, run, ix.opt)
-		e.bytes = e.cl.MemBytes()
-		ix.memo[memoClustering].buildNanos.Add(time.Since(t0).Nanoseconds())
-		e.done.Store(true)
+	return gen.clusters.get(clusterKey{math.Float64bits(beta), run}, func() *estc.Clustering {
+		return core.ClusterRun(gen.g, beta, run, gen.ix.opt)
 	})
-	checkBuilt(&e.done, "clustering")
-	return e.cl
 }
 
 // Prepared implements core.CoverSource against this generation's graph:
@@ -176,76 +163,43 @@ func (gen *generation) clustering(beta float64, run int) *estc.Clustering {
 // tail would grow the cache without bound. Identity of answers is
 // unaffected — a fresh build equals a cached one by construction.
 func (gen *generation) Prepared(k, d, run int) *core.PreparedCover {
-	ix := gen.ix
-	if run >= core.RunBudget(gen.g.N(), ix.opt) {
-		// Deliberately uncached: every such access is a miss and its
-		// build time is charged like a memoized build's.
-		m := &ix.memo[memoPlainCover]
-		m.touch(false)
-		t0 := time.Now()
-		pc := core.PrepareRun(gen.g, k, d, run, ix.opt)
-		m.buildNanos.Add(time.Since(t0).Nanoseconds())
-		return pc
-	}
-	key := coverKey{k, d, run}
-	gen.mu.Lock()
-	e, ok := gen.plain[key]
-	if !ok {
-		e = &coverEntry{}
-		gen.plain[key] = e
-	}
-	gen.mu.Unlock()
-	ix.memo[memoPlainCover].touch(ok && e.done.Load())
-	e.once.Do(func() {
-		t0 := time.Now()
-		defer depoisonOnPanic(&e.done, func() {
-			gen.mu.Lock()
-			if gen.plain[key] == e {
-				delete(gen.plain, key)
-			}
-			gen.mu.Unlock()
+	if run >= core.RunBudget(gen.g.N(), gen.ix.opt) {
+		return gen.plain.uncached(func() *core.PreparedCover {
+			return core.PrepareRun(gen.g, k, d, run, gen.ix.opt)
 		})
-		cl := gen.clustering(core.CoverBeta(k, ix.opt), run)
-		e.pc = core.PrepareFromClustering(gen.g, cl, k, d, ix.opt)
-		e.bytes = e.pc.MemBytes()
-		e.bands = len(e.pc.Bands)
-		ix.memo[memoPlainCover].buildNanos.Add(time.Since(t0).Nanoseconds())
-		e.done.Store(true)
-	})
-	checkBuilt(&e.done, "prepared cover")
-	return e.pc
+	}
+	return gen.cover(coverKey{k: k, d: d, run: run})
 }
 
 // PreparedSeparating implements core.SeparatingSource: the memoized
 // separating cover for run `run` of pattern shape (k, d) and terminal set
 // s. It shares the (beta, run) clustering with the plain covers.
 func (gen *generation) PreparedSeparating(s []bool, k, d, run int) *core.PreparedCover {
-	ix := gen.ix
-	key := sepKey{k, d, run, packMask(s)}
-	gen.mu.Lock()
-	e, ok := gen.sep[key]
-	if !ok {
-		e = &coverEntry{}
-		gen.sep[key] = e
+	return gen.cover(coverKey{k: k, d: d, run: run, sep: true, mask: packMask(s)})
+}
+
+// cover returns key's memoized cover from the plain or separating
+// table, building it from the memoized clustering of its (beta, run).
+func (gen *generation) cover(key coverKey) *core.PreparedCover {
+	t := gen.plain
+	if key.sep {
+		t = gen.sep
 	}
-	gen.mu.Unlock()
-	ix.memo[memoSepCover].touch(ok && e.done.Load())
-	e.once.Do(func() {
-		t0 := time.Now()
-		defer depoisonOnPanic(&e.done, func() {
-			gen.mu.Lock()
-			if gen.sep[key] == e {
-				delete(gen.sep, key)
-			}
-			gen.mu.Unlock()
-		})
-		cl := gen.clustering(core.CoverBeta(k, ix.opt), run)
-		e.pc = core.PrepareSeparatingFromClustering(gen.g, cl, s, k, d, ix.opt)
-		e.bytes = e.pc.MemBytes()
-		e.bands = len(e.pc.Bands)
-		ix.memo[memoSepCover].buildNanos.Add(time.Since(t0).Nanoseconds())
-		e.done.Store(true)
+	return t.get(key, func() *core.PreparedCover {
+		cl := gen.clustering(core.CoverBeta(key.k, gen.ix.opt), key.run)
+		pc, _, _ := gen.prepare(key, cl, nil)
+		return pc
 	})
-	checkBuilt(&e.done, "separating cover")
-	return e.pc
+}
+
+// prepare builds key's cover on this generation's graph from the
+// clustering cl, reusing the unchanged bands of prev, the key's cover
+// before an edge edit, when prev is non-nil (see
+// core.PrepareFromClustering).
+func (gen *generation) prepare(key coverKey, cl *estc.Clustering, prev *core.PreparedCover) (*core.PreparedCover, int, int) {
+	if key.sep {
+		s := unpackMask(key.mask, gen.g.N())
+		return core.PrepareSeparatingFromClustering(gen.g, cl, s, prev, key.k, key.d, gen.ix.opt)
+	}
+	return core.PrepareFromClustering(gen.g, cl, prev, key.k, key.d, gen.ix.opt)
 }

@@ -26,9 +26,10 @@
 //
 // Seed and Heuristic are fixed per Index (they are part of its Options),
 // so they need not appear in the keys. All methods are safe for
-// concurrent use: lookups take a short lock and construction happens
-// under a per-key sync.Once, so two goroutines asking for the same
-// artifact build it once and share it.
+// concurrent use: each artifact class lives in one memo table (see
+// memo.go) whose lookups take a short lock and whose builds run once per
+// key, so two goroutines asking for the same artifact build it once and
+// share it.
 //
 // The target is live: ApplyEdits applies a batch of edge insertions and
 // deletions, advancing the Index to a new epoch. Artifacts live in
@@ -43,7 +44,7 @@ package index
 import (
 	"context"
 	"errors"
-	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -80,7 +81,8 @@ type Index struct {
 	sweeps  atomic.Uint64
 
 	// memo holds the per-artifact-class cache-traffic counters behind
-	// MemoStats (hits, misses, build time); residency lives in the maps.
+	// MemoStats (hits, misses, build time); residency lives in the
+	// generation's memo tables, which charge these counters.
 	memo [numMemoClasses]memoCounters
 
 	// inval holds the per-class invalidation counters ApplyEdits
@@ -102,35 +104,14 @@ type clusterKey struct {
 	run      int
 }
 
+// coverKey keys both cover tables. sep marks a separating cover, whose
+// terminal set mask is packed into a byte string (packMask): an exact
+// key, so distinct terminal sets can never collide. Plain covers leave
+// both zero.
 type coverKey struct {
 	k, d, run int
-}
-
-type sepKey struct {
-	k, d, run int
-	// s is the terminal mask packed into a byte string: an exact key, so
-	// distinct terminal sets can never collide.
-	s string
-}
-
-// clusterEntry is a memoized clustering. The builder publishes bytes
-// before flipping done, so readers that observe done may read bytes (and
-// cl) without holding the entry's once.
-type clusterEntry struct {
-	once  sync.Once
-	cl    *estc.Clustering
-	bytes int64
-	done  atomic.Bool
-}
-
-// coverEntry is a memoized prepared cover, with its footprint published
-// on completion (see clusterEntry).
-type coverEntry struct {
-	once  sync.Once
-	pc    *core.PreparedCover
-	bytes int64
-	bands int
-	done  atomic.Bool
+	sep       bool
+	mask      string
 }
 
 // New builds an Index over the target g with the given pipeline options.
@@ -182,30 +163,6 @@ func (ix *Index) Embedded() (*graph.Graph, error) {
 	defer ix.release(gen)
 	gen.embed()
 	return gen.embedded, gen.embedErr
-}
-
-// depoisonOnPanic is deferred inside every memo entry's once.Do build:
-// sync.Once marks itself done even when its function panics, so without
-// this a panicking build would poison the cache slot forever (every
-// later query would read a half-built entry). done is only set by a
-// build that ran to completion; when it is still false on the way out,
-// the build is panicking and drop removes the entry from its map so the
-// next query retries from scratch.
-func depoisonOnPanic(done *atomic.Bool, drop func()) {
-	if !done.Load() {
-		drop()
-	}
-}
-
-// checkBuilt guards concurrent waiters of a panicked build: their
-// once.Do returns normally (the Once is done) but the entry never
-// completed. Panicking here routes them through the same per-query
-// boundary as the builder; the entry itself has already been dropped
-// for retry by depoisonOnPanic.
-func checkBuilt(done *atomic.Bool, what string) {
-	if !done.Load() {
-		panic(fmt.Errorf("index: %s build panicked concurrently; retry", what))
-	}
 }
 
 // Prepared implements core.CoverSource against the current generation
@@ -277,6 +234,22 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
+// query is the preamble of every single-pattern query: it charges one
+// query and one sweep, passes the query fault checkpoint, pins the
+// current generation and runs body with the query's Options, translating
+// a cancellation into ctx's error.
+func query[T any](ctx context.Context, ix *Index, body func(gen *generation, opt core.Options) (T, error)) (T, error) {
+	ix.queries.Add(1)
+	ix.sweeps.Add(1)
+	fault.Check(fault.QueryPanic)
+	gen := ix.acquire()
+	defer ix.release(gen)
+	opt, stop := ix.queryOptions(ctx)
+	defer stop()
+	v, err := body(gen, opt)
+	return v, ctxErr(ctx, err)
+}
+
 // Decide reports whether the pattern h occurs in the target. Answers
 // equal core.Decide's for the Index's Options: true answers are exact,
 // false answers hold w.h.p.
@@ -290,15 +263,9 @@ func (ix *Index) Decide(h *graph.Graph) (bool, error) {
 // returned. Cancellation never changes answers — rerunning with a live
 // context returns exactly what an unwatched Decide would.
 func (ix *Index) DecideCtx(ctx context.Context, h *graph.Graph) (bool, error) {
-	ix.queries.Add(1)
-	ix.sweeps.Add(1)
-	fault.Check(fault.QueryPanic)
-	gen := ix.acquire()
-	defer ix.release(gen)
-	opt, stop := ix.queryOptions(ctx)
-	defer stop()
-	found, err := core.DecideFrom(gen, gen.g, h, opt)
-	return found, ctxErr(ctx, err)
+	return query(ctx, ix, func(gen *generation, opt core.Options) (bool, error) {
+		return core.DecideFrom(gen, gen.g, h, opt)
+	})
 }
 
 // FindOccurrence returns one occurrence of the connected pattern h, or
@@ -309,15 +276,9 @@ func (ix *Index) FindOccurrence(h *graph.Graph) (core.Occurrence, error) {
 
 // FindOccurrenceCtx is FindOccurrence honoring ctx (see DecideCtx).
 func (ix *Index) FindOccurrenceCtx(ctx context.Context, h *graph.Graph) (core.Occurrence, error) {
-	ix.queries.Add(1)
-	ix.sweeps.Add(1)
-	fault.Check(fault.QueryPanic)
-	gen := ix.acquire()
-	defer ix.release(gen)
-	opt, stop := ix.queryOptions(ctx)
-	defer stop()
-	occ, err := core.FindOneFrom(gen, gen.g, h, opt)
-	return occ, ctxErr(ctx, err)
+	return query(ctx, ix, func(gen *generation, opt core.Options) (core.Occurrence, error) {
+		return core.FindOneFrom(gen, gen.g, h, opt)
+	})
 }
 
 // ListOccurrences returns (w.h.p.) every occurrence of the connected
@@ -328,15 +289,9 @@ func (ix *Index) ListOccurrences(h *graph.Graph) ([]core.Occurrence, error) {
 
 // ListOccurrencesCtx is ListOccurrences honoring ctx (see DecideCtx).
 func (ix *Index) ListOccurrencesCtx(ctx context.Context, h *graph.Graph) ([]core.Occurrence, error) {
-	ix.queries.Add(1)
-	ix.sweeps.Add(1)
-	fault.Check(fault.QueryPanic)
-	gen := ix.acquire()
-	defer ix.release(gen)
-	opt, stop := ix.queryOptions(ctx)
-	defer stop()
-	occs, err := core.ListFrom(gen, gen.g, h, opt)
-	return occs, ctxErr(ctx, err)
+	return query(ctx, ix, func(gen *generation, opt core.Options) ([]core.Occurrence, error) {
+		return core.ListFrom(gen, gen.g, h, opt)
+	})
 }
 
 // CountOccurrences returns (w.h.p.) the number of occurrences of the
@@ -347,15 +302,9 @@ func (ix *Index) CountOccurrences(h *graph.Graph) (int, error) {
 
 // CountOccurrencesCtx is CountOccurrences honoring ctx (see DecideCtx).
 func (ix *Index) CountOccurrencesCtx(ctx context.Context, h *graph.Graph) (int, error) {
-	ix.queries.Add(1)
-	ix.sweeps.Add(1)
-	fault.Check(fault.QueryPanic)
-	gen := ix.acquire()
-	defer ix.release(gen)
-	opt, stop := ix.queryOptions(ctx)
-	defer stop()
-	c, err := core.CountFrom(gen, gen.g, h, opt)
-	return c, ctxErr(ctx, err)
+	return query(ctx, ix, func(gen *generation, opt core.Options) (int, error) {
+		return core.CountFrom(gen, gen.g, h, opt)
+	})
 }
 
 // DecideSeparating searches for an occurrence of the connected pattern h
@@ -367,15 +316,9 @@ func (ix *Index) DecideSeparating(h *graph.Graph, s []bool) (core.Occurrence, er
 
 // DecideSeparatingCtx is DecideSeparating honoring ctx (see DecideCtx).
 func (ix *Index) DecideSeparatingCtx(ctx context.Context, h *graph.Graph, s []bool) (core.Occurrence, error) {
-	ix.queries.Add(1)
-	ix.sweeps.Add(1)
-	fault.Check(fault.QueryPanic)
-	gen := ix.acquire()
-	defer ix.release(gen)
-	opt, stop := ix.queryOptions(ctx)
-	defer stop()
-	occ, err := core.DecideSeparatingFrom(gen, gen.g, h, s, opt)
-	return occ, ctxErr(ctx, err)
+	return query(ctx, ix, func(gen *generation, opt core.Options) (core.Occurrence, error) {
+		return core.DecideSeparatingFrom(gen, gen.g, h, s, opt)
+	})
 }
 
 // ScanResult is one pattern's answer in a batched scan.
@@ -412,9 +355,9 @@ type ScanResult struct {
 // Each pattern runs under a panic Guard: a panic beneath one member
 // (carried off pool workers by par's scopes) becomes that member's
 // ScanResult.Err — a *QueryPanicError — and its batch-mates still get
-// their answers. A panic inside a shared sweep costs only that sweep:
-// its group is retried pattern by pattern, so one poisoned member
-// cannot take down its shape-mates.
+// their answers. A panic inside a sweep shared by two or more patterns
+// costs only that sweep: its group is retried pattern by pattern, so one
+// poisoned member cannot take down its shape-mates.
 func (ix *Index) Scan(ctx context.Context, patterns []*graph.Graph) []ScanResult {
 	return ix.scanBatch(ctx, patterns, false)
 }
@@ -446,7 +389,8 @@ type scanShape struct {
 // member (charging queries and the per-member fault point), dedupes
 // isomorphic members, groups the rest by (k, d) shape and dispatches
 // the resulting units — solo queries and multi-pattern group sweeps —
-// concurrently, all against one pinned generation.
+// concurrently, all against one pinned generation. The units run off the
+// pool (see offPool) because each fetches memoized artifacts.
 func (ix *Index) scanBatch(ctx context.Context, patterns []*graph.Graph, count bool) []ScanResult {
 	out := make([]ScanResult, len(patterns))
 	gen := ix.acquire()
@@ -505,21 +449,13 @@ func (ix *Index) scanBatch(ctx context.Context, patterns []*graph.Graph, count b
 
 	// Phase 3: dispatch all units concurrently — one per solo member,
 	// one per shape group.
-	units := make([]func(), 0, len(solos)+len(order))
-	for _, i := range solos {
-		i := i
-		units = append(units, func() {
+	offPool(len(solos)+len(order), func(u int) {
+		if u < len(solos) {
+			i := solos[u]
 			ix.scanSolo(ctx, gen, patterns[i], count, opt, &out[i])
-		})
-	}
-	for _, sh := range order {
-		us := groups[sh]
-		units = append(units, func() {
-			ix.scanGroup(ctx, gen, us, count, opt, out)
-		})
-	}
-	par.ForGrain(0, len(units), 1, func(u int) {
-		units[u]()
+			return
+		}
+		ix.scanGroup(ctx, gen, groups[order[u-len(solos)]], count, opt, out)
 	})
 	return out
 }
@@ -542,21 +478,13 @@ func (ix *Index) scanSolo(ctx context.Context, gen *generation, h *graph.Graph, 
 	res.Err = ctxErr(ctx, err)
 }
 
-// scanGroup answers one shape group. A group with a single distinct
-// pattern takes the solo path verbatim; larger groups run one shared
-// multi-pattern sweep over the group's representatives. If the shared
-// sweep panics, the group decomposes into per-pattern solo queries so
-// one poisoned member cannot fail its shape-mates. Either way each
+// scanGroup answers one shape group with one multi-pattern sweep over
+// the group's representatives, a group of one included. If a sweep
+// shared by two or more patterns panics, the group decomposes into
+// per-pattern solo queries so one poisoned member cannot fail its
+// shape-mates; a one-pattern group's panic is its pattern's error. Each
 // distinct pattern's answer is scattered to all of its isomorphs.
 func (ix *Index) scanGroup(ctx context.Context, gen *generation, us []*scanUniq, count bool, opt core.Options, out []ScanResult) {
-	if len(us) == 1 {
-		var res ScanResult
-		ix.scanSolo(ctx, gen, us[0].h, count, opt, &res)
-		for _, m := range us[0].members {
-			out[m] = res
-		}
-		return
-	}
 	ix.sweeps.Add(1)
 	hs := make([]*graph.Graph, len(us))
 	for j, u := range us {
@@ -573,7 +501,7 @@ func (ix *Index) scanGroup(ctx context.Context, gen *generation, us []*scanUniq,
 		}
 		return err
 	})
-	if errors.Is(err, ErrQueryPanic) {
+	if errors.Is(err, ErrQueryPanic) && len(us) > 1 {
 		for _, u := range us {
 			var res ScanResult
 			ix.scanSolo(ctx, gen, u.h, count, opt, &res)
@@ -609,10 +537,48 @@ func (ix *Index) scanGroup(ctx context.Context, gen *generation, us []*scanUniq,
 func (ix *Index) Prewarm(k, d int) {
 	gen := ix.acquire()
 	defer ix.release(gen)
-	runs := core.RunBudget(gen.g.N(), ix.opt)
-	par.ForGrain(0, runs, 1, func(run int) {
+	offPool(core.RunBudget(gen.g.N(), ix.opt), func(run int) {
 		gen.Prepared(k, d, run)
 	})
+}
+
+// offPool runs f(0), ..., f(n-1) on min(n, par.Parallelism()) plain
+// goroutines, the caller's among them, that take indices from a shared
+// counter. That is a par loop's concurrency without making any f a pool
+// task, so f may fetch memoized artifacts (a memo get must never run in
+// a pool task; see memo). The band, estc and cover loops beneath f still
+// share the pool. As in a par loop, the first panic of any f is
+// re-raised on the caller once every goroutine has stopped.
+func offPool(n int, f func(i int)) {
+	var next atomic.Int64
+	var first atomic.Pointer[par.PanicError]
+	work := func() {
+		defer func() {
+			if v := recover(); v != nil {
+				pe, ok := v.(*par.PanicError)
+				if !ok {
+					pe = &par.PanicError{Value: v, Stack: debug.Stack()}
+				}
+				first.CompareAndSwap(nil, pe)
+			}
+		}()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, par.Parallelism()) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if pe := first.Load(); pe != nil {
+		panic(pe)
+	}
 }
 
 // Stats is a point-in-time snapshot of an Index's cache contents, memory
@@ -663,50 +629,19 @@ func (ix *Index) Stats() Stats {
 		Sweeps:     ix.sweeps.Load(),
 		Epoch:      gen.epoch,
 	}
-	gen.mu.Lock()
-	defer gen.mu.Unlock()
-	for _, e := range gen.clusters {
-		if e.done.Load() {
-			st.Clusterings++
-			st.MemBytes += e.bytes
-		}
-	}
-	for _, e := range gen.plain {
-		if e.done.Load() {
-			st.PlainCovers++
-			st.Bands += e.bands
-			st.MemBytes += e.bytes
-		}
-	}
-	for _, e := range gen.sep {
-		if e.done.Load() {
+	gen.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
+		if e.key.sep {
 			st.SeparatingCovers++
-			st.Bands += e.bands
-			st.MemBytes += e.bytes
+		} else {
+			st.PlainCovers++
 		}
-	}
+		st.Bands += len(e.val.Bands)
+		st.MemBytes += e.bytes
+	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
+		st.Clusterings++
+		st.MemBytes += e.bytes
+	})
 	return st
-}
-
-// CachedCovers reports how many prepared covers (plain + separating) are
-// currently memoized — cache introspection for tests and capacity
-// planning.
-func (ix *Index) CachedCovers() int {
-	gen := ix.acquire()
-	defer ix.release(gen)
-	gen.mu.Lock()
-	defer gen.mu.Unlock()
-	return len(gen.plain) + len(gen.sep)
-}
-
-// CachedClusterings reports how many ESTC clusterings are currently
-// memoized.
-func (ix *Index) CachedClusterings() int {
-	gen := ix.acquire()
-	defer ix.release(gen)
-	gen.mu.Lock()
-	defer gen.mu.Unlock()
-	return len(gen.clusters)
 }
 
 // Reset drops every memoized artifact, returning the Index to its

@@ -298,6 +298,12 @@ func TestIndexSeparating(t *testing.T) {
 	}
 }
 
+// cachedCovers counts the covers (plain + separating) ix holds.
+func cachedCovers(ix *Index) int {
+	st := ix.Stats()
+	return st.PlainCovers + st.SeparatingCovers
+}
+
 // TestCacheReuse pins down the memoization contract: repeated requests
 // return the same prepared artifacts, and clusterings are shared across
 // pattern diameters of one size class.
@@ -308,16 +314,16 @@ func TestCacheReuse(t *testing.T) {
 	if a != b {
 		t.Error("Prepared(4,2,0) rebuilt instead of cached")
 	}
-	if got := ix.CachedCovers(); got != 1 {
-		t.Errorf("CachedCovers = %d, want 1", got)
+	if got := cachedCovers(ix); got != 1 {
+		t.Errorf("cached covers = %d, want 1", got)
 	}
 	// Same k, different d: new cover, same clustering.
 	c := ix.Prepared(4, 3, 0)
 	if c == a {
 		t.Error("distinct (k,d) shapes must not share a prepared cover")
 	}
-	if got := ix.CachedClusterings(); got != 1 {
-		t.Errorf("CachedClusterings = %d, want 1 (shared across d)", got)
+	if got := ix.Stats().Clusterings; got != 1 {
+		t.Errorf("cached clusterings = %d, want 1 (shared across d)", got)
 	}
 	if a.Cover.Clustering != c.Cover.Clustering {
 		t.Error("covers of one (beta, run) must share the clustering")
@@ -331,15 +337,15 @@ func TestCacheReuse(t *testing.T) {
 	}
 	// Runs past the decide budget must not be memoized (the listing
 	// loop can request arbitrarily deep run indices).
-	before := ix.CachedCovers()
+	before := cachedCovers(ix)
 	if ix.Prepared(4, 2, core.RunBudget(36, core.Options{Seed: 9})) == nil {
 		t.Error("overflow run returned nil")
 	}
-	if got := ix.CachedCovers(); got != before {
-		t.Errorf("overflow run was cached: CachedCovers %d -> %d", before, got)
+	if got := cachedCovers(ix); got != before {
+		t.Errorf("overflow run was cached: cached covers %d -> %d", before, got)
 	}
 	ix.Reset()
-	if ix.CachedCovers() != 0 || ix.CachedClusterings() != 0 {
+	if cachedCovers(ix) != 0 || ix.Stats().Clusterings != 0 {
 		t.Error("Reset left artifacts cached")
 	}
 	if ix.Prepared(4, 2, 0) == a {
@@ -355,14 +361,14 @@ func TestPrewarm(t *testing.T) {
 	ix := New(g, opt)
 	ix.Prewarm(4, 2)
 	want := core.RunBudget(g.N(), opt)
-	if got := ix.CachedCovers(); got != want {
-		t.Fatalf("CachedCovers after Prewarm = %d, want %d", got, want)
+	if got := cachedCovers(ix); got != want {
+		t.Fatalf("cached covers after Prewarm = %d, want %d", got, want)
 	}
 	// C4 has k=4, d=2: deciding it must not build anything new.
 	if _, err := ix.Decide(graph.Cycle(4)); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.CachedCovers(); got != want {
+	if got := cachedCovers(ix); got != want {
 		t.Errorf("Decide after Prewarm built new covers: %d, want %d", got, want)
 	}
 }

@@ -1,6 +1,171 @@
 package index
 
-import "sync/atomic"
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"planarsi/internal/core"
+	"planarsi/internal/estc"
+)
+
+// artifact is what a memo table holds: an immutable value with a heap
+// footprint (*estc.Clustering, *core.PreparedCover).
+type artifact interface{ MemBytes() int64 }
+
+// memo is one artifact class's table: every clustering, plain cover and
+// separating cover of a generation is built at most once per key here
+// and shared by every query, and every reader of the tables — Stats,
+// MemoStats, Snapshot, FromSnapshot, ApplyEdits migration — goes
+// through the same few methods.
+//
+// The one rule: get is never called from a par pool task. A build runs
+// par loops, and a pool join helps by running any ready task on the
+// joining goroutine; a task that waited in get for the key its own
+// goroutine was building would wait forever. Queries and Prewarm call
+// get from their own goroutines, between their par loops (the run loops
+// in internal/core fetch each run's cover before sweeping its bands).
+type memo[K comparable, V artifact] struct {
+	ctr   *memoCounters
+	mu    sync.Mutex
+	cells map[K]*memoCell[V]
+}
+
+// memoCell is one key's entry. ready is closed once the build has
+// returned or panicked; done (written under memo.mu before ready closes)
+// marks a completed build whose val and bytes are published.
+type memoCell[V artifact] struct {
+	ready chan struct{}
+	done  bool
+	val   V
+	bytes int64
+}
+
+// memoEntry is one completed entry, as entries lists it.
+type memoEntry[K comparable, V artifact] struct {
+	key   K
+	val   V
+	bytes int64
+}
+
+// errBuildPanicked is what a waiter on a build that panicked panics
+// with; its query's Guard reports it and the next get rebuilds.
+var errBuildPanicked = errors.New("index: artifact build panicked concurrently; retry")
+
+func newMemo[K comparable, V artifact](ctr *memoCounters) *memo[K, V] {
+	return &memo[K, V]{ctr: ctr, cells: make(map[K]*memoCell[V])}
+}
+
+// get returns key's value, running build on the first request.
+// Concurrent requests for a key under construction wait for that one
+// build. An access is a hit when it finds a completed entry. A build
+// that panics drops its cell, so the next get rebuilds from scratch:
+// builds are deterministic, so the rebuild yields the identical
+// artifact.
+func (m *memo[K, V]) get(key K, build func() V) V {
+	m.mu.Lock()
+	c, ok := m.cells[key]
+	if !ok {
+		c = &memoCell[V]{ready: make(chan struct{})}
+		m.cells[key] = c
+	}
+	hit := ok && c.done
+	m.mu.Unlock()
+	m.ctr.touch(hit)
+	if !ok {
+		m.fill(key, c, build)
+	}
+	<-c.ready
+	if !c.done {
+		panic(errBuildPanicked)
+	}
+	return c.val
+}
+
+// fill runs c's build, charging its wall time to the class, and
+// publishes the value with its bytes. If build panics the cell is
+// dropped instead. Either way its waiters are released.
+func (m *memo[K, V]) fill(key K, c *memoCell[V], build func() V) {
+	defer func() {
+		m.mu.Lock()
+		if !c.done {
+			delete(m.cells, key)
+		}
+		m.mu.Unlock()
+		close(c.ready)
+	}()
+	v := m.timed(build)
+	bytes := v.MemBytes()
+	m.mu.Lock()
+	c.val, c.bytes, c.done = v, bytes, true
+	m.mu.Unlock()
+}
+
+// timed runs build, charging its wall time to the class.
+func (m *memo[K, V]) timed(build func() V) V {
+	t0 := time.Now()
+	v := build()
+	m.ctr.buildNanos.Add(time.Since(t0).Nanoseconds())
+	return v
+}
+
+// uncached builds a value without caching it: every such access is a
+// miss, and its build time is charged like a memoized build's.
+func (m *memo[K, V]) uncached(build func() V) V {
+	m.ctr.touch(false)
+	return m.timed(build)
+}
+
+// put installs an already built value with its accounted bytes (carried
+// verbatim from a snapshot or an old generation), reporting false when
+// key is already present.
+func (m *memo[K, V]) put(key K, v V, bytes int64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.cells[key]; dup {
+		return false
+	}
+	c := &memoCell[V]{ready: make(chan struct{}), done: true, val: v, bytes: bytes}
+	close(c.ready)
+	m.cells[key] = c
+	return true
+}
+
+// each calls visit on every completed entry, in no particular order,
+// without copying the table. Builds still running are left out, so the
+// visit describes completed state. visit runs under the table's lock and
+// must not call back into it. Readers go through generation.completed,
+// which visits the tables in their safe order.
+func (m *memo[K, V]) each(visit func(memoEntry[K, V])) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key, c := range m.cells {
+		if c.done {
+			visit(memoEntry[K, V]{key, c.val, c.bytes})
+		}
+	}
+}
+
+// carry installs es, the completed entries of the same table in the
+// previous generation. refresh computes an entry's successor on the
+// edited graph and reports whether the old value survived; a survivor
+// moves over verbatim (same pointer, same bytes). The returned delta
+// counts both outcomes.
+func (m *memo[K, V]) carry(es []memoEntry[K, V], refresh func(K, V) (V, bool)) ClassDelta {
+	var d ClassDelta
+	for _, e := range es {
+		v, kept := refresh(e.key, e.val)
+		if kept {
+			m.put(e.key, e.val, e.bytes)
+			d.Kept++
+		} else {
+			m.put(e.key, v, v.MemBytes())
+			d.Rebuilt++
+		}
+	}
+	return d
+}
 
 // Memo-cache observability: per-artifact-class hit/miss/build-time
 // counters, kept out of Stats deliberately — Stats describes cache
@@ -112,26 +277,17 @@ func (ix *Index) MemoStats() []MemoStats {
 
 	gen := ix.acquire()
 	defer ix.release(gen)
-	gen.mu.Lock()
-	defer gen.mu.Unlock()
-	for _, e := range gen.clusters {
-		if e.done.Load() {
-			out[memoClustering].Entries++
-			out[memoClustering].Bytes += e.bytes
+	gen.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
+		c := memoPlainCover
+		if e.key.sep {
+			c = memoSepCover
 		}
-	}
-	for _, e := range gen.plain {
-		if e.done.Load() {
-			out[memoPlainCover].Entries++
-			out[memoPlainCover].Bytes += e.bytes
-		}
-	}
-	for _, e := range gen.sep {
-		if e.done.Load() {
-			out[memoSepCover].Entries++
-			out[memoSepCover].Bytes += e.bytes
-		}
-	}
+		out[c].Entries++
+		out[c].Bytes += e.bytes
+	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
+		out[memoClustering].Entries++
+		out[memoClustering].Bytes += e.bytes
+	})
 	ix.pmu.Lock()
 	for key := range ix.patterns {
 		out[memoPattern].Entries++

@@ -115,18 +115,18 @@ func TestDPPanicCrossesPoolToScanErr(t *testing.T) {
 }
 
 // TestMemoDepoisonAfterBuildPanic: a panic inside a memoized artifact
-// build must not leave a permanently poisoned sync.Once behind — the
-// next query rebuilds the artifact and answers.
+// build must not leave a permanently poisoned entry behind — the next
+// query rebuilds the artifact and answers.
 func TestMemoDepoisonAfterBuildPanic(t *testing.T) {
 	defer fault.Disable()
 	g := graph.Grid(4, 4)
 	ix := New(g, core.Options{Seed: 1})
 
 	// dp.panic's first hits land inside prepare()'s band-decomposition
-	// loop, i.e. inside the cover memo's once.Do build. Without the
-	// depoison logic the panicked build would leave a done Once with a
-	// nil cover behind and every later C4 query would fail; with it the
-	// entry is dropped and the clean rescan rebuilds.
+	// loop, i.e. inside the cover memo's build. Were the panicked build
+	// to leave its cell behind, every later C4 query would find a
+	// finished build with no cover and fail; the table drops the cell
+	// instead and the clean rescan rebuilds.
 	if err := fault.Enable("dp.panic=first:64", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMemoDepoisonAfterBuildPanic(t *testing.T) {
 	if res[0].Err != nil || !res[0].Found {
 		t.Fatalf("cache poisoned after build panic: %+v", res[0])
 	}
-	if ix.CachedCovers() == 0 {
+	if cachedCovers(ix) == 0 {
 		t.Fatal("no covers cached after clean rescan")
 	}
 }

@@ -13,7 +13,7 @@ package index
 // carried verbatim so a restored Index reports byte-identical Stats.
 //
 // What is not: artifacts still under construction when Save runs
-// (their sync.Once has not completed; the restored Index rebuilds them
+// (their build has not completed; the restored Index rebuilds them
 // on demand, bit-identically, from the derived (Seed, stream, run)
 // randomness), covers past the decide run budget (never memoized, see
 // Prepared), and the cached planar embedding (recomputed lazily).
@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"planarsi/internal/core"
+	"planarsi/internal/estc"
 	"planarsi/internal/snap"
 )
 
@@ -58,53 +59,43 @@ func (ix *Index) Snapshot() *snap.Snapshot {
 		Epoch:   gen.epoch,
 		Graph:   gen.g,
 	}
-	gen.mu.Lock()
-	for key, e := range gen.clusters {
-		if e.done.Load() {
-			s.Clusters = append(s.Clusters, snap.ClusterArtifact{
-				BetaBits: key.betaBits, Run: key.run, Bytes: e.bytes, C: e.cl,
-			})
+	gen.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
+		ca := snap.CoverArtifact{K: e.key.k, D: e.key.d, Run: e.key.run, Bytes: e.bytes, Mask: e.key.mask, PC: e.val}
+		if e.key.sep {
+			s.Sep = append(s.Sep, ca)
+		} else {
+			s.Plain = append(s.Plain, ca)
 		}
-	}
-	for key, e := range gen.plain {
-		if e.done.Load() {
-			s.Plain = append(s.Plain, snap.CoverArtifact{
-				K: key.k, D: key.d, Run: key.run, Bytes: e.bytes, PC: e.pc,
-			})
-		}
-	}
-	for key, e := range gen.sep {
-		if e.done.Load() {
-			s.Sep = append(s.Sep, snap.CoverArtifact{
-				K: key.k, D: key.d, Run: key.run, Bytes: e.bytes, Mask: key.s, PC: e.pc,
-			})
-		}
-	}
-	gen.mu.Unlock()
-
+	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
+		s.Clusters = append(s.Clusters, snap.ClusterArtifact{
+			BetaBits: e.key.betaBits, Run: e.key.run, Bytes: e.bytes, C: e.val,
+		})
+	})
+	sortCovers(s.Plain)
+	sortCovers(s.Sep)
 	slices.SortFunc(s.Clusters, func(a, b snap.ClusterArtifact) int {
 		if c := cmp.Compare(a.BetaBits, b.BetaBits); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Run, b.Run)
 	})
-	sortCovers := func(list []snap.CoverArtifact) {
-		slices.SortFunc(list, func(a, b snap.CoverArtifact) int {
-			if c := cmp.Compare(a.K, b.K); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.D, b.D); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.Run, b.Run); c != 0 {
-				return c
-			}
-			return strings.Compare(a.Mask, b.Mask)
-		})
-	}
-	sortCovers(s.Plain)
-	sortCovers(s.Sep)
 	return s
+}
+
+// sortCovers orders cover artifacts by key.
+func sortCovers(cs []snap.CoverArtifact) {
+	slices.SortFunc(cs, func(a, b snap.CoverArtifact) int {
+		if c := cmp.Compare(a.K, b.K); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.D, b.D); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Run, b.Run); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Mask, b.Mask)
+	})
 }
 
 // Save writes the Index's snapshot to w (see Snapshot for what is and
@@ -116,62 +107,35 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // FromSnapshot reconstructs an Index from a decoded snapshot: the
-// restored artifacts are installed behind the same memoization keys,
-// with their sync.Once already completed, so the first query for a
-// restored (k, d, run) is served from cache exactly as on the Index
-// that saved it. Because per-run randomness is derived purely from
-// (Seed, stream, run), a restored Index answers byte-identically to a
-// freshly built Index with the same Options — restoring only moves
-// preprocessing cost, never answers.
+// restored artifacts are installed behind the same memoization keys as
+// completed entries, so the first query for a restored (k, d, run) is
+// served from cache exactly as on the Index that saved it. Because
+// per-run randomness is derived purely from (Seed, stream, run), a
+// restored Index answers byte-identically to a freshly built Index with
+// the same Options — restoring only moves preprocessing cost, never
+// answers.
 func FromSnapshot(s *snap.Snapshot) (*Index, error) {
 	ix := New(s.Graph, s.Options)
 	ix.queries.Store(s.Queries)
 	ix.sweeps.Store(s.Sweeps)
-	// The generation is freshly built and unpublished beyond this
-	// constructor, so its tables can be populated directly; its epoch
+	// The generation is unpublished beyond this constructor; its epoch
 	// resumes the saved mutation history.
 	gen := ix.cur.Load()
 	gen.epoch = s.Epoch
 	for _, ca := range s.Clusters {
-		key := clusterKey{ca.BetaBits, ca.Run}
-		if _, dup := gen.clusters[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate clustering key %+v", snap.ErrFormat, key)
+		if !gen.clusters.put(clusterKey{ca.BetaBits, ca.Run}, ca.C, ca.Bytes) {
+			return nil, fmt.Errorf("%w: duplicate clustering key (beta bits %#x, run %d)", snap.ErrFormat, ca.BetaBits, ca.Run)
 		}
-		e := &clusterEntry{}
-		cl, bytes := ca.C, ca.Bytes
-		e.once.Do(func() {
-			e.cl = cl
-			e.bytes = bytes
-			e.done.Store(true)
-		})
-		gen.clusters[key] = e
-	}
-	install := func(e *coverEntry, ca snap.CoverArtifact) {
-		pc, bytes := ca.PC, ca.Bytes
-		e.once.Do(func() {
-			e.pc = pc
-			e.bytes = bytes
-			e.bands = len(pc.Bands)
-			e.done.Store(true)
-		})
 	}
 	for _, ca := range s.Plain {
-		key := coverKey{ca.K, ca.D, ca.Run}
-		if _, dup := gen.plain[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate plain cover key %+v", snap.ErrFormat, key)
+		if !gen.plain.put(coverKey{k: ca.K, d: ca.D, run: ca.Run}, ca.PC, ca.Bytes) {
+			return nil, fmt.Errorf("%w: duplicate plain cover key (k=%d d=%d run=%d)", snap.ErrFormat, ca.K, ca.D, ca.Run)
 		}
-		e := &coverEntry{}
-		install(e, ca)
-		gen.plain[key] = e
 	}
 	for _, ca := range s.Sep {
-		key := sepKey{ca.K, ca.D, ca.Run, ca.Mask}
-		if _, dup := gen.sep[key]; dup {
+		if !gen.sep.put(coverKey{k: ca.K, d: ca.D, run: ca.Run, sep: true, mask: ca.Mask}, ca.PC, ca.Bytes) {
 			return nil, fmt.Errorf("%w: duplicate separating cover key (k=%d d=%d run=%d)", snap.ErrFormat, ca.K, ca.D, ca.Run)
 		}
-		e := &coverEntry{}
-		install(e, ca)
-		gen.sep[key] = e
 	}
 	return ix, nil
 }

@@ -55,7 +55,7 @@ func TestSaveLoadEquivalence(t *testing.T) {
 
 	// The snapshotted shapes must be served from cache, not rebuilt:
 	// re-answering the populate queries must not grow the cache.
-	covers, clusters := loaded.CachedCovers(), loaded.CachedClusterings()
+	covers, clusters := cachedCovers(loaded), loaded.Stats().Clusterings
 	if covers == 0 || clusters == 0 {
 		t.Fatalf("loaded Index has an empty cache (%d covers, %d clusterings)", covers, clusters)
 	}
@@ -86,7 +86,7 @@ func TestSaveLoadEquivalence(t *testing.T) {
 		t.Fatalf("DecideSeparating diverges: (%v, %v) vs (%v, %v)", wo, err1, lo, err2)
 	}
 
-	if loaded.CachedCovers() < covers || loaded.CachedClusterings() < clusters {
+	if cachedCovers(loaded) < covers || loaded.Stats().Clusterings < clusters {
 		t.Fatalf("cache shrank while querying a loaded Index")
 	}
 }

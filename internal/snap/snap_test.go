@@ -21,11 +21,11 @@ func makeSnapshot(t testing.TB, r, c, k, d int) *Snapshot {
 	opt := core.Options{Seed: 7}
 	beta := core.CoverBeta(k, opt)
 	cl := core.ClusterRun(g, beta, 0, opt)
-	plain := core.PrepareFromClustering(g, cl, k, d, opt)
+	plain, _, _ := core.PrepareFromClustering(g, cl, nil, k, d, opt)
 	mask := make([]bool, g.N())
 	last := g.N() - 1
 	mask[0], mask[last] = true, true
-	sep := core.PrepareSeparatingFromClustering(g, cl, mask, k, d, opt)
+	sep, _, _ := core.PrepareSeparatingFromClustering(g, cl, mask, nil, k, d, opt)
 	packed := make([]byte, (g.N()+7)/8)
 	packed[0] |= 1
 	packed[last/8] |= 1 << (last % 8)

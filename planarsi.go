@@ -59,10 +59,13 @@
 // Concurrency: an Index is safe for concurrent use by any number of
 // goroutines. Cached artifacts are immutable and built exactly once per
 // key (concurrent requesters of a missing artifact block until the single
-// build finishes); Scan and ScanCount run their batch concurrently via
-// the internal fork-join runtime. Index.Stats reports the cache contents
-// and approximate memory footprint — the accounting the planarsid
-// daemon's LRU eviction budgets against (see cmd/planarsid).
+// build finishes). Scan and ScanCount answer their batch's shape groups
+// and ungroupable members concurrently, on as many plain goroutines as
+// the runtime has workers, and every band loop beneath them runs on the
+// internal fork-join runtime; no fork-join task ever waits on an
+// artifact build. Index.Stats reports the
+// cache contents and approximate memory footprint — the accounting the
+// planarsid daemon's LRU eviction budgets against (see cmd/planarsid).
 //
 // Live graphs: Index.ApplyEdits mutates the target in place with a batch
 // of edge insertions and deletions, advancing an edit epoch. Migration is
