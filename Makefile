@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet build test race coverage bench bench-index bench-serve benchstat bench-smoke bench-load serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
+.PHONY: check ci lint vet build test race coverage bench bench-index bench-serve benchstat bench-smoke bench-load paper-smoke serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
 
 check: lint build test race
 
@@ -99,17 +99,26 @@ fuzz-edits:
 	$(GO) test -run '^$$' -fuzz FuzzApplyEdits -fuzztime $(FUZZTIME) ./internal/index
 
 # benchstat-ready runs of the perf-tracked benchmarks: the Table 1
-# decision pipeline (root package) and the flat state-set
-# micro-benchmarks (internal/match), 5 repetitions each. Pipe two runs
-# into benchstat to compare PRs; BENCH_*.json records the trajectory.
+# decision pipeline and the Fig. 7 separating search (root package) and
+# the flat state-set micro-benchmarks (internal/match), 5 repetitions
+# each. Pipe two runs into benchstat to compare PRs; BENCH_*.json
+# records the trajectory.
 benchstat:
-	$(GO) test -bench 'Table1|StateSet' -benchmem -count 5 -run '^$$' . ./internal/match
+	$(GO) test -bench 'Table1|Fig7Separating|StateSet' -benchmem -count 5 -run '^$$' . ./internal/match
 
 # Pinned-seed smoke benchmark: every benchmark seeds its own PCG, so a
 # single iteration both exercises the perf-critical paths end to end and
 # fails loudly if a result drifts (each benchmark asserts its answers).
+# Fig7Separating covers the separating DP, where every call hits.
 bench-smoke:
-	$(GO) test -bench 'Table1DecideOurs|StateSet|ScanMultiPattern' -benchtime 1x -benchmem -run '^$$' . ./internal/match
+	$(GO) test -bench 'Table1DecideOurs|Fig7Separating|StateSet|ScanMultiPattern' -benchtime 1x -benchmem -run '^$$' . ./internal/match
+
+# The paper's claims as shape checks: every experiment of
+# internal/experiments (Table 1, Figs 1-7, Thm 4.2/4.4, Lemma 4.1, the
+# ablations) on shrunken sweeps. Every check is a count or a work/depth
+# figure, never wall-clock, and paperbench exits nonzero when any fails.
+paper-smoke:
+	$(GO) run ./cmd/paperbench -quick -all
 
 # Short planarsiload smoke: boot the daemon, drive both arrival modes
 # for a couple of seconds, assert the latency report is sound.

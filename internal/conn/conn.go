@@ -11,9 +11,16 @@
 // Since every planar graph has a vertex of degree at most 5 (Euler),
 // planar vertex connectivity is at most 5, so the whole decision reduces
 // to a constant number of S-separating cycle searches — C4, C6, C8 — each
-// solved by the paper's separating subgraph isomorphism (Lemma 5.3) in
-// O(n log n) work and O(log² n) depth. 0-, 1-connectivity and
-// completeness are handled by direct substrate checks first.
+// solved by the paper's separating subgraph isomorphism (Lemma 5.3), for
+// which the paper proves O(n log n) work and O(log² n) depth. 0-,
+// 1-connectivity and completeness are handled by direct substrate checks
+// first.
+//
+// The depth here is not polylogarithmic. Separating bands run the
+// sequential DP engine, because the path-DAG engine (package pmdag)
+// carries no separating labels. A search is therefore parallel only
+// across its bands, and each band's depth is the full length of its
+// decomposition: the rounds the wd tracker counts under "dp".
 //
 // Where the paper runs dedicated 2-/3-connectivity algorithms [38, 50]
 // and only uses the C8 search to split 4 from 5, this implementation

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -60,7 +61,11 @@ func TestDecideUnfiredTokenIdenticalAnswers(t *testing.T) {
 // concurrent goroutine), then rerun from scratch with the same Options —
 // the rerun must return byte-identical results to a never-cancelled
 // call. This is the cancellation-soundness contract: abandoning DPs
-// mid-band must leave no trace in any shared state.
+// mid-band must leave no trace in any shared state. The separating
+// victim holds its witness to the same contract: a cancelled call
+// returns ErrCancelled, never a partial or different witness. Whether a
+// given delay lands before, during or after a call depends on the
+// machine, so which outcome each attempt exercises is best-effort.
 func TestCancelledRerunByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 19))
 	g := graph.RandomPlanar(150, 0.7, rng)
@@ -75,47 +80,84 @@ func TestCancelledRerunByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every vertex is a terminal, so any 4-cycle whose removal
+	// disconnects g separates.
+	terminals := make([]bool, g.N())
+	for v := range terminals {
+		terminals[v] = true
+	}
+	var refSep Occurrence
 
-	for _, delay := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond, 5 * time.Millisecond} {
-		for _, victim := range []string{"decide", "list"} {
-			c := par.NewCanceller()
-			go func(d time.Duration) {
-				time.Sleep(d)
-				c.Cancel()
-			}(delay)
-			copt := opt
-			copt.Cancel = c
-			var got bool
-			var err error
-			if victim == "decide" {
-				got, err = Decide(g, h, copt)
-			} else {
-				var occs []Occurrence
-				occs, err = List(g, h, copt)
-				got = len(occs) > 0
-				if err == nil && !sameOccurrences(occs, refOccs) {
-					// A cancelled List must never return truncated data
-					// with a nil error.
-					t.Fatalf("delay %v: List returned %d occurrences with nil error, want %d", delay, len(occs), len(refOccs))
-				}
+	attempt := func(delay time.Duration, victim string) {
+		c := par.NewCanceller()
+		go func() {
+			time.Sleep(delay)
+			c.Cancel()
+		}()
+		copt := opt
+		copt.Cancel = c
+		var got bool
+		var err error
+		switch victim {
+		case "decide":
+			got, err = Decide(g, h, copt)
+		case "list":
+			var occs []Occurrence
+			occs, err = List(g, h, copt)
+			got = len(occs) > 0
+			if err == nil && !sameOccurrences(occs, refOccs) {
+				// A cancelled List must never return truncated data
+				// with a nil error.
+				t.Fatalf("delay %v: List returned %d occurrences with nil error, want %d", delay, len(occs), len(refOccs))
 			}
-			// Either the call finished first (answer must match) or it
-			// was cancelled (error must be ErrCancelled).
-			if err != nil {
-				if !errors.Is(err, par.ErrCancelled) {
-					t.Fatalf("delay %v %s: unexpected error %v", delay, victim, err)
-				}
-			} else if got != refFound {
-				t.Fatalf("delay %v %s: uncancelled answer %v, want %v", delay, victim, got, refFound)
+		case "separating":
+			var occ Occurrence
+			occ, err = DecideSeparating(g, h, terminals, copt)
+			got = occ != nil
+			if err == nil && !slices.Equal(occ, refSep) {
+				t.Fatalf("delay %v: separating witness %v with nil error, want %v", delay, occ, refSep)
 			}
-
-			// Rerun from scratch: byte-identical to the reference.
-			again, err := Decide(g, h, opt)
-			if err != nil || again != refFound {
-				t.Fatalf("delay %v %s: rerun=%v err=%v, want %v", delay, victim, again, err, refFound)
+			again, rerr := DecideSeparating(g, h, terminals, opt)
+			if rerr != nil || !slices.Equal(again, refSep) {
+				t.Fatalf("delay %v: separating rerun=%v err=%v, want %v", delay, again, rerr, refSep)
 			}
 		}
+		// Either the call finished first (answer must match) or it
+		// was cancelled (error must be ErrCancelled).
+		if err != nil {
+			if !errors.Is(err, par.ErrCancelled) {
+				t.Fatalf("delay %v %s: unexpected error %v", delay, victim, err)
+			}
+		} else if got != refFound {
+			t.Fatalf("delay %v %s: uncancelled answer %v, want %v", delay, victim, got, refFound)
+		}
+
+		// Rerun from scratch: byte-identical to the reference.
+		again, err := Decide(g, h, opt)
+		if err != nil || again != refFound {
+			t.Fatalf("delay %v %s: rerun=%v err=%v, want %v", delay, victim, again, err, refFound)
+		}
 	}
+	delays := []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond, 5 * time.Millisecond}
+	for _, delay := range delays {
+		for _, victim := range []string{"decide", "list"} {
+			attempt(delay, victim)
+		}
+	}
+	// The separating attempts run on one worker: with more, the witness
+	// is whichever band certifies first, and they compare witnesses
+	// exactly.
+	func() {
+		par.SetParallelism(1)
+		defer par.SetParallelism(0)
+		refSep, err = DecideSeparating(g, h, terminals, opt)
+		if err != nil || refSep == nil || !VerifySeparating(g, h, terminals, refSep) {
+			t.Fatalf("reference separating witness %v (err %v) must exist and verify", refSep, err)
+		}
+		for _, delay := range delays {
+			attempt(delay, "separating")
+		}
+	}()
 	// One full listing rerun after all the aborted attempts: the
 	// occurrence set must be byte-identical to the pristine reference.
 	occs, err := List(g, h, opt)

@@ -97,7 +97,10 @@ const (
 	// findWitness extracts one occurrence per pattern.
 	findWitness
 	// separatingWitness extracts one S-separating occurrence (Lemma 5.3)
-	// from separating covers, with the Section 5.2.2 labelled DP.
+	// from separating covers, with the Section 5.2.2 labelled DP. Like
+	// find, its bands keep full sets for Enumerate: running them
+	// DecideOnly would need a second full solve of the certifying band
+	// to extract the witness.
 	separatingWitness
 )
 

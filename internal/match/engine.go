@@ -31,6 +31,8 @@ type Problem struct {
 	// node back to the run arena as soon as its parent has consumed it,
 	// bounding peak memory by the active frontier instead of the whole
 	// tree. Only the root set survives: Found works, Enumerate panics.
+	// Decide band solves run this way; find and separating solves keep
+	// full sets to enumerate their witnesses.
 	DecideOnly bool
 	// Cancel, when non-nil, lets the engines abandon the DP mid-flight:
 	// they poll it at node (sequential engine) and path (pmdag)
@@ -511,7 +513,7 @@ func (r *Result) JoinCombineBlocked(ls State, block uint16, rs *State) (State, b
 }
 
 // joinStep combines the states of a join node's two children: the right
-// side is sorted by join signature into the reused JoinIndex, and every
+// side is grouped by join signature into the reused JoinIndex, and every
 // left state scans its signature bucket. emitted accumulates one count
 // per attempted combination — the counting the path-DAG engine always
 // used; the old sequential joinStep counted successes only, and the two

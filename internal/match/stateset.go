@@ -63,17 +63,30 @@ func (s *StateSet) Reset() {
 	clear(s.table) // memclr: 0 means empty, so no -1 refill pass
 }
 
+// tableSize returns the power-of-two open-addressing table size that
+// holds n entries under a 2/3 load factor, at least 8 slots.
+func tableSize(n int) int {
+	return 1 << bits.Len(uint(max(n+n/2, 8)-1))
+}
+
+// emptyTable returns t resized to size empty slots, reusing its storage
+// when it is large enough.
+func emptyTable(t []uint32, size int) []uint32 {
+	if cap(t) < size {
+		return make([]uint32, size)
+	}
+	t = t[:size]
+	clear(t)
+	return t
+}
+
 // Reserve grows the table so about hint states fit without rehashing.
 func (s *StateSet) Reserve(hint int) {
-	need := hint + hint/2 // keep load factor under 2/3
-	if need < 8 {
-		need = 8
-	}
-	if len(s.table) >= need {
+	size := tableSize(hint)
+	if len(s.table) >= size {
 		return
 	}
-	size := uint64(1) << bits.Len64(uint64(need-1))
-	s.rehash(int(size))
+	s.rehash(size)
 	if cap(s.states) < hint {
 		s.states = slices.Grow(s.states, hint-len(s.states))
 	}
@@ -82,12 +95,7 @@ func (s *StateSet) Reserve(hint int) {
 // rehash replaces the table with one of the given power-of-two size and
 // reinserts the references of every held state.
 func (s *StateSet) rehash(size int) {
-	if cap(s.table) >= size {
-		s.table = s.table[:size]
-		clear(s.table)
-	} else {
-		s.table = make([]uint32, size)
-	}
+	s.table = emptyTable(s.table, size)
 	s.mask = uint64(size - 1)
 	for idx := range s.states {
 		i := hashState(&s.states[idx]) & s.mask
@@ -249,70 +257,98 @@ func (s *State) sigKeyOf() sigKey {
 	return sigKey{w0, w1, uint64(s.In) | uint64(s.Out)<<32}
 }
 
-func cmpSigKey(a, b sigKey) int {
-	switch {
-	case a.w0 != b.w0:
-		if a.w0 < b.w0 {
-			return -1
-		}
-		return 1
-	case a.w1 != b.w1:
-		if a.w1 < b.w1 {
-			return -1
-		}
-		return 1
-	case a.w2 != b.w2:
-		if a.w2 < b.w2 {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-type sigEntry struct {
-	key sigKey
-	st  State
+// hash folds the three key words with the same seedless wyhash mixing
+// as hashState.
+func (k sigKey) hash() uint64 {
+	return wymix(k.w0^wyp0, wymix(k.w1^wyp1, k.w2^wyp2))
 }
 
 // JoinIndex answers "which states of this set share a given join
-// signature": the sort-by-signature + bucket-scan replacement for the
-// map[JoinSignature][]State both engines used to rebuild per join. Build
-// reuses the entry slice across calls, so one JoinIndex per run (or per
-// path worker) makes signature grouping allocation-free in steady state.
+// signature", the grouping both engines need at every join. Build is one
+// hashing pass plus a counting scatter, and Bucket is one probe, so a
+// join costs time linear in the states it reads and emits (the paper's
+// §3.2 join bound, with no sort). Every buffer is reused across Build
+// calls: the sequential engine keeps one index per pattern for the whole
+// run, so its joins group allocation-free once the buffers have grown,
+// while pmdag keeps one per path and reuses it across that path's joins.
 // A JoinIndex must not be shared between concurrent goroutines.
 type JoinIndex struct {
-	entries []sigEntry
+	// table is a power-of-two open-addressing index over the distinct
+	// signatures of the last Build: 1-based group ids, 0 = empty.
+	table []uint32
+	mask  uint64
+	// keys[g] is group g's signature; start[g]..start[g+1] is its range
+	// in states.
+	keys  []sigKey
+	start []uint32
+	// group[i] is the group of input state i.
+	group []uint32
+	// states holds the input grouped by signature, each group's members
+	// in input order.
+	states []State
 }
 
-// Build (re)indexes the given states, sorted by signature.
+// Build (re)indexes the given states by join signature.
 func (ji *JoinIndex) Build(states []State) {
-	ji.entries = ji.entries[:0]
-	ji.entries = slices.Grow(ji.entries, len(states))
+	// Size the table as if every state were a group of its own.
+	n := len(states)
+	size := tableSize(n)
+	ji.table = emptyTable(ji.table, size)
+	ji.mask = uint64(size - 1)
+	ji.keys = ji.keys[:0]
+	// First start[g+1] counts group g's members (start[0] stays 0).
+	ji.start = append(ji.start[:0], 0)
+	ji.group = slices.Grow(ji.group[:0], n)[:n]
 	for i := range states {
-		ji.entries = append(ji.entries, sigEntry{states[i].sigKeyOf(), states[i]})
+		key := states[i].sigKeyOf()
+		h := ji.slot(key)
+		if ji.table[h] == 0 {
+			ji.keys = append(ji.keys, key)
+			ji.start = append(ji.start, 0)
+			ji.table[h] = uint32(len(ji.keys))
+		}
+		g := ji.table[h] - 1
+		ji.group[i] = g
+		ji.start[g+1]++
 	}
-	slices.SortFunc(ji.entries, func(a, b sigEntry) int { return cmpSigKey(a.key, b.key) })
+	// Prefix sums turn the counts into group starts. Each group's start
+	// then slides forward as the scatter fills the group, ending where
+	// the next group begins, so one shift restores the starts.
+	for g := 1; g < len(ji.start); g++ {
+		ji.start[g] += ji.start[g-1]
+	}
+	ji.states = slices.Grow(ji.states[:0], n)[:n]
+	for i := range states {
+		g := ji.group[i]
+		ji.states[ji.start[g]] = states[i]
+		ji.start[g]++
+	}
+	copy(ji.start[1:], ji.start[:len(ji.start)-1])
+	ji.start[0] = 0
 }
 
-// Bucket returns the half-open entry range [lo, hi) of states sharing s's
-// join signature; access them with At.
+// slot returns the table slot holding key's group, or the empty slot
+// where it would go.
+func (ji *JoinIndex) slot(key sigKey) uint64 {
+	h := key.hash() & ji.mask
+	for ji.table[h] != 0 && ji.keys[ji.table[h]-1] != key {
+		h = (h + 1) & ji.mask
+	}
+	return h
+}
+
+// Bucket returns the half-open range [lo, hi) of states sharing s's join
+// signature (empty when none does); access them with At.
 func (ji *JoinIndex) Bucket(s *State) (int, int) {
-	key := s.sigKeyOf()
-	lo, found := slices.BinarySearchFunc(ji.entries, key,
-		func(e sigEntry, k sigKey) int { return cmpSigKey(e.key, k) })
-	if !found {
-		return lo, lo
+	ref := ji.table[ji.slot(s.sigKeyOf())]
+	if ref == 0 {
+		return 0, 0
 	}
-	hi := lo + 1
-	for hi < len(ji.entries) && ji.entries[hi].key == key {
-		hi++
-	}
-	return lo, hi
+	return int(ji.start[ref-1]), int(ji.start[ref])
 }
 
-// At returns the state of entry t. The pointer is valid until the next
-// Build.
+// At returns the state at position t of a bucket range. The pointer is
+// valid until the next Build.
 func (ji *JoinIndex) At(t int) *State {
-	return &ji.entries[t].st
+	return &ji.states[t]
 }

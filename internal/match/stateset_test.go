@@ -162,36 +162,93 @@ func TestArenaRecyclesSets(t *testing.T) {
 	}
 }
 
-func TestJoinIndexAgainstMapGrouping(t *testing.T) {
-	rng := rand.New(rand.NewPCG(6, 66))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.IntN(400)
-		states := make([]State, n)
-		for i := range states {
-			states[i] = dpLikeState(rng)
+// joinCorpus draws n DP-shaped states whose C field holds their input
+// index. C is not part of the join signature, so the grouping is that of
+// dpLikeState while every state names its own input position.
+func joinCorpus(rng *rand.Rand, n int) []State {
+	states := make([]State, n)
+	for i := range states {
+		states[i] = dpLikeState(rng)
+		states[i].C = uint16(i)
+	}
+	return states
+}
+
+// checkJoinIndex checks ji, last built over states, against a map
+// grouping. Every probe (each input state, then the extra probes,
+// present or not) must see exactly its signature's members, in input
+// order, and every input index must appear in exactly one bucket.
+func checkJoinIndex(t *testing.T, ji *JoinIndex, states, probes []State) {
+	t.Helper()
+	group := make(map[JoinSignature][]uint16)
+	for _, s := range states {
+		group[s.Signature()] = append(group[s.Signature()], s.C)
+	}
+	for _, probe := range append(states[:len(states):len(states)], probes...) {
+		want := group[probe.Signature()]
+		lo, hi := ji.Bucket(&probe)
+		if hi-lo != len(want) {
+			t.Fatalf("n=%d: bucket size %d want %d", len(states), hi-lo, len(want))
 		}
-		group := make(map[JoinSignature][]State)
-		for _, s := range states {
-			group[s.Signature()] = append(group[s.Signature()], s)
-		}
-		var ji JoinIndex
-		ji.Build(states)
-		// Every probe state (present or not) must see exactly its
-		// signature bucket.
-		for i := 0; i < 50; i++ {
-			probe := dpLikeState(rng)
-			want := group[probe.Signature()]
-			lo, hi := ji.Bucket(&probe)
-			if hi-lo != len(want) {
-				t.Fatalf("trial %d: bucket size %d want %d", trial, hi-lo, len(want))
+		for x := lo; x < hi; x++ {
+			got := ji.At(x)
+			if got.Signature() != probe.Signature() {
+				t.Fatalf("n=%d: bucket contains a foreign signature", len(states))
 			}
-			for u := lo; u < hi; u++ {
-				if ji.At(u).Signature() != probe.Signature() {
-					t.Fatalf("trial %d: bucket contains foreign signature", trial)
-				}
+			if got.C != want[x-lo] {
+				t.Fatalf("n=%d: bucket member %d is input %d, want input %d (input order)", len(states), x-lo, got.C, want[x-lo])
 			}
 		}
 	}
+	seen := make([]int, len(states))
+	for _, idxs := range group {
+		lo, hi := ji.Bucket(&states[idxs[0]])
+		for x := lo; x < hi; x++ {
+			seen[ji.At(x).C]++
+		}
+	}
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("n=%d: input %d appears in %d buckets", len(states), i, c)
+		}
+	}
+}
+
+func TestJoinIndexAgainstMapGrouping(t *testing.T) {
+	rng := rand.New(rand.NewPCG(6, 66))
+	probes := func(n int) []State {
+		out := make([]State, n)
+		for i := range out {
+			out[i] = dpLikeState(rng)
+		}
+		return out
+	}
+	t.Run("empty", func(t *testing.T) {
+		var ji JoinIndex
+		ji.Build(nil)
+		checkJoinIndex(t, &ji, nil, probes(50))
+	})
+	t.Run("random", func(t *testing.T) {
+		for trial := 0; trial < 40; trial++ {
+			states := joinCorpus(rng, 1+rng.IntN(400))
+			var ji JoinIndex
+			ji.Build(states)
+			checkJoinIndex(t, &ji, states, probes(50))
+		}
+	})
+	t.Run("reuse", func(t *testing.T) {
+		// One index across a large, a small and a large Build: every
+		// group of an earlier Build must be gone from the next one, so
+		// the earlier inputs double as probes.
+		var ji JoinIndex
+		var prev []State
+		for _, n := range []int{3000, 40, 2500, 0, 500} {
+			states := joinCorpus(rng, n)
+			ji.Build(states)
+			checkJoinIndex(t, &ji, states, append(prev, probes(50)...))
+			prev = states
+		}
+	})
 }
 
 // ---- Micro-benchmarks: flat StateSet vs the old map path ----
@@ -257,7 +314,8 @@ func BenchmarkStateSetIterate(b *testing.B) {
 }
 
 // BenchmarkStateSetJoin compares a whole signature-grouped join step:
-// sort-by-signature + bucket scan (JoinIndex) vs rebuilding the old
+// the hash-partitioned JoinIndex (one hashing pass plus a counting
+// scatter, one probe per left state) vs rebuilding the old
 // map[JoinSignature][]State per join.
 func BenchmarkStateSetJoin(b *testing.B) {
 	pi := patternInfo{k: 6, adj: make([]uint16, 6)}

@@ -25,7 +25,8 @@
 //
 // State sets live on the flat match.StateSet substrate: per-level
 // universes and per-node valid sets come from the engine's arena, join
-// grouping uses the sort-by-signature match.JoinIndex, and each path
+// grouping uses the hash-partitioned match.JoinIndex (linear in the
+// off-path child's states, one probe per on-path state), and each path
 // worker batches its state-emission count into one flush per path.
 package pmdag
 
