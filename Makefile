@@ -99,19 +99,20 @@ fuzz-edits:
 	$(GO) test -run '^$$' -fuzz FuzzApplyEdits -fuzztime $(FUZZTIME) ./internal/index
 
 # benchstat-ready runs of the perf-tracked benchmarks: the Table 1
-# decision pipeline and the Fig. 7 separating search (root package) and
-# the flat state-set micro-benchmarks (internal/match), 5 repetitions
-# each. Pipe two runs into benchstat to compare PRs; BENCH_*.json
-# records the trajectory.
+# decision pipeline, the Fig. 6 connectivity searches and the Fig. 7
+# separating search (root package) and the flat state-set
+# micro-benchmarks (internal/match), 5 repetitions each. Pipe two runs
+# into benchstat to compare PRs; BENCH_*.json records the trajectory.
 benchstat:
-	$(GO) test -bench 'Table1|Fig7Separating|StateSet' -benchmem -count 5 -run '^$$' . ./internal/match
+	$(GO) test -bench 'Table1|Fig6Connectivity|Fig7Separating|StateSet' -benchmem -count 5 -run '^$$' . ./internal/match
 
 # Pinned-seed smoke benchmark: every benchmark seeds its own PCG, so a
 # single iteration both exercises the perf-critical paths end to end and
 # fails loudly if a result drifts (each benchmark asserts its answers).
-# Fig7Separating covers the separating DP, where every call hits.
+# Fig7Separating covers the separating DP where every call hits, and
+# Fig6Connectivity (connectivity 2-5) the searches that miss.
 bench-smoke:
-	$(GO) test -bench 'Table1DecideOurs|Fig7Separating|StateSet|ScanMultiPattern' -benchtime 1x -benchmem -run '^$$' . ./internal/match
+	$(GO) test -bench 'Table1DecideOurs|Fig6Connectivity|Fig7Separating|StateSet|ScanMultiPattern' -benchtime 1x -benchmem -run '^$$' . ./internal/match
 
 # The paper's claims as shape checks: every experiment of
 # internal/experiments (Table 1, Figs 1-7, Thm 4.2/4.4, Lemma 4.1, the

@@ -102,8 +102,8 @@ func TestDeterministicCountersPinned(t *testing.T) {
 			},
 			answer: "[]",
 			want: pinnedCounters{Runs: 11, Bands: 27, MaxBandWidth: 4,
-				Cost: obs.Cost{Nodes: 385, States: 23346, Emissions: 28609, Bytes: 1491008},
-				Work: 23960, Rounds: 454},
+				Cost: obs.Cost{Nodes: 385, States: 11766, Emissions: 14570, Bytes: 751456},
+				Work: 12380, Rounds: 454},
 		},
 		{
 			name:       "decide-hit",
@@ -147,8 +147,8 @@ func TestDeterministicCountersPinned(t *testing.T) {
 			},
 			answer: "[0 1 2 3 4 5]",
 			want: pinnedCounters{Runs: 1, Bands: 2, MaxBandWidth: 4,
-				Cost: obs.Cost{Nodes: 17, States: 45547, Emissions: 66590, Bytes: 2914816},
-				Work: 45603, Rounds: 23},
+				Cost: obs.Cost{Nodes: 17, States: 24449, Emissions: 36494, Bytes: 1564608},
+				Work: 24505, Rounds: 23},
 			notes: "found×1 skipped×1",
 		},
 	}

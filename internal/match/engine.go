@@ -19,7 +19,9 @@ type Problem struct {
 	H  *graph.Graph
 	ND *treedecomp.Nice
 
-	// Separating switches on the Section 5.2.2 extension.
+	// Separating switches on the Section 5.2.2 extension. Its node sets
+	// hold one representative per inside/outside mirror pair (pairRep),
+	// not every valid state; Enumerate expands the pairs as it walks.
 	Separating bool
 	// Allowed restricts the vertices of G that may be images of pattern
 	// vertices (nil = all). Separating covers mark merged minor vertices
@@ -288,6 +290,10 @@ func (r *Result) runNode(i int32, ji *JoinIndex, tr *wd.Tracker) {
 	// emitted batches this node's state emissions; one flush per node
 	// keeps atomics out of the per-emission path.
 	var emitted int64
+	// Separating sets keep one state per mirror pair. Successors commute
+	// with mirror, so the representatives' successors cover the pairs of
+	// the full set's successors.
+	sep := p.Separating
 	switch nd.Kind[i] {
 	case treedecomp.Leaf:
 		set = r.arena.get(1)
@@ -297,6 +303,9 @@ func (r *Result) runNode(i int32, ji *JoinIndex, tr *wd.Tracker) {
 		set = r.arena.get(child.Len())
 		for _, cs := range child.States() {
 			r.IntroduceSuccessors(i, cs, func(s State, _ bool) {
+				if sep {
+					s = pairRep(s)
+				}
 				set.Add(s)
 				emitted++
 			})
@@ -307,6 +316,9 @@ func (r *Result) runNode(i int32, ji *JoinIndex, tr *wd.Tracker) {
 		for _, cs := range child.States() {
 			emitted++
 			if s, ok := r.ForgetSuccessor(i, cs); ok {
+				if sep {
+					s = pairRep(s)
+				}
 				set.Add(s)
 			}
 		}
@@ -521,6 +533,14 @@ func (r *Result) JoinCombineBlocked(ls State, block uint16, rs *State) (State, b
 // the engines' Lemma 3.1 counters are comparable. The per-pair
 // compatibility test is the word-parallel joinBlock probe, accepting and
 // emitting exactly the states combineJoin would in the same order.
+//
+// In separating mode both children hold mirror-pair representatives, and
+// two representatives with one signature combine to a representative. A
+// labelled bag ties the sides' orientations, so those pairings are all
+// there is. A bag without labels does not: a right state also joins as
+// its mirror. That adds a new pair only when both sides saw S inside
+// alone, and the pair is the state that saw S on both sides; it counts
+// as one more attempt.
 func (r *Result) joinStep(left, right *StateSet, ji *JoinIndex, emitted *int64) *StateSet {
 	pi := &r.pi
 	ji.Build(right.States())
@@ -531,9 +551,14 @@ func (r *Result) joinStep(left, right *StateSet, ji *JoinIndex, emitted *int64) 
 			continue
 		}
 		block := pi.joinBlock(ls.C)
+		insideOnly := r.p.Separating && ls.In|ls.Out == 0 && ls.IX && !ls.OX
 		for t := lo; t < hi; t++ {
 			*emitted++
 			rs := ji.At(t)
+			twin := insideOnly && rs.IX && !rs.OX
+			if twin {
+				*emitted++
+			}
 			if block&rs.C != 0 {
 				continue
 			}
@@ -542,6 +567,10 @@ func (r *Result) joinStep(left, right *StateSet, ji *JoinIndex, emitted *int64) 
 			s.IX = ls.IX || rs.IX
 			s.OX = ls.OX || rs.OX
 			out.Add(s)
+			if twin {
+				s.OX = true
+				out.Add(s)
+			}
 		}
 	}
 	return out

@@ -24,9 +24,16 @@ func (a Assignment) key() string {
 // decomposition downwards, inverting each transition; introduce-map edges
 // contribute one pattern-vertex assignment each (the paper's "only k edges
 // introduce a new vertex"). At most limit occurrences are returned
-// (limit <= 0 means no bound). Each subgraph isomorphism is produced
-// exactly once because, for a fixed assignment, the DP trajectory through
-// the states is unique.
+// (limit <= 0 means no bound). In plain mode each subgraph isomorphism is
+// produced exactly once because, for a fixed assignment, the DP
+// trajectory through the states is unique. In separating mode the
+// trajectory also fixes the inside/outside labels of the unmapped
+// vertices, so an occurrence is produced once per valid labelling.
+//
+// Separating sets store one representative per mirror pair, so the walk
+// tests membership through pairRep and tries both members of each stored
+// state at joins. The root bag is empty, so an accepting root state (IX
+// and OX, no labels) is its own mirror and needs no second try.
 func (r *Result) Enumerate(limit int) []Assignment {
 	if r.p.DecideOnly {
 		panic("match: Enumerate needs the full per-node state sets; the run was DecideOnly")
@@ -82,7 +89,7 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 				cs := s
 				cs.Phi[u] = -1
 				cs = unmapIntroduce(cs, slot)
-				if r.Sets[child].Contains(cs) {
+				if r.holds(child, cs) {
 					for _, a := range r.enumerateAt(child, cs, budget) {
 						a[u] = v
 						out = append(out, a)
@@ -113,7 +120,7 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 						c2 := cs
 						c2.IX, c2.OX = ix, ox
 						c2 = unmapIntroduce(c2, slot)
-						if r.Sets[child].Contains(c2) {
+						if r.holds(child, c2) {
 							out = append(out, r.enumerateAt(child, c2, budgetLeft(budget, len(out)))...)
 							if budget > 0 && len(out) >= budget {
 								return out
@@ -123,7 +130,7 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 				}
 			} else {
 				cs = unmapIntroduce(cs, slot)
-				if r.Sets[child].Contains(cs) {
+				if r.holds(child, cs) {
 					out = append(out, r.enumerateAt(child, cs, budgetLeft(budget, len(out)))...)
 				}
 			}
@@ -141,7 +148,7 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 			cs := remapIntroduce(s, slot) // reinsert the slot
 			cs.C &^= 1 << uint(u)
 			cs.Phi[u] = int8(slot)
-			if r.Sets[child].Contains(cs) {
+			if r.holds(child, cs) {
 				for _, a := range r.enumerateAt(child, cs, budgetLeft(budget, len(out))) {
 					out = append(out, a)
 					if budget > 0 && len(out) >= budget {
@@ -160,7 +167,7 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 				} else {
 					cs.Out |= 1 << uint(slot)
 				}
-				if r.Sets[child].Contains(cs) {
+				if r.holds(child, cs) {
 					out = append(out, r.enumerateAt(child, cs, budgetLeft(budget, len(out)))...)
 					if budget > 0 && len(out) >= budget {
 						return out
@@ -168,7 +175,7 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 				}
 			}
 		} else {
-			if r.Sets[child].Contains(base) {
+			if r.holds(child, base) {
 				out = append(out, r.enumerateAt(child, base, budgetLeft(budget, len(out)))...)
 			}
 		}
@@ -178,44 +185,53 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 		l, rgt := nd.Left[i], nd.Right[i]
 		var out []Assignment
 		// Enumerate left states with C_l ⊆ C(s) and matching signature;
-		// the right state is then forced up to its C and flags.
-		for _, ls := range r.Sets[l].States() {
-			if ls.Phi != s.Phi || ls.In != s.In || ls.Out != s.Out {
+		// the right state is then forced up to its C and flags. A stored
+		// separating state stands for itself and its mirror.
+		for _, stored := range r.Sets[l].States() {
+			// Both members of a mirror pair share Phi and C.
+			if stored.Phi != s.Phi || stored.C&^s.C != 0 {
 				continue
 			}
-			if ls.C&^s.C != 0 {
-				continue
+			pair := [2]State{stored, mirror(stored)}
+			members := pair[:1]
+			if p.Separating && pair[1] != stored {
+				members = pair[:]
 			}
-			crNeeded := s.C &^ ls.C
-			for _, ixr := range flagChoices(s.IX) {
-				for _, oxr := range flagChoices(s.OX) {
-					rs := ls
-					rs.C = crNeeded
-					rs.IX, rs.OX = ixr, oxr
-					if !r.Sets[rgt].Contains(rs) {
-						continue
-					}
-					comb, ok := combineJoin(pi, ls, rs)
-					if !ok || comb != s {
-						continue
-					}
-					la := r.enumerateAt(l, ls, budgetLeft(budget, len(out)))
-					if len(la) == 0 {
-						continue
-					}
-					ra := r.enumerateAt(rgt, rs, 0)
-					for _, a1 := range la {
-						for _, a2 := range ra {
-							merged := make(Assignment, pi.k)
-							copy(merged, a1)
-							for u, tv := range a2 {
-								if tv >= 0 {
-									merged[u] = tv
+			for _, ls := range members {
+				if ls.In != s.In || ls.Out != s.Out {
+					continue
+				}
+				crNeeded := s.C &^ ls.C
+				for _, ixr := range flagChoices(s.IX) {
+					for _, oxr := range flagChoices(s.OX) {
+						rs := ls
+						rs.C = crNeeded
+						rs.IX, rs.OX = ixr, oxr
+						if !r.holds(rgt, rs) {
+							continue
+						}
+						comb, ok := combineJoin(pi, ls, rs)
+						if !ok || comb != s {
+							continue
+						}
+						la := r.enumerateAt(l, ls, budgetLeft(budget, len(out)))
+						if len(la) == 0 {
+							continue
+						}
+						ra := r.enumerateAt(rgt, rs, 0)
+						for _, a1 := range la {
+							for _, a2 := range ra {
+								merged := make(Assignment, pi.k)
+								copy(merged, a1)
+								for u, tv := range a2 {
+									if tv >= 0 {
+										merged[u] = tv
+									}
 								}
-							}
-							out = append(out, merged)
-							if budget > 0 && len(out) >= budget {
-								return out
+								out = append(out, merged)
+								if budget > 0 && len(out) >= budget {
+									return out
+								}
 							}
 						}
 					}
@@ -225,6 +241,15 @@ func (r *Result) enumerateAt(i int32, s State, budget int) []Assignment {
 		return out
 	}
 	return nil
+}
+
+// holds reports whether s is a valid state of node i. Separating sets
+// store one representative per mirror pair, so the test is on pairRep(s).
+func (r *Result) holds(i int32, s State) bool {
+	if r.p.Separating {
+		s = pairRep(s)
+	}
+	return r.Sets[i].Contains(s)
 }
 
 // unmapIntroduce undoes remapIntroduce: removes the (unoccupied,

@@ -113,11 +113,23 @@ func randomSeparatingMask(n int, rng *rand.Rand) []bool {
 	return s
 }
 
+// pairReps maps a full separating set onto its mirror-pair
+// representatives, the form the engine stores.
+func pairReps(set map[State]struct{}) map[State]struct{} {
+	out := make(map[State]struct{}, len(set))
+	for s := range set {
+		out[pairRep(s)] = struct{}{}
+	}
+	return out
+}
+
 // TestRunEquivalentToMapReference is the quick-check-style equivalence
 // lock for the flat substrate: on seeded random planar targets and random
 // patterns, in plain and separating mode, the StateSet-backed Run must
-// produce byte-identical state sets to the map-based reference at every
-// node — and the DecideOnly variant the same root set.
+// produce the map-based reference's state sets at every node — and the
+// DecideOnly variant the same root set. Plain sets match byte for byte;
+// separating sets match the reference's sets mapped through pairRep,
+// since the engine keeps one state per mirror pair.
 func TestRunEquivalentToMapReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 2024))
 	for trial := 0; trial < 120; trial++ {
@@ -132,6 +144,11 @@ func TestRunEquivalentToMapReference(t *testing.T) {
 			p.S = randomSeparatingMask(n, rng)
 		}
 		want := referenceRun(p)
+		if separating {
+			for i := range want {
+				want[i] = pairReps(want[i])
+			}
+		}
 		got := Run(p, nil)
 		for i := range want {
 			ws := canonMap(want[i])

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -166,11 +167,13 @@ func TestAllowedRestriction(t *testing.T) {
 	}
 }
 
-// bruteForceSeparating checks S-separating subgraph isomorphism by
-// enumerating all occurrences naively and testing the separation property
-// of each (used as the oracle for the Section 5.2.2 extension).
-func bruteForceSeparating(g, h *graph.Graph, s []bool, allowed []bool) bool {
+// bruteForceSeparatingOccs lists the S-separating occurrences of h in g
+// by enumerating all occurrences naively and testing the separation
+// property of each (the oracle for the Section 5.2.2 extension). A
+// non-nil allowed restricts the images.
+func bruteForceSeparatingOccs(g, h *graph.Graph, s []bool, allowed []bool) [][]int32 {
 	occs := naive.Search(g, h, naive.Options{})
+	var out [][]int32
 	n := g.N()
 	for _, occ := range occs {
 		ok := true
@@ -200,12 +203,19 @@ func bruteForceSeparating(g, h *graph.Graph, s []bool, allowed []bool) bool {
 				if first < 0 {
 					first = comp[i]
 				} else if comp[i] != first {
-					return true
+					out = append(out, occ)
+					break
 				}
 			}
 		}
 	}
-	return false
+	return out
+}
+
+// bruteForceSeparating reports whether some allowed occurrence of h in g
+// separates S.
+func bruteForceSeparating(g, h *graph.Graph, s []bool, allowed []bool) bool {
+	return len(bruteForceSeparatingOccs(g, h, s, allowed)) > 0
 }
 
 func TestSeparatingAgainstBruteForce(t *testing.T) {
@@ -256,6 +266,57 @@ func TestSeparatingWithAllowed(t *testing.T) {
 		if res.Found() != want {
 			t.Fatalf("trial %d: separating DP=%v brute=%v", trial, res.Found(), want)
 		}
+	}
+}
+
+// TestSeparatingEnumerateMatchesBruteForce locks separating
+// reconstruction: the distinct assignments Enumerate returns are exactly
+// the allowed S-separating occurrences, and Enumerate(1) finds one
+// exactly when some exists.
+func TestSeparatingEnumerateMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 150))
+	patterns := []*graph.Graph{graph.Cycle(3), graph.Cycle(4), graph.Path(3), graph.Path(4)}
+	hits := 0
+	for trial := 0; trial < 150; trial++ {
+		n := 6 + rng.IntN(10)
+		g := graph.RandomPlanar(n, 0.3+0.7*rng.Float64(), rng)
+		h := patterns[rng.IntN(len(patterns))]
+		s := make([]bool, n)
+		for v := range s {
+			s[v] = rng.IntN(2) == 0
+		}
+		var allowed []bool
+		if trial%2 == 1 {
+			allowed = make([]bool, n)
+			for v := range allowed {
+				allowed[v] = rng.Float64() < 0.8
+			}
+		}
+		want := sortedKeys(bruteForceSeparatingOccs(g, h, s, allowed))
+		nd := treedecomp.MakeNice(treedecomp.Build(g, treedecomp.MinDegree))
+		res := Run(&Problem{G: g, H: h, ND: nd, Separating: true, S: s, Allowed: allowed}, nil)
+		var got []string
+		seen := map[string]bool{}
+		for _, a := range res.Enumerate(0) {
+			if k := a.key(); !seen[k] {
+				seen[k] = true
+				got = append(got, k)
+			}
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d k=%d): Enumerate gave %d distinct separating occurrences, brute force %d",
+				trial, n, h.N(), len(got), len(want))
+		}
+		if one := res.Enumerate(1); (len(one) > 0) != (len(want) > 0) {
+			t.Fatalf("trial %d: Enumerate(1) returned %d, brute force has %d", trial, len(one), len(want))
+		}
+		if len(want) > 0 {
+			hits++
+		}
+	}
+	if hits < 50 {
+		t.Fatalf("only %d of 150 trials have a separating occurrence; the check is too weak", hits)
 	}
 }
 

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -188,4 +189,108 @@ func trailingZeros16(m uint16) int {
 		c++
 	}
 	return c
+}
+
+// randomLabelledState draws a separating state over a bag of the given
+// size: an injective partial map of the k pattern vertices onto slots, a
+// C set disjoint from it, an inside or outside label on every unmapped
+// slot, and random IX/OX.
+func randomLabelledState(k, bag int, rng *rand.Rand) State {
+	s := emptyState()
+	perm := rng.Perm(bag)
+	for u := 0; u < k; u++ {
+		switch rng.IntN(3) {
+		case 0:
+			if len(perm) > 0 {
+				s.Phi[u] = int8(perm[0])
+				perm = perm[1:]
+			}
+		case 1:
+			s.C |= 1 << u
+		}
+	}
+	occupied := s.OccupiedSlots(k)
+	for slot := 0; slot < bag; slot++ {
+		if occupied&(1<<slot) != 0 {
+			continue
+		}
+		if rng.IntN(2) == 0 {
+			s.In |= 1 << slot
+		} else {
+			s.Out |= 1 << slot
+		}
+	}
+	s.IX, s.OX = rng.IntN(2) == 0, rng.IntN(2) == 0
+	return s
+}
+
+// Property: pairRep picks one member of every mirror pair, the same for
+// both members. Labels come from a 3-slot bag, so unlabelled states
+// (In == Out == 0) turn up often.
+func TestPairRepQuick(t *testing.T) {
+	f := func(in, out uint8, ix, ox bool) bool {
+		s := emptyState()
+		s.In = uint32(in & 7)
+		s.Out = uint32(out&7) &^ s.In
+		s.IX, s.OX = ix, ox
+		rep := pairRep(s)
+		return pairRep(mirror(s)) == rep && (rep == s || rep == mirror(s)) && pairRep(rep) == rep
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: every separating transition commutes with mirror, so a node's
+// valid set is closed under it and the engine may store one state per
+// pair. Joining two representatives with one signature gives a
+// representative, which joinStep relies on to skip pairRep.
+func TestMirrorCommutesWithTransitions(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 71))
+	mirrored := func(states []State) []State {
+		out := make([]State, len(states))
+		for x, s := range states {
+			out[x] = mirror(s)
+		}
+		return canonStates(out)
+	}
+	for trial := 0; trial < 40; trial++ {
+		g, h, nd := randomNiceInstance(rng)
+		eng := NewEngine(&Problem{G: g, H: h, ND: nd, Separating: true, S: randomSeparatingMask(g.N(), rng)})
+		k := h.N()
+		for i := int32(0); i < int32(nd.NumNodes()); i++ {
+			switch nd.Kind[i] {
+			case treedecomp.Introduce:
+				cs := randomLabelledState(k, len(nd.Bag[nd.Left[i]]), rng)
+				successors := func(c State) []State {
+					var out []State
+					eng.IntroduceSuccessors(i, c, func(s State, _ bool) { out = append(out, s) })
+					return canonStates(out)
+				}
+				if got, want := successors(mirror(cs)), mirrored(successors(cs)); !slices.Equal(got, want) {
+					t.Fatalf("trial %d node %d: introduce of mirror(%v) gives %v, want %v", trial, i, cs, got, want)
+				}
+			case treedecomp.Forget:
+				cs := randomLabelledState(k, len(nd.Bag[nd.Left[i]]), rng)
+				s, ok := eng.ForgetSuccessor(i, cs)
+				m, mok := eng.ForgetSuccessor(i, mirror(cs))
+				if ok != mok || (ok && m != mirror(s)) {
+					t.Fatalf("trial %d node %d: forget of mirror(%v) gives %v/%v, want %v/%v", trial, i, cs, m, mok, mirror(s), ok)
+				}
+			case treedecomp.Join:
+				ls := randomLabelledState(k, len(nd.Bag[i]), rng)
+				rs := ls
+				rs.C = uint16(rng.IntN(1<<k)) &^ ls.MMask(k)
+				rs.IX, rs.OX = rng.IntN(2) == 0, rng.IntN(2) == 0
+				s, ok := combineJoin(&eng.pi, ls, rs)
+				m, mok := combineJoin(&eng.pi, mirror(ls), mirror(rs))
+				if ok != mok || (ok && m != mirror(s)) {
+					t.Fatalf("trial %d node %d: join of mirrors gives %v/%v, want %v/%v", trial, i, m, mok, mirror(s), ok)
+				}
+				if ok && pairRep(ls) == ls && pairRep(rs) == rs && pairRep(s) != s {
+					t.Fatalf("trial %d node %d: join of representatives %v and %v is not one: %v", trial, i, ls, rs, s)
+				}
+			}
+		}
+	}
 }

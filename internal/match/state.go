@@ -32,7 +32,10 @@
 // vertices force equal labels, labels agree across joins, and the booleans
 // ix/ox remember whether some vertex of S was labeled inside/outside. A
 // valid root state must have both, certifying that the occurrence
-// separates S.
+// separates S. Swapping the two sides (mirror) maps valid states to valid
+// states and commutes with every transition, so separating node sets
+// store one representative per mirror pair (pairRep); Enumerate reads
+// them back through the same quotient.
 package match
 
 import (
@@ -99,6 +102,27 @@ func (s *State) OccupiedSlots(k int) uint32 {
 		}
 	}
 	return m
+}
+
+// mirror swaps the inside and outside sides of a separating state: In
+// with Out and IX with OX. Every separating transition commutes with it
+// and acceptance (IX && OX) is invariant under it, so a node's valid set
+// is closed under mirror and the DP only needs one member of each pair.
+func mirror(s State) State {
+	s.In, s.Out = s.Out, s.In
+	s.IX, s.OX = s.OX, s.IX
+	return s
+}
+
+// pairRep returns the member of s's mirror pair that separating node sets
+// store: the one whose highest label bit is inside (In > Out, the masks
+// being disjoint), and without labels the one that does not have OX
+// alone. pairRep(mirror(s)) == pairRep(s) for every state.
+func pairRep(s State) State {
+	if s.In < s.Out || (s.In == s.Out && s.OX && !s.IX) {
+		return mirror(s)
+	}
+	return s
 }
 
 // String renders a state compactly for debugging.
