@@ -28,8 +28,11 @@ lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "lint: staticcheck not installed; skipping (CI installs it)"; fi
 
+# perfbench is its own module (see perfbench/go.mod), so ./... never
+# compiles it; vetting it here catches a deleted export it still calls.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C perfbench ./...
 
 build:
 	$(GO) build ./...
@@ -111,8 +114,10 @@ benchstat:
 # fails loudly if a result drifts (each benchmark asserts its answers).
 # Fig7Separating covers the separating DP where every call hits, and
 # Fig6Connectivity (connectivity 2-5) the searches that miss.
+# Fig5PathDAG and AblationShortcut run the path-DAG engine on long path
+# targets, where the shortcut construction does most of the work.
 bench-smoke:
-	$(GO) test -bench 'Table1DecideOurs|Fig6Connectivity|Fig7Separating|StateSet|ScanMultiPattern' -benchtime 1x -benchmem -run '^$$' . ./internal/match
+	$(GO) test -bench 'Table1DecideOurs|Fig6Connectivity|Fig7Separating|StateSet|ScanMultiPattern|Fig5PathDAG|AblationShortcut' -benchtime 1x -benchmem -run '^$$' . ./internal/match
 
 # The paper's claims as shape checks: every experiment of
 # internal/experiments (Table 1, Figs 1-7, Thm 4.2/4.4, Lemma 4.1, the

@@ -349,8 +349,8 @@ func benchShortcut(b *testing.B, cfg pmdag.Config) {
 	b.ResetTimer()
 	var edges int64
 	for i := 0; i < b.N; i++ {
-		eng, stats := pmdag.RunConfig(p, cfg, nil)
-		if !eng.Found() {
+		engs, stats := pmdag.RunMulti([]*match.Problem{p}, cfg, nil)
+		if !engs[0].Found() {
 			b.Fatal("missed")
 		}
 		edges = stats.ShortcutEdges

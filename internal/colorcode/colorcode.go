@@ -20,7 +20,6 @@ package colorcode
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand/v2"
 
 	"planarsi/internal/graph"
@@ -293,16 +292,3 @@ func VerifyOccurrence(g, h *graph.Graph, assign []int32) bool {
 	}
 	return true
 }
-
-// ExpectedColorfulProbability returns k!/k^k, the chance a fixed
-// occurrence is colorful under one coloring (reported by the Table 1
-// experiment next to the measured rate).
-func ExpectedColorfulProbability(k int) float64 {
-	p := 1.0
-	for i := 1; i <= k; i++ {
-		p *= float64(i) / float64(k)
-	}
-	return p
-}
-
-var _ = bits.OnesCount16 // reserved for mask diagnostics in benches

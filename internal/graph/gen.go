@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 )
@@ -463,13 +462,4 @@ func GridWithHandles(r, c, handles int, rng *rand.Rand) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// MustValidateEmbedding panics when the embedding is invalid; generators'
-// tests use it to assert Euler's formula on every family.
-func MustValidateEmbedding(g *Graph) *Graph {
-	if err := ValidateEmbedding(g); err != nil {
-		panic(fmt.Sprintf("graph: %v", err))
-	}
-	return g
 }

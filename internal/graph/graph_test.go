@@ -170,39 +170,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestComponentsParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.IntN(120)
-		// Random graph with ~n/2 random edges: many components.
-		b := NewBuilder(n)
-		for e := 0; e < n/2; e++ {
-			u := rng.Int32N(int32(n))
-			v := rng.Int32N(int32(n))
-			if u != v && !b.HasEdge(u, v) {
-				b.AddEdge(u, v)
-			}
-		}
-		g := b.Build()
-		seq, cs := Components(g)
-		parr, cp := ComponentsParallel(g, nil)
-		if cs != cp {
-			t.Fatalf("trial %d: sequential %d comps, parallel %d", trial, cs, cp)
-		}
-		// Same partition up to renaming.
-		mapping := make(map[int32]int32)
-		for v := 0; v < n; v++ {
-			if m, ok := mapping[seq[v]]; ok {
-				if m != parr[v] {
-					t.Fatalf("trial %d: partition mismatch at %d", trial, v)
-				}
-			} else {
-				mapping[seq[v]] = parr[v]
-			}
-		}
-	}
-}
-
 func TestBFSDistOnGrid(t *testing.T) {
 	g := Grid(3, 4)
 	dist := BFSDist(g, 0)

@@ -1,11 +1,5 @@
 package graph
 
-import (
-	"planarsi/internal/par"
-	"planarsi/internal/wd"
-	"sync/atomic"
-)
-
 // Components labels the connected components of g sequentially (BFS) and
 // returns the label array and the number of components.
 func Components(g *Graph) ([]int32, int) {
@@ -34,93 +28,6 @@ func Components(g *Graph) ([]int32, int) {
 				}
 			}
 		}
-	}
-	return comp, count
-}
-
-// atomicMin32 lowers a to min(a, v) atomically.
-func atomicMin32(a *atomic.Int32, v int32) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// ComponentsParallel labels connected components with a Shiloach-Vishkin /
-// FastSV style hook-and-shortcut loop: every round, each vertex hooks its
-// parent toward the smallest grandparent label seen across its edges, then
-// parent pointers are compressed by pointer jumping. All updates are
-// atomic-min CAS operations, so the routine is race-free. This is the
-// parallel connectivity substrate the contraction steps of Section 5.2.1
-// rely on (the paper cites Gazit [27]); it converges in O(log n) rounds on
-// the graphs we use, which tr records as depth.
-// Labels are normalized to 0..count-1 and agree with Components up to
-// renaming.
-func ComponentsParallel(g *Graph, tr *wd.Tracker) ([]int32, int) {
-	n := g.N()
-	if n == 0 {
-		return nil, 0
-	}
-	f := make([]atomic.Int32, n)
-	for i := range f {
-		f[i].Store(int32(i))
-	}
-	changed := new(atomic.Bool)
-	for {
-		changed.Store(false)
-		// Hook: push min grandparent labels across every edge.
-		par.For(0, n, func(i int) {
-			u := int32(i)
-			fu := f[u].Load()
-			gu := f[fu].Load()
-			for _, v := range g.Neighbors(u) {
-				gv := f[f[v].Load()].Load()
-				if gv < gu {
-					atomicMin32(&f[u], gv)
-					atomicMin32(&f[fu], gv)
-					gu = gv
-					changed.Store(true)
-				}
-			}
-		})
-		// Shortcut: pointer jumping until every tree is a star.
-		for {
-			jumped := new(atomic.Bool)
-			par.For(0, n, func(i int) {
-				p := f[i].Load()
-				gp := f[p].Load()
-				if gp < p {
-					atomicMin32(&f[i], gp)
-					jumped.Store(true)
-				}
-			})
-			tr.AddPhaseRounds("components", 1)
-			if !jumped.Load() {
-				break
-			}
-		}
-		tr.AddPhaseRounds("components", 1)
-		tr.AddPhaseWork("components", int64(n+2*g.M()))
-		if !changed.Load() {
-			break
-		}
-	}
-	// Normalize labels.
-	remap := make([]int32, n)
-	for i := range remap {
-		remap[i] = -1
-	}
-	count := 0
-	comp := make([]int32, n)
-	for v := 0; v < n; v++ {
-		r := f[v].Load()
-		if remap[r] < 0 {
-			remap[r] = int32(count)
-			count++
-		}
-		comp[v] = remap[r]
 	}
 	return comp, count
 }

@@ -62,9 +62,10 @@ func (p *Problem) allowed(v int32) bool {
 }
 
 // Result carries the per-node valid state sets of a DP run. It doubles as
-// the transition engine: the *Successors methods are shared between the
-// sequential bottom-up run (Section 3.2) and the path-DAG parallel engine
-// of Section 3.3 (package pmdag), so both compute identical semantics.
+// the transition engine: Step and the *Successors methods are shared
+// between the sequential bottom-up run (Section 3.2) and the path-DAG
+// parallel engine of Section 3.3 (package pmdag), so both compute
+// identical semantics.
 type Result struct {
 	p *Problem
 	// Sets[i] holds the valid states of nice node i (nil when the node
@@ -167,10 +168,6 @@ func newEngineMeta(p *Problem, m nodeMeta) *Result {
 	return r
 }
 
-// NewEngine prepares a Result shell usable as a transition engine without
-// running the bottom-up DP (pmdag drives the transitions itself).
-func NewEngine(p *Problem) *Result { return NewEngines([]*Problem{p})[0] }
-
 // NewEngines prepares one engine per problem of a multi-pattern sweep.
 // All problems must share the same target graph and nice decomposition
 // (their H, Cancel, Cost and flags may differ); the pattern-independent
@@ -201,9 +198,6 @@ func (r *Result) Problem() *Problem { return r.p }
 
 // K returns the pattern size.
 func (r *Result) K() int { return r.pi.k }
-
-// AllMatchedMask returns the C mask meaning every pattern vertex matched.
-func (r *Result) AllMatchedMask() uint16 { return r.pi.allMatched() }
 
 // Found reports whether the root certifies an occurrence: every pattern
 // vertex matched, and in separating mode S seen on both sides.
@@ -282,49 +276,15 @@ func runSequential(rs []*Result, tr *wd.Tracker) {
 	}
 }
 
-// runNode executes one pattern's bottom-up step at nice node i.
+// runNode executes one pattern's bottom-up step at nice node i: Step,
+// then the store, the per-node flushes and the DecideOnly recycle.
 func (r *Result) runNode(i int32, ji *JoinIndex, tr *wd.Tracker) {
 	p := r.p
 	nd := p.ND
-	var set *StateSet
 	// emitted batches this node's state emissions; one flush per node
 	// keeps atomics out of the per-emission path.
 	var emitted int64
-	// Separating sets keep one state per mirror pair. Successors commute
-	// with mirror, so the representatives' successors cover the pairs of
-	// the full set's successors.
-	sep := p.Separating
-	switch nd.Kind[i] {
-	case treedecomp.Leaf:
-		set = r.arena.get(1)
-		set.Add(emptyState())
-	case treedecomp.Introduce:
-		child := r.Sets[nd.Left[i]]
-		set = r.arena.get(child.Len())
-		for _, cs := range child.States() {
-			r.IntroduceSuccessors(i, cs, func(s State, _ bool) {
-				if sep {
-					s = pairRep(s)
-				}
-				set.Add(s)
-				emitted++
-			})
-		}
-	case treedecomp.Forget:
-		child := r.Sets[nd.Left[i]]
-		set = r.arena.get(child.Len())
-		for _, cs := range child.States() {
-			emitted++
-			if s, ok := r.ForgetSuccessor(i, cs); ok {
-				if sep {
-					s = pairRep(s)
-				}
-				set.Add(s)
-			}
-		}
-	case treedecomp.Join:
-		set = r.joinStep(r.Sets[nd.Left[i]], r.Sets[nd.Right[i]], ji, &emitted)
-	}
+	set := r.Step(i, ji, &emitted)
 	r.Sets[i] = set
 	r.AddStatesGenerated(emitted)
 	if p.Cost != nil {
@@ -357,6 +317,55 @@ func (r *Result) runNode(i int32, ji *JoinIndex, tr *wd.Tracker) {
 			r.RecycleNode(rt)
 		}
 	}
+}
+
+// Step computes the valid state set of nice node i from its children's
+// sets, which must be resident in Sets: the Section 3.2 leaf, introduce,
+// forget or join transition applied to every child state. It neither
+// stores the set nor flushes counters; it adds one to *emitted per state
+// emission (per attempted combination at a join). The sequential engine
+// runs it at every node, the path-DAG engine at each path's bottom node.
+func (r *Result) Step(i int32, ji *JoinIndex, emitted *int64) *StateSet {
+	nd := r.p.ND
+	// Separating sets keep one state per mirror pair. Successors commute
+	// with mirror, so the representatives' successors cover the pairs of
+	// the full set's successors.
+	sep := r.p.Separating
+	switch nd.Kind[i] {
+	case treedecomp.Leaf:
+		set := r.arena.get(1)
+		set.Add(emptyState())
+		return set
+	case treedecomp.Introduce:
+		child := r.Sets[nd.Left[i]]
+		set := r.arena.get(child.Len())
+		for _, cs := range child.States() {
+			r.IntroduceSuccessors(i, cs, func(s State, _ bool) {
+				if sep {
+					s = pairRep(s)
+				}
+				set.Add(s)
+				*emitted++
+			})
+		}
+		return set
+	case treedecomp.Forget:
+		child := r.Sets[nd.Left[i]]
+		set := r.arena.get(child.Len())
+		for _, cs := range child.States() {
+			*emitted++
+			if s, ok := r.ForgetSuccessor(i, cs); ok {
+				if sep {
+					s = pairRep(s)
+				}
+				set.Add(s)
+			}
+		}
+		return set
+	case treedecomp.Join:
+		return r.joinStep(r.Sets[nd.Left[i]], r.Sets[nd.Right[i]], ji, emitted)
+	}
+	panic(fmt.Sprintf("match: unknown kind of nice node %d", i))
 }
 
 // IntroduceSuccessors enumerates the parent states that child state cs of
@@ -481,14 +490,6 @@ func (s *State) Signature() JoinSignature {
 	return JoinSignature{Phi: s.Phi, In: s.In, Out: s.Out}
 }
 
-// JoinCombine merges compatible sibling states at a join: equal signatures
-// (caller's responsibility), disjoint C sets, and no H-edge between the C
-// sets. The second return is false when incompatible. The caller counts
-// one emission per call.
-func (r *Result) JoinCombine(ls, rs State) (State, bool) {
-	return combineJoin(&r.pi, ls, rs)
-}
-
 // joinBlock returns the word-parallel join compatibility mask of a C
 // set: c itself plus the union of its members' H-neighborhoods. A right
 // state rs (same signature) is join-compatible with a left state of C
@@ -510,9 +511,11 @@ func (pi *patternInfo) joinBlock(c uint16) uint16 {
 // signature.
 func (r *Result) JoinBlockMask(c uint16) uint16 { return r.pi.joinBlock(c) }
 
-// JoinCombineBlocked is JoinCombine with the left state's block mask
-// precomputed via JoinBlockMask; it performs the whole compatibility
-// check in one word operation.
+// JoinCombineBlocked merges a left and a right state with equal join
+// signatures (the caller's responsibility), given the left state's block
+// mask from JoinBlockMask: the whole compatibility check is one word
+// operation, and ok=false means the pair does not combine. The caller
+// counts one emission per call.
 func (r *Result) JoinCombineBlocked(ls State, block uint16, rs *State) (State, bool) {
 	if block&rs.C != 0 {
 		return State{}, false
@@ -579,7 +582,7 @@ func (r *Result) joinStep(left, right *StateSet, ji *JoinIndex, emitted *int64) 
 // combineJoin merges compatible left/right states at a join (equal Phi and
 // labels are the caller's responsibility). It is the bit-by-bit reference
 // the word-parallel joinBlock path must agree with (the equivalence tests
-// check this); JoinCombine keeps it as the public single-pair entry.
+// check this).
 func combineJoin(pi *patternInfo, ls, rs State) (State, bool) {
 	if ls.C&rs.C != 0 {
 		return State{}, false // a pattern vertex matched in both subtrees

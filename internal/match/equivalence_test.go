@@ -14,7 +14,7 @@ import (
 // valid states in a plain map. The flat-substrate Run must reproduce its
 // sets exactly, node by node.
 func referenceRun(p *Problem) []map[State]struct{} {
-	r := NewEngine(p)
+	r := NewEngines([]*Problem{p})[0]
 	nd := p.ND
 	sets := make([]map[State]struct{}, nd.NumNodes())
 	for _, i := range nd.Order {
@@ -44,7 +44,7 @@ func referenceRun(p *Problem) []map[State]struct{} {
 			set = make(map[State]struct{})
 			for ls := range sets[nd.Left[i]] {
 				for _, rs := range group[ls.Signature()] {
-					if s, ok := r.JoinCombine(ls, rs); ok {
+					if s, ok := combineJoin(&r.pi, ls, rs); ok {
 						set[s] = struct{}{}
 					}
 				}
@@ -193,7 +193,7 @@ func TestStatesGeneratedMatchesReferenceCount(t *testing.T) {
 
 		// Count emissions transition by transition over the reference
 		// map DP.
-		r := NewEngine(p)
+		r := NewEngines([]*Problem{p})[0]
 		var count int64
 		sets := make([]map[State]struct{}, nd.NumNodes())
 		for _, i := range nd.Order {
@@ -223,7 +223,7 @@ func TestStatesGeneratedMatchesReferenceCount(t *testing.T) {
 				for ls := range sets[nd.Left[i]] {
 					for _, rs := range group[ls.Signature()] {
 						count++
-						if s, ok := r.JoinCombine(ls, rs); ok {
+						if s, ok := combineJoin(&r.pi, ls, rs); ok {
 							set[s] = struct{}{}
 						}
 					}

@@ -143,7 +143,7 @@ func TestUniverseLocalValidityQuick(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 9))
 	for trial := 0; trial < 30; trial++ {
 		g, h, nd := randomNiceInstance(rng)
-		eng := NewEngine(&Problem{G: g, H: h, ND: nd})
+		eng := NewEngines([]*Problem{{G: g, H: h, ND: nd}})[0]
 		node := int32(rng.IntN(nd.NumNodes()))
 		bag := nd.Bag[node]
 		for _, s := range eng.Universe(node) {
@@ -256,7 +256,7 @@ func TestMirrorCommutesWithTransitions(t *testing.T) {
 	}
 	for trial := 0; trial < 40; trial++ {
 		g, h, nd := randomNiceInstance(rng)
-		eng := NewEngine(&Problem{G: g, H: h, ND: nd, Separating: true, S: randomSeparatingMask(g.N(), rng)})
+		eng := NewEngines([]*Problem{{G: g, H: h, ND: nd, Separating: true, S: randomSeparatingMask(g.N(), rng)}})[0]
 		k := h.N()
 		for i := int32(0); i < int32(nd.NumNodes()); i++ {
 			switch nd.Kind[i] {

@@ -77,10 +77,6 @@ func emptyState() State {
 	return s
 }
 
-// EmptyState returns the trivial all-unmatched partial match (the state of
-// every leaf node; always valid).
-func EmptyState() State { return emptyState() }
-
 // MMask returns the bitmask of mapped pattern vertices.
 func (s *State) MMask(k int) uint16 {
 	var m uint16

@@ -45,9 +45,6 @@ func TestEnginesNestedFor(t *testing.T) {
 func TestEnginesReducePackPrefix(t *testing.T) {
 	withEngine(t, func(t *testing.T) {
 		n := 4096
-		if got := Reduce(0, n, 0, func(i int) int { return i }, func(a, b int) int { return a + b }); got != n*(n-1)/2 {
-			t.Fatalf("Reduce=%d want %d", got, n*(n-1)/2)
-		}
 		xs := make([]int64, n)
 		for i := range xs {
 			xs[i] = 1
@@ -60,9 +57,8 @@ func TestEnginesReducePackPrefix(t *testing.T) {
 				t.Fatalf("prefix[%d]=%d want %d", i, xs[i], i)
 			}
 		}
-		idx := PackIndex(n, func(i int) bool { return i%7 == 0 })
-		if len(idx) != (n+6)/7 {
-			t.Fatalf("PackIndex len=%d", len(idx))
+		if packed := Pack(xs, func(i int) bool { return i%7 == 0 }); len(packed) != (n+6)/7 {
+			t.Fatalf("Pack len=%d", len(packed))
 		}
 	})
 }

@@ -146,19 +146,20 @@ func TestPackagePanicIsolationBothEngines(t *testing.T) {
 	})
 }
 
-func TestReducePanicPropagates(t *testing.T) {
+func TestPackPanicPropagates(t *testing.T) {
 	SetParallelism(4)
 	defer SetParallelism(0)
+	xs := make([]int, 100)
 	pe := recoverPanicError(t, func() {
-		Reduce(0, 100, 0, func(i int) int {
+		Pack(xs, func(i int) bool {
 			if i == 42 {
-				panic("reduce")
+				panic("pack")
 			}
-			return i
-		}, func(a, b int) int { return a + b })
+			return true
+		})
 	})
-	if pe == nil || pe.Value != "reduce" {
-		t.Fatalf("Reduce: pe=%v", pe)
+	if pe == nil || pe.Value != "pack" {
+		t.Fatalf("Pack: pe=%v", pe)
 	}
 }
 

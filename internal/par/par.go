@@ -1,13 +1,13 @@
 // Package par provides the shared-memory parallel primitives that stand in
-// for the paper's CREW PRAM: fork-join parallel loops, parallel reductions,
-// parallel prefix sums, packing, an explicit work-stealing pool, and a
-// lightweight cooperative cancellation token (Canceller).
+// for the paper's CREW PRAM: fork-join parallel loops, parallel prefix
+// sums, packing, an explicit work-stealing pool, and a lightweight
+// cooperative cancellation token (Canceller).
 //
-// The package-level functions (Do, For, Reduce, ...) run every
-// operation as a structured fork-join scope on a shared, lazily started
-// work-stealing Pool (Chase-Lev deques, help-while-joining — the greedy
-// scheduler the paper's Brent-style bounds assume). Scopes keep load
-// balanced when item costs are skewed: an idle participant steals
+// The package-level functions (Do, For, ExclusivePrefixSum, Pack, ...)
+// run every operation as a structured fork-join scope on a shared, lazily
+// started work-stealing Pool (Chase-Lev deques, help-while-joining — the
+// greedy scheduler the paper's Brent-style bounds assume). Scopes keep
+// load balanced when item costs are skewed: an idle participant steals
 // half-ranges from whoever is behind.
 //
 // The worker count is SetParallelism's when pinned, else
@@ -249,31 +249,6 @@ func grainFor(e *engine, n int) int {
 	return grain
 }
 
-// Reduce computes comb over f(i) for i in [lo, hi) in parallel.
-// comb must be associative; id is its identity.
-func Reduce[T any](lo, hi int, id T, f func(i int) T, comb func(a, b T) T) T {
-	n := hi - lo
-	if n <= 0 {
-		return id
-	}
-	e := current()
-	grain := grainFor(e, n)
-	nblocks := (n + grain - 1) / grain
-	partial := make([]T, nblocks)
-	alignedBlocks(e, lo, hi, grain, func(b, l, h int) {
-		acc := id
-		for i := l; i < h; i++ {
-			acc = comb(acc, f(i))
-		}
-		partial[b] = acc
-	})
-	acc := id
-	for _, p := range partial {
-		acc = comb(acc, p)
-	}
-	return acc
-}
-
 // Integer is the constraint for the prefix-sum and pack helpers.
 type Integer interface {
 	~int | ~int32 | ~int64
@@ -333,27 +308,6 @@ func Pack[T any](xs []T, keep func(i int) bool) []T {
 	For(0, n, func(i int) {
 		if keep(i) {
 			out[flags[i]] = xs[i]
-		}
-	})
-	return out
-}
-
-// PackIndex returns the indices in [0, n) that satisfy keep, in order.
-func PackIndex(n int, keep func(i int) bool) []int32 {
-	if n == 0 {
-		return nil
-	}
-	flags := make([]int32, n)
-	For(0, n, func(i int) {
-		if keep(i) {
-			flags[i] = 1
-		}
-	})
-	total := ExclusivePrefixSum(flags)
-	out := make([]int32, total)
-	For(0, n, func(i int) {
-		if keep(i) {
-			out[flags[i]] = int32(i)
 		}
 	})
 	return out

@@ -75,35 +75,6 @@ func TestForBlocksPartition(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	n := 12345
-	got := Reduce(0, n, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
-	want := n * (n - 1) / 2
-	if got != want {
-		t.Fatalf("Reduce sum = %d, want %d", got, want)
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	xs := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	got := Reduce(0, len(xs), -1, func(i int) int { return xs[i] }, func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	if got != 9 {
-		t.Fatalf("Reduce max = %d, want 9", got)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	got := Reduce(3, 3, 42, func(i int) int { return 0 }, func(a, b int) int { return a + b })
-	if got != 42 {
-		t.Fatalf("empty Reduce = %d, want identity 42", got)
-	}
-}
-
 func prefixSumSeq(xs []int64) ([]int64, int64) {
 	out := make([]int64, len(xs))
 	var acc int64
@@ -174,30 +145,6 @@ func TestPackKeepsOrder(t *testing.T) {
 	}
 	if len(got) != 334 {
 		t.Fatalf("Pack len=%d want 334", len(got))
-	}
-}
-
-func TestPackIndexMatchesPack(t *testing.T) {
-	f := func(flags []bool) bool {
-		n := len(flags)
-		xs := make([]int32, n)
-		for i := range xs {
-			xs[i] = int32(i)
-		}
-		a := Pack(xs, func(i int) bool { return flags[i] })
-		b := PackIndex(n, func(i int) bool { return flags[i] })
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

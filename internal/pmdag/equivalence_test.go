@@ -11,18 +11,24 @@ import (
 )
 
 // mapReferenceRun is the pre-StateSet bottom-up DP kept as an oracle: the
-// same transition methods, map-backed sets. The path-DAG engine on the
-// flat substrate must reproduce its per-node sets exactly (plain mode —
-// the engine's scope).
+// same introduce and forget transitions, map-backed sets, and the join
+// rule written out pair by pair. The path-DAG engine on the flat
+// substrate must reproduce its per-node sets exactly (plain mode — the
+// engine's scope).
 func mapReferenceRun(p *match.Problem) []map[match.State]struct{} {
-	r := match.NewEngine(p)
+	r := match.NewEngines([]*match.Problem{p})[0]
 	nd := p.ND
 	sets := make([]map[match.State]struct{}, nd.NumNodes())
 	for _, i := range nd.Order {
 		set := make(map[match.State]struct{})
 		switch nd.Kind[i] {
 		case treedecomp.Leaf:
-			set[match.EmptyState()] = struct{}{}
+			// The trivial all-unmatched partial match.
+			var empty match.State
+			for u := range empty.Phi {
+				empty.Phi[u] = -1
+			}
+			set[empty] = struct{}{}
 		case treedecomp.Introduce:
 			for cs := range sets[nd.Left[i]] {
 				r.IntroduceSuccessors(i, cs, func(s match.State, _ bool) {
@@ -42,15 +48,36 @@ func mapReferenceRun(p *match.Problem) []map[match.State]struct{} {
 			}
 			for ls := range sets[nd.Left[i]] {
 				for _, rs := range group[ls.Signature()] {
-					if s, ok := r.JoinCombine(ls, rs); ok {
-						set[s] = struct{}{}
+					// Equal signatures combine when the C sets are disjoint
+					// and no H-edge joins them.
+					if ls.C&rs.C != 0 || hEdgeBetween(p.H, ls.C, rs.C) {
+						continue
 					}
+					s := ls
+					s.C |= rs.C
+					set[s] = struct{}{}
 				}
 			}
 		}
 		sets[i] = set
 	}
 	return sets
+}
+
+// hEdgeBetween reports whether some H-edge joins a vertex of mask a to
+// one of mask b.
+func hEdgeBetween(h *graph.Graph, a, b uint16) bool {
+	for u := int32(0); u < int32(h.N()); u++ {
+		if a>>u&1 == 0 {
+			continue
+		}
+		for _, w := range h.Neighbors(u) {
+			if b>>w&1 == 1 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func cmpState(a, b match.State) int {

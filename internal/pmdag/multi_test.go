@@ -33,7 +33,7 @@ func TestRunMultiMatchesSoloRuns(t *testing.T) {
 			decideOnly := x%2 == 1
 			multiPs[x] = &match.Problem{G: g, H: hs[x], ND: nd, DecideOnly: decideOnly, Cost: multiCost[x]}
 		}
-		multi := RunMulti(multiPs, nil)
+		multi, _ := RunMulti(multiPs, Config{}, nil)
 		for x := 0; x < np; x++ {
 			solo, _ := Run(&match.Problem{
 				G: g, H: hs[x], ND: nd, DecideOnly: multiPs[x].DecideOnly, Cost: soloCost[x],
@@ -77,7 +77,7 @@ func TestRunMultiPerPatternCancellation(t *testing.T) {
 		{G: g, H: graph.Cycle(6), ND: nd, Cancel: cancelled},
 		{G: g, H: graph.Path(5), ND: nd},
 	}
-	rs := RunMulti(ps, nil)
+	rs, _ := RunMulti(ps, Config{}, nil)
 	if !rs[0].Found() || !rs[2].Found() {
 		t.Fatal("surviving patterns must find their grid motifs")
 	}

@@ -3,12 +3,14 @@
 //
 // The decomposition tree is split into layered paths (Lemma 3.2, package
 // treepath). Paths of one layer are independent and processed in
-// parallel; along each path the DP's sequential chain is broken by
-// materializing the directed acyclic *graph of partial matches* (Section
-// 3.3.2): one DAG vertex per partial match of each node on the path, and
-// an edge from a child-node state to a parent-node state whenever the
-// transition rules allow it (for joins, whenever some valid state of the
-// already-solved off-path child makes the pair compatible).
+// parallel. A path's bottom node reads only solved children, so the
+// sequential DP step (match.Result.Step) solves it outright; above it,
+// the DP's sequential chain is broken by materializing the directed
+// acyclic *graph of partial matches* (Section 3.3.2): one DAG vertex per
+// partial match of each node on the path, and an edge from a child-node
+// state to a parent-node state whenever the transition rules allow it
+// (for joins, whenever some valid state of the already-solved off-path
+// child makes the pair compatible).
 //
 // Valid partial matches are exactly the DAG vertices reachable from the
 // tagged sources: the valid states of the path's bottom node and every
@@ -16,11 +18,12 @@
 // are always realizable from the trivial all-unmatched match). To make
 // the reachability low-depth, shortcuts are inserted into the forest F of
 // no-new-match transitions (Section 3.3.3): F is itself decomposed into
-// layered paths, hub vertices every ~log₂(V) positions receive shortcut
-// edges of exponentially increasing hub distance, and every vertex gets an
-// escape edge to the forest-parent of its path top. Any root-to-valid
-// path then needs O(k log V) hops — at most k matching edges, and O(log V)
-// hops per forest segment — which the breadth-first search's round count
+// layered paths by the same treepath decomposition, hub vertices every
+// ~log₂(V) positions receive shortcut edges of exponentially increasing
+// hub distance, and every vertex gets an escape edge to the
+// forest-parent of its path top. Any root-to-valid path then needs
+// O(k log V) hops — at most k matching edges, and O(log V) hops per
+// forest segment — which the breadth-first search's round count
 // certifies empirically (Lemma 3.3).
 //
 // State sets live on the flat match.StateSet substrate: per-level
@@ -69,35 +72,25 @@ type Config struct {
 	ShortcutSpacing int
 }
 
-// Run executes the parallel path-DAG engine with default configuration.
-// It produces exactly the same per-node valid state sets as match.Run
-// (the tests assert this), plain mode only. tr records work and depth.
+// Run executes the parallel path-DAG engine for one problem with the
+// default configuration. It produces exactly the same per-node valid
+// state sets as match.Run (the tests assert this), plain mode only. tr
+// records work and depth.
 func Run(p *match.Problem, tr *wd.Tracker) (*match.Result, *Stats) {
-	return RunConfig(p, Config{}, tr)
-}
-
-// RunConfig is Run with explicit engine configuration.
-func RunConfig(p *match.Problem, cfg Config, tr *wd.Tracker) (*match.Result, *Stats) {
-	engs, stats := run([]*match.Problem{p}, cfg, tr)
-	return engs[0], stats
+	rs, stats := RunMulti([]*match.Problem{p}, Config{}, tr)
+	return rs[0], stats
 }
 
 // RunMulti executes the path-DAG engine for several patterns sharing one
-// target and decomposition. Each pattern's per-node state sets, emission
+// target and decomposition. The layered path decomposition of the nice
+// tree (LayersParallel and Decompose, the per-(G, ND) work) is built
+// once, then each layer's (path, problem) pairs are processed in parallel
+// by the per-path pipeline. Each pattern's per-node state sets, emission
 // counts and cost flushes are byte-identical to a solo Run; a pattern
 // whose Cancel fires drops out at its next path checkpoint (partial
-// Result, one trace event) without stopping its batch-mates.
-func RunMulti(ps []*match.Problem, tr *wd.Tracker) []*match.Result {
-	engs, _ := run(ps, Config{}, tr)
-	return engs
-}
-
-// run walks the layered path decomposition once for every problem:
-// LayersParallel and Decompose — the per-(G, ND) work — run a single
-// time, then each layer's (path, problem) pairs are processed in
-// parallel by the per-path pipeline. The returned Stats sum the DAG
-// counters over all problems (MaxHops is the maximum).
-func run(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result, *Stats) {
+// Result, one trace event) without stopping its batch-mates. The returned
+// Stats sum the DAG counters over all problems (MaxHops is the maximum).
+func RunMulti(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result, *Stats) {
 	if len(ps) == 0 {
 		return nil, nil
 	}
@@ -108,18 +101,16 @@ func run(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result, *Sta
 	}
 	engs := match.NewEngines(ps)
 	nd := ps[0].ND
-	layers := treepath.LayersParallel(nd.Parent, tr)
-	pd := treepath.Decompose(nd.Parent, layers)
-	stats := &Stats{Layers: pd.NumLayers, Paths: len(pd.Paths)}
-	for _, path := range pd.Paths {
-		if len(path) > stats.LongestPath {
-			stats.LongestPath = len(path)
-		}
+	paths := treepath.Decompose(nd.Parent, treepath.LayersParallel(nd.Parent, tr))
+	byLayer := paths.ByLayer()
+	stats := &Stats{Layers: len(byLayer), Paths: paths.Len()}
+	for q := 0; q < paths.Len(); q++ {
+		stats.LongestPath = max(stats.LongestPath, len(paths.Path(q)))
 	}
 	var dagV, dagE, forestE, shortcutE atomic.Int64
 	var maxHops atomic.Int64
 	cancelTraced := make([]atomic.Bool, len(ps))
-	for _, ids := range pd.PathsByLayer() {
+	for _, ids := range byLayer {
 		// All paths of a layer are independent — their bottom nodes only
 		// depend on strictly lower layers (Lemma 3.2) — and the problems
 		// never share mutable state, so the (path, problem) grid of one
@@ -141,7 +132,7 @@ func run(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result, *Sta
 				}
 				return
 			}
-			st := processPath(engs[x], pd.Paths[ids[j]], cfg, tr)
+			st := processPath(engs[x], paths.Path(int(ids[j])), cfg, tr)
 			dagV.Add(st.DAGVertices)
 			dagE.Add(st.DAGEdges)
 			forestE.Add(st.ForestEdges)
@@ -161,60 +152,6 @@ func run(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result, *Sta
 	stats.ShortcutEdges = shortcutE.Load()
 	stats.MaxHops = int(maxHops.Load())
 	return engs, stats
-}
-
-// bottomStates computes the complete valid state set of a path's bottom
-// node directly from its (already solved) children. State emissions are
-// accumulated into *emitted and join attempts into *joins (the caller
-// flushes both once per path).
-func bottomStates(eng *match.Result, i int32, ji *match.JoinIndex, emitted, joins *int64) *match.StateSet {
-	nd := eng.Problem().ND
-	switch nd.Kind[i] {
-	case treedecomp.Leaf:
-		out := eng.NewSet(1)
-		out.Add(match.EmptyState())
-		return out
-	case treedecomp.Introduce:
-		child := eng.Sets[nd.Left[i]]
-		out := eng.NewSet(child.Len())
-		for _, cs := range child.States() {
-			eng.IntroduceSuccessors(i, cs, func(s match.State, _ bool) {
-				out.Add(s)
-				*emitted++
-			})
-		}
-		return out
-	case treedecomp.Forget:
-		child := eng.Sets[nd.Left[i]]
-		out := eng.NewSet(child.Len())
-		for _, cs := range child.States() {
-			*emitted++
-			if s, ok := eng.ForgetSuccessor(i, cs); ok {
-				out.Add(s)
-			}
-		}
-		return out
-	case treedecomp.Join:
-		left := eng.Sets[nd.Left[i]]
-		out := eng.NewSet(left.Len())
-		ji.Build(eng.Sets[nd.Right[i]].States())
-		for _, ls := range left.States() {
-			lo, hi := ji.Bucket(&ls)
-			if lo == hi {
-				continue
-			}
-			block := eng.JoinBlockMask(ls.C)
-			for t := lo; t < hi; t++ {
-				*emitted++
-				*joins++
-				if s, ok := eng.JoinCombineBlocked(ls, block, ji.At(t)); ok {
-					out.Add(s)
-				}
-			}
-		}
-		return out
-	}
-	panic("pmdag: unknown node kind")
 }
 
 // pathStats mirrors Stats for a single path.
@@ -269,7 +206,13 @@ func processPath(eng *match.Result, path []int32, cfg Config, tr *wd.Tracker) pa
 		p.Cost.Add(obs.Cost{Joins: joins, Emissions: emitted})
 		return pathStats{}
 	}
-	uni[0] = bottomStates(eng, path[0], &ji, &emitted, &joins)
+	// The bottom node's children are solved, so the sequential DP step
+	// computes its valid set outright; at a join every emission is an
+	// attempted combination.
+	uni[0] = eng.Step(path[0], &ji, &emitted)
+	if nd.Kind[path[0]] == treedecomp.Join {
+		joins = emitted
+	}
 	for j := 1; j < L; j++ {
 		if p.Cancel.Cancelled() {
 			return abort()
@@ -500,10 +443,12 @@ func processPath(eng *match.Result, path []int32, cfg Config, tr *wd.Tracker) pa
 }
 
 // buildShortcuts decomposes the no-new-match forest into layered paths
-// (Lemma 3.2 again), places hubs every ~log₂(V) positions with shortcut
-// edges of exponentially increasing hub distance, and adds an escape edge
-// from every vertex to the forest-parent of its path's top (the paper's
-// "shortcut from every vertex to the first vertex in a lower layer").
+// (Lemma 3.2 again: forestNext is the forest's parent array, and its
+// layers come from treepath's linear-time sequential sweep), places hubs
+// every ~log₂(V) positions with shortcut edges of exponentially
+// increasing hub distance, and adds an escape edge from every vertex to
+// the forest-parent of its path's top (the paper's "shortcut from every
+// vertex to the first vertex in a lower layer").
 // Shortcut edges go through addEdge; the count is returned. The added
 // edge count is O(V): V/log V hubs with log V shortcuts each, plus one
 // escape edge per vertex.
@@ -512,7 +457,7 @@ func buildShortcuts(forestNext []int32, addEdge func(src, dst int32), spacing in
 	if V == 0 {
 		return 0
 	}
-	nodes, starts := forestPaths(forestNext)
+	paths := treepath.Decompose(forestNext, treepath.LayersSequential(forestNext))
 	if spacing <= 0 {
 		spacing = int(math.Ceil(math.Log2(float64(V + 1))))
 	}
@@ -520,8 +465,8 @@ func buildShortcuts(forestNext []int32, addEdge func(src, dst int32), spacing in
 		spacing = 1
 	}
 	var count int64
-	for p := 0; p+1 < len(starts); p++ {
-		fp := nodes[starts[p]:starts[p+1]]
+	for q := 0; q < paths.Len(); q++ {
+		fp := paths.Path(q)
 		l := len(fp)
 		// Hub-to-hub exponential shortcuts.
 		numHubs := (l + spacing - 1) / spacing
@@ -546,83 +491,4 @@ func buildShortcuts(forestNext []int32, addEdge func(src, dst int32), spacing in
 		}
 	}
 	return count
-}
-
-// forestPaths is the Lemma 3.2 layered-path decomposition specialized to
-// a parent-pointer forest, replacing the generic treepath machinery
-// (children lists, per-path slices) the shortcut construction used to
-// allocate per path-DAG path. Layers are computed by a Kahn sweep over
-// the parent pointers with per-node (max, unique) aggregates; paths come
-// back bottom-up, packed into one flat node buffer with start offsets
-// (paths are nodes[starts[p]:starts[p+1]]).
-func forestPaths(next []int32) (nodes []int32, starts []int32) {
-	V := len(next)
-	// childCount doubles as the Kahn in-degree; lmax/unique aggregate the
-	// child layers exactly like treepath's sequential post-order.
-	childCount := make([]int32, V)
-	for _, p := range next {
-		if p >= 0 {
-			childCount[p]++
-		}
-	}
-	layers := make([]int32, V)
-	lmax := make([]int32, V)
-	for i := range lmax {
-		lmax[i] = -1
-	}
-	unique := make([]bool, V)
-	queue := make([]int32, 0, V)
-	for v := 0; v < V; v++ {
-		if childCount[v] == 0 {
-			queue = append(queue, int32(v))
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		switch {
-		case lmax[v] < 0:
-			layers[v] = 0
-		case unique[v]:
-			layers[v] = lmax[v]
-		default:
-			layers[v] = lmax[v] + 1
-		}
-		if p := next[v]; p >= 0 {
-			switch {
-			case layers[v] > lmax[p]:
-				lmax[p], unique[p] = layers[v], true
-			case layers[v] == lmax[p]:
-				unique[p] = false
-			}
-			childCount[p]--
-			if childCount[p] == 0 {
-				queue = append(queue, p)
-			}
-		}
-	}
-	// A node is a path bottom iff no child shares its layer.
-	hasEqChild := make([]bool, V)
-	for v, p := range next {
-		if p >= 0 && layers[p] == layers[int32(v)] {
-			hasEqChild[p] = true
-		}
-	}
-	nodes = make([]int32, 0, V)
-	starts = append(starts, 0)
-	for v := 0; v < V; v++ {
-		if hasEqChild[v] {
-			continue
-		}
-		u := int32(v)
-		for {
-			nodes = append(nodes, u)
-			p := next[u]
-			if p < 0 || layers[p] != layers[u] {
-				break
-			}
-			u = p
-		}
-		starts = append(starts, int32(len(nodes)))
-	}
-	return nodes, starts
 }

@@ -158,8 +158,9 @@ func TestRunConfigDenseAgrees(t *testing.T) {
 	g := graph.Path(300)
 	h := graph.Path(4)
 	p := problemFor(g, h)
-	def, defStats := RunConfig(p, Config{}, nil)
-	dense, denseStats := RunConfig(p, Config{ShortcutSpacing: 1}, nil)
+	defs, defStats := RunMulti([]*match.Problem{p}, Config{}, nil)
+	denses, denseStats := RunMulti([]*match.Problem{p}, Config{ShortcutSpacing: 1}, nil)
+	def, dense := defs[0], denses[0]
 	if def.Found() != dense.Found() {
 		t.Fatal("configurations disagree on the decision")
 	}

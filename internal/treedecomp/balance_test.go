@@ -80,7 +80,7 @@ func TestBalancedNiceStillDecides(t *testing.T) {
 	if err := ValidateNice(nd); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(g, nd.ToDecomposition()); err != nil {
+	if err := Validate(g, toDecomposition(nd)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -374,9 +374,3 @@ func equalSlices(a, b []int32) bool {
 	}
 	return true
 }
-
-// ToDecomposition converts a Nice back into a plain Decomposition (used by
-// Validate to check the axioms of the nice tree against the graph).
-func (nd *Nice) ToDecomposition() *Decomposition {
-	return &Decomposition{Bags: nd.Bag, Parent: nd.Parent, Root: nd.Root}
-}

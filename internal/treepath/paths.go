@@ -1,128 +1,74 @@
 package treepath
 
-import (
-	"planarsi/internal/par"
-	"planarsi/internal/wd"
-)
-
-// PathDecomposition groups the nodes of a rooted tree (or forest) into
-// vertex-disjoint paths, one per maximal run of equal layer numbers along
-// parent edges, organized into layers per Lemma 3.2:
+// Paths groups the nodes of a rooted tree (or forest) into vertex-disjoint
+// paths, one per maximal run of equal layer numbers along parent edges,
+// organized into layers per Lemma 3.2:
 //
 //   - every path lies entirely in one layer;
-//   - a node's children are in the same or a smaller layer, so all paths
-//     of layer i can be processed once layers < i are done;
+//   - a node's children are in the same or a smaller layer, and a child
+//     off the node's path is in a strictly smaller one, so all paths of
+//     layer i can be processed once layers < i are done;
 //   - there are at most ⌊log₂ n⌋ + 1 layers.
-type PathDecomposition struct {
-	// Paths lists each path bottom-up (Paths[p][0] is the lowest node).
-	Paths [][]int32
-	// LayerOfPath gives each path's layer.
-	LayerOfPath []int32
-	// PathOf / PosInPath locate every node inside its path.
-	PathOf    []int32
-	PosInPath []int32
-	// NumLayers is 1 + the maximum layer.
-	NumLayers int
+//
+// The paths are packed into one flat node buffer: path p is
+// nodes[starts[p]:starts[p+1]], listed bottom-up, and paths are numbered
+// in the order of their bottom nodes.
+type Paths struct {
+	nodes, starts []int32
+	layers        []int32 // the per-node layer numbers Decompose read
 }
 
 // Decompose builds the path decomposition from a parent array and its
 // layer numbers (from LayersSequential or LayersParallel).
-func Decompose(parent []int32, layers []int32) *PathDecomposition {
+func Decompose(parent []int32, layers []int32) *Paths {
 	n := len(parent)
-	ch := Children(parent)
-	pd := &PathDecomposition{
-		PathOf:    make([]int32, n),
-		PosInPath: make([]int32, n),
-	}
-	for i := range pd.PathOf {
-		pd.PathOf[i] = -1
-	}
-	// A node is a path bottom iff none of its children shares its layer.
-	for v := 0; v < n; v++ {
-		bottom := true
-		for _, c := range ch[v] {
-			if layers[c] == layers[v] {
-				bottom = false
-				break
-			}
+	// A node is a path bottom iff no child shares its layer.
+	hasEqChild := make([]bool, n)
+	for v, p := range parent {
+		if p >= 0 && layers[p] == layers[v] {
+			hasEqChild[p] = true
 		}
-		if !bottom {
+	}
+	ps := &Paths{nodes: make([]int32, 0, n), starts: []int32{0}, layers: layers}
+	for v := 0; v < n; v++ {
+		if hasEqChild[v] {
 			continue
 		}
-		id := int32(len(pd.Paths))
-		var path []int32
 		u := int32(v)
 		for {
-			path = append(path, u)
-			pd.PathOf[u] = id
-			pd.PosInPath[u] = int32(len(path) - 1)
+			ps.nodes = append(ps.nodes, u)
 			p := parent[u]
 			if p < 0 || layers[p] != layers[u] {
 				break
 			}
 			u = p
 		}
-		pd.Paths = append(pd.Paths, path)
-		pd.LayerOfPath = append(pd.LayerOfPath, layers[v])
-		if int(layers[v])+1 > pd.NumLayers {
-			pd.NumLayers = int(layers[v]) + 1
-		}
+		ps.starts = append(ps.starts, int32(len(ps.nodes)))
 	}
-	return pd
+	return ps
 }
 
-// PathsByLayer returns path ids grouped by layer, in increasing layer
-// order: the processing schedule of Section 3.3.1 (all paths of one layer
-// are independent and run in parallel).
-func (pd *PathDecomposition) PathsByLayer() [][]int32 {
-	out := make([][]int32, pd.NumLayers)
-	for p, l := range pd.LayerOfPath {
+// Len returns the number of paths.
+func (ps *Paths) Len() int { return len(ps.starts) - 1 }
+
+// Path returns path p bottom-up (Path(p)[0] is its lowest node). The
+// slice aliases the decomposition's buffer.
+func (ps *Paths) Path(p int) []int32 { return ps.nodes[ps.starts[p]:ps.starts[p+1]] }
+
+// Layer returns the layer of path p.
+func (ps *Paths) Layer(p int) int32 { return ps.layers[ps.nodes[ps.starts[p]]] }
+
+// ByLayer returns path ids grouped by layer, in increasing layer order:
+// the processing schedule of Section 3.3.1 (all paths of one layer are
+// independent and run in parallel). Its length is the number of layers.
+func (ps *Paths) ByLayer() [][]int32 {
+	var out [][]int32
+	for p := 0; p < ps.Len(); p++ {
+		l := int(ps.Layer(p))
+		for len(out) <= l {
+			out = append(out, nil)
+		}
 		out[l] = append(out[l], int32(p))
 	}
 	return out
-}
-
-// ListRank computes, for each list node, its distance to the end of its
-// list (next[v] == -1 means v is an end, rank 0) by pointer jumping:
-// O(n log n) work and O(log n) rounds, recorded on tr. This is the
-// classic PRAM list-ranking primitive the shortcut construction uses to
-// position forest-path vertices.
-func ListRank(next []int32, tr *wd.Tracker) []int32 {
-	n := len(next)
-	rank := make([]int32, n)
-	nxt := make([]int32, n)
-	copy(nxt, next)
-	for i := range rank {
-		if nxt[i] >= 0 {
-			rank[i] = 1
-		}
-	}
-	rank2 := make([]int32, n)
-	nxt2 := make([]int32, n)
-	for {
-		done := true
-		for _, p := range nxt {
-			if p >= 0 {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		par.For(0, n, func(i int) {
-			if nxt[i] >= 0 {
-				rank2[i] = rank[i] + rank[nxt[i]]
-				nxt2[i] = nxt[nxt[i]]
-			} else {
-				rank2[i] = rank[i]
-				nxt2[i] = -1
-			}
-		})
-		rank, rank2 = rank2, rank
-		nxt, nxt2 = nxt2, nxt
-		tr.AddPhaseRounds("listrank", 1)
-		tr.AddPhaseWork("listrank", int64(n))
-	}
-	return rank
 }

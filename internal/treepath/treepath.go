@@ -1,10 +1,14 @@
 // Package treepath implements Lemma 3.2 and Appendix A of the paper:
-// decomposing a rooted tree into O(log n) layers of vertex-disjoint paths,
-// with the layer numbers computed either sequentially or by parallel tree
-// contraction over the closed family of unary functions {f≠i, g=i} the
-// appendix exhibits. It also provides pointer-jumping list ranking, which
-// the shortcut construction of Section 3.3.3 uses to position vertices
-// within forest paths.
+// decomposing a rooted tree or forest into O(log n) layers of
+// vertex-disjoint paths, with the layer numbers computed either
+// sequentially or by parallel tree contraction over the closed family of
+// unary functions {f≠i, g=i} the appendix exhibits.
+//
+// The path-DAG engine (package pmdag) uses the decomposition twice: its
+// layer loop schedules the nice tree decomposition's paths layer by layer
+// (Section 3.3.1, LayersParallel), and its shortcut construction places
+// hubs along the paths of the forest of no-new-match transitions (Section
+// 3.3.3, LayersSequential). Both read the same flat Paths form.
 //
 // The layer number L of a node is 0 at leaves; an interior node takes the
 // maximum layer among its children if that maximum is unique, and the
@@ -18,56 +22,58 @@ import (
 	"planarsi/internal/wd"
 )
 
-// Children builds children lists from a parent array (root has parent -1;
-// forests with several roots are allowed).
-func Children(parent []int32) [][]int32 {
-	ch := make([][]int32, len(parent))
-	for v, p := range parent {
+// childCounts returns the number of children of every node of a parent
+// array (roots have parent -1; forests with several roots are allowed).
+func childCounts(parent []int32) []int32 {
+	cnt := make([]int32, len(parent))
+	for _, p := range parent {
 		if p >= 0 {
-			ch[p] = append(ch[p], int32(v))
+			cnt[p]++
 		}
 	}
-	return ch
+	return cnt
 }
 
-// LayersSequential computes layer numbers with a post-order traversal.
+// LayersSequential computes layer numbers with a Kahn sweep from the
+// leaves: child counts serve as in-degrees, and a node is finished once
+// its last child has reported. Per-node (max, unique) pairs aggregate the
+// child layers as they arrive.
 func LayersSequential(parent []int32) []int32 {
 	n := len(parent)
+	pending := childCounts(parent)
 	layers := make([]int32, n)
-	ch := Children(parent)
-	// Iterative post-order over every root.
-	state := make([]int32, n) // next child index to visit
-	for r := 0; r < n; r++ {
-		if parent[r] >= 0 {
+	lmax := make([]int32, n)
+	unique := make([]bool, n)
+	queue := make([]int32, 0, n)
+	for v := 0; v < n; v++ {
+		lmax[v] = -1
+		if pending[v] == 0 {
+			queue = append(queue, int32(v))
+		}
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		v := queue[qi]
+		switch {
+		case lmax[v] < 0:
+			layers[v] = 0
+		case unique[v]:
+			layers[v] = lmax[v]
+		default:
+			layers[v] = lmax[v] + 1
+		}
+		p := parent[v]
+		if p < 0 {
 			continue
 		}
-		stack := []int32{int32(r)}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			if int(state[v]) < len(ch[v]) {
-				c := ch[v][state[v]]
-				state[v]++
-				stack = append(stack, c)
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			var lmax int32 = -1
-			unique := true
-			for _, c := range ch[v] {
-				switch {
-				case layers[c] > lmax:
-					lmax, unique = layers[c], true
-				case layers[c] == lmax:
-					unique = false
-				}
-			}
-			if lmax < 0 {
-				layers[v] = 0
-			} else if unique {
-				layers[v] = lmax
-			} else {
-				layers[v] = lmax + 1
-			}
+		switch {
+		case layers[v] > lmax[p]:
+			lmax[p], unique[p] = layers[v], true
+		case layers[v] == lmax[p]:
+			unique[p] = false
+		}
+		pending[p]--
+		if pending[p] == 0 {
+			queue = append(queue, p)
 		}
 	}
 	return layers
@@ -188,15 +194,13 @@ func LayersParallel(parent []int32, tr *wd.Tracker) []int32 {
 	if n == 0 {
 		return layers
 	}
-	ch := Children(parent)
-	unresolved := make([]int32, n) // children not yet delivered
+	unresolved := childCounts(parent) // children not yet delivered
 	agg := make([]aggregate, n)
 	fun := make([]uFn, n) // edge function toward the current parent
 	up := make([]int32, n)
 	resolved := make([]bool, n)
 	spliced := make([]bool, n)
 	for v := 0; v < n; v++ {
-		unresolved[v] = int32(len(ch[v]))
 		agg[v] = aggregate{lmax: -1}
 		fun[v] = identityFn
 		up[v] = parent[v]
@@ -213,10 +217,23 @@ func LayersParallel(parent []int32, tr *wd.Tracker) []int32 {
 	pending := n
 	rnd := uint64(0x9e3779b97f4a7c15)
 	round := 0
+	// Per-round scratch, allocated once: the raked nodes, each node's
+	// unresolved child when it has exactly one (live, else -1) with the
+	// count behind it, and the compress phase's eligibility and splice
+	// decisions. All but elig, which every round rewrites whole, are
+	// reset at the top of each round.
+	raked := make([]int32, 0, n)
+	live := make([]int32, n)
+	cnt := make([]int32, n)
+	elig := make([]bool, n)
+	splice := make([]bool, n)
 	for pending > 0 {
 		round++
+		raked = raked[:0]
+		for v := 0; v < n; v++ {
+			live[v], cnt[v], splice[v] = -1, 0, false
+		}
 		// Rake: resolve nodes with no unresolved children.
-		var raked []int32
 		for v := 0; v < n; v++ {
 			if !resolved[v] && !spliced[v] && unresolved[v] == 0 {
 				raked = append(raked, int32(v))
@@ -233,11 +250,6 @@ func LayersParallel(parent []int32, tr *wd.Tracker) []int32 {
 		}
 		// Compress: splice unary-pending nodes with coin flips so no two
 		// adjacent chain nodes splice in the same round.
-		live := make([]int32, n) // unresolved child if exactly one, else -1
-		for v := range live {
-			live[v] = -1
-		}
-		cnt := make([]int32, n)
 		for v := 0; v < n; v++ {
 			if resolved[v] || spliced[v] {
 				continue
@@ -262,11 +274,9 @@ func LayersParallel(parent []int32, tr *wd.Tracker) []int32 {
 		// deciding and mutating in one pass would let a node observe its
 		// chain-child as already spliced and splice adjacent to it, which
 		// orphans the child's delivery and stalls the contraction.
-		elig := make([]bool, n)
 		for v := 0; v < n; v++ {
 			elig[v] = !resolved[v] && !spliced[v] && unresolved[v] == 1 && live[v] >= 0 && up[v] >= 0
 		}
-		splice := make([]bool, n)
 		for v := 0; v < n; v++ {
 			if !elig[v] || !coin(int32(v)) {
 				continue

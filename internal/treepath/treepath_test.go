@@ -160,45 +160,86 @@ func TestFunctionFamilyClosure(t *testing.T) {
 	}
 }
 
+// randomForestParents builds a random forest on n nodes with about
+// roots trees: every node after the first picks an earlier parent, or
+// becomes a root with probability roots/n.
+func randomForestParents(n, roots int, rng *rand.Rand) []int32 {
+	parent := randomTreeParents(n, rng)
+	for v := 1; v < n; v++ {
+		if rng.IntN(n) < roots {
+			parent[v] = -1
+		}
+	}
+	return parent
+}
+
 func TestDecomposeProperties(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
+	var shapes [][]int32
+	for trial := 0; trial < 30; trial++ {
+		shapes = append(shapes, randomTreeParents(2+rng.IntN(500), rng))
+	}
+	// Forests with many roots: the shape of the no-new-match forest the
+	// path-DAG engine's shortcut construction decomposes.
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.IntN(500)
-		parent := randomTreeParents(n, rng)
+		shapes = append(shapes, randomForestParents(n, 1+rng.IntN(n), rng))
+	}
+	// Long chains give long paths.
+	shapes = append(shapes, chainParent(300), broomParent(200, 50),
+		[]int32{-1, -1, -1}, []int32{-1, 0, 0, -1, 3, 3, 4})
+	for i, parent := range shapes {
+		n := len(parent)
 		layers := LayersSequential(parent)
-		pd := Decompose(parent, layers)
+		ps := Decompose(parent, layers)
 		// Every node in exactly one path.
+		pathOf := make([]int, n)
 		seen := make([]int, n)
-		for p, path := range pd.Paths {
+		prevBottom := int32(-1)
+		for p := 0; p < ps.Len(); p++ {
+			path := ps.Path(p)
 			if len(path) == 0 {
-				t.Fatal("empty path")
+				t.Fatalf("shape %d: empty path", i)
 			}
-			for pos, v := range path {
+			for _, v := range path {
 				seen[v]++
-				if pd.PathOf[v] != int32(p) || pd.PosInPath[v] != int32(pos) {
-					t.Fatal("PathOf/PosInPath inconsistent")
-				}
-				if layers[v] != pd.LayerOfPath[p] {
-					t.Fatal("path mixes layers")
+				pathOf[v] = p
+				if layers[v] != ps.Layer(p) {
+					t.Fatalf("shape %d: path mixes layers", i)
 				}
 			}
 			// Consecutive nodes are parent-linked bottom-up.
-			for i := 0; i+1 < len(path); i++ {
-				if parent[path[i]] != path[i+1] {
-					t.Fatal("path not parent-linked")
+			for j := 0; j+1 < len(path); j++ {
+				if parent[path[j]] != path[j+1] {
+					t.Fatalf("shape %d: path not parent-linked", i)
 				}
 			}
+			// Paths come in the order of their bottom nodes.
+			if path[0] <= prevBottom {
+				t.Fatalf("shape %d: paths out of bottom-node order", i)
+			}
+			prevBottom = path[0]
 		}
 		for v, s := range seen {
 			if s != 1 {
-				t.Fatalf("node %d in %d paths", v, s)
+				t.Fatalf("shape %d: node %d in %d paths", i, v, s)
 			}
 		}
-		// Lemma 3.2 property: children of a node never sit in a larger
-		// layer.
+		// Lemma 3.2 schedule: a child on its parent's path shares the
+		// layer, and every other child sits in a strictly lower layer, so
+		// a path only waits on paths of lower layers.
 		for v := 0; v < n; v++ {
-			if p := parent[v]; p >= 0 && layers[v] > layers[p] {
-				t.Fatal("child layer exceeds parent layer")
+			p := parent[v]
+			if p < 0 {
+				continue
+			}
+			if pathOf[v] == pathOf[p] {
+				if layers[v] != layers[p] {
+					t.Fatalf("shape %d: path edge %d->%d crosses layers", i, v, p)
+				}
+			} else if layers[v] >= layers[p] {
+				t.Fatalf("shape %d: off-path child %d (layer %d) not below parent %d (layer %d)",
+					i, v, layers[v], p, layers[p])
 			}
 		}
 	}
@@ -208,81 +249,22 @@ func TestPathsByLayerSchedule(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	parent := randomTreeParents(300, rng)
 	layers := LayersSequential(parent)
-	pd := Decompose(parent, layers)
-	byLayer := pd.PathsByLayer()
+	ps := Decompose(parent, layers)
+	byLayer := ps.ByLayer()
 	count := 0
 	for l, paths := range byLayer {
 		for _, p := range paths {
-			if pd.LayerOfPath[p] != int32(l) {
+			if ps.Layer(int(p)) != int32(l) {
 				t.Fatal("path in wrong layer bucket")
 			}
 			count++
 		}
 	}
-	if count != len(pd.Paths) {
-		t.Fatal("PathsByLayer lost paths")
+	if count != ps.Len() {
+		t.Fatal("ByLayer lost paths")
 	}
-}
-
-func TestListRank(t *testing.T) {
-	// A single list 0 -> 1 -> ... -> 9.
-	n := 10
-	next := make([]int32, n)
-	for i := 0; i < n-1; i++ {
-		next[i] = int32(i + 1)
-	}
-	next[n-1] = -1
-	rank := ListRank(next, nil)
-	for i := 0; i < n; i++ {
-		if rank[i] != int32(n-1-i) {
-			t.Fatalf("rank[%d]=%d want %d", i, rank[i], n-1-i)
-		}
-	}
-}
-
-func TestListRankMultipleLists(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	// Build several disjoint lists with random interleaved ids.
-	n := 500
-	perm := rng.Perm(n)
-	next := make([]int32, n)
-	want := make([]int32, n)
-	idx := 0
-	for idx < n {
-		length := 1 + rng.IntN(40)
-		if idx+length > n {
-			length = n - idx
-		}
-		for i := 0; i < length; i++ {
-			v := perm[idx+i]
-			if i == length-1 {
-				next[v] = -1
-			} else {
-				next[v] = int32(perm[idx+i+1])
-			}
-			want[v] = int32(length - 1 - i)
-		}
-		idx += length
-	}
-	got := ListRank(next, nil)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("rank[%d]=%d want %d", v, got[v], want[v])
-		}
-	}
-}
-
-func TestListRankRounds(t *testing.T) {
-	tr := wd.NewTracker()
-	n := 4096
-	next := make([]int32, n)
-	for i := 0; i < n-1; i++ {
-		next[i] = int32(i + 1)
-	}
-	next[n-1] = -1
-	ListRank(next, tr)
-	if r := tr.PhaseRounds("listrank"); r > 14 {
-		t.Fatalf("list ranking took %d rounds for n=%d, want ~log n", r, n)
+	if want := int(layers[0]) + 1; len(byLayer) != want {
+		t.Fatalf("ByLayer has %d layers, want %d", len(byLayer), want)
 	}
 }
 
