@@ -66,6 +66,9 @@ func TestVertexConnectivityKnownFamilies(t *testing.T) {
 		{"bipyramid6", graph.Bipyramid(6), 4},
 		{"bipyramid8", graph.Bipyramid(8), 4},
 		{"icosahedron", graph.Icosahedron(), 5},
+		// κ < δ: the glued vertices are the cut, every degree is >= 5.
+		{"icosahedra-edge", gluedIcosahedra(2), 2},
+		{"icosahedra-face", gluedIcosahedra(3), 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +89,44 @@ func TestVertexConnectivityKnownFamilies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gluedIcosahedra is two icosahedra that share the first `shared`
+// vertices of one face: 2 glues them along an edge, 3 along the face.
+func gluedIcosahedra(shared int) *graph.Graph {
+	ico := graph.Icosahedron()
+	n := ico.N()
+	face := []int32{0, ico.Neighbors(0)[0]}
+	for _, w := range ico.Neighbors(face[1]) {
+		if ico.HasEdge(0, w) {
+			face = append(face, w)
+			break
+		}
+	}
+	// The second copy's vertex v is id[v]: the first copy's vertex on
+	// the glued part, a fresh vertex elsewhere.
+	id := make([]int32, n)
+	for v := range id {
+		id[v] = -1
+	}
+	for _, v := range face[:shared] {
+		id[v] = v
+	}
+	next := int32(n)
+	for v := range id {
+		if id[v] < 0 {
+			id[v] = next
+			next++
+		}
+	}
+	b := graph.NewBuilder(2*n - shared)
+	for _, e := range ico.Edges() {
+		b.AddEdge(e[0], e[1])
+		if u, v := id[e[0]], id[e[1]]; !b.HasEdge(u, v) {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
 }
 
 func TestVertexConnectivityDisconnected(t *testing.T) {

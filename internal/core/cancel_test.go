@@ -65,12 +65,19 @@ func TestDecideUnfiredTokenIdenticalAnswers(t *testing.T) {
 // victim holds its witness to the same contract: a cancelled call
 // returns ErrCancelled, never a partial or different witness. Whether a
 // given delay lands before, during or after a call depends on the
-// machine, so which outcome each attempt exercises is best-effort.
+// machine, so which outcome each attempt exercises is best-effort. It
+// runs under each of pipelineEngines.
 func TestCancelledRerunByteIdentical(t *testing.T) {
+	for _, e := range pipelineEngines {
+		t.Run(e.name, func(t *testing.T) { cancelledRerunByteIdentical(t, e.engine) })
+	}
+}
+
+func cancelledRerunByteIdentical(t *testing.T, engine Engine) {
 	rng := rand.New(rand.NewPCG(17, 19))
 	g := graph.RandomPlanar(150, 0.7, rng)
 	h := graph.Cycle(4)
-	opt := Options{Seed: 42}
+	opt := Options{Seed: 42, Engine: engine}
 
 	refFound, err := Decide(g, h, opt)
 	if err != nil {

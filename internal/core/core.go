@@ -35,9 +35,12 @@ import (
 type Engine int
 
 const (
-	// EngineAuto uses the path-DAG engine for plain decision problems and
-	// the sequential engine for separating ones (the Section 3.3 engine
-	// covers plain mode only).
+	// EngineAuto runs the sequential engine on every band. The path-DAG
+	// engine does 4–5x its work for about half its depth, so by Brent's
+	// rule (T_P ≈ W/P + D) it is projected faster only past about 56
+	// processors (DESIGN.md, "Engine choice"); EnginePathDAG selects it.
+	// Both engines produce the same node sets, so the choice moves only
+	// cost and work/depth counters.
 	EngineAuto Engine = iota
 	// EngineSequential forces the bottom-up DP of Section 3.2.
 	EngineSequential

@@ -25,23 +25,35 @@ func randomPattern(k, extra int, rng *rand.Rand) *graph.Graph {
 	return b.Build()
 }
 
+// pipelineEngines are the engines pipeline-level tests run each trial
+// under: the default, and the path-DAG engine, which only an explicit
+// EnginePathDAG reaches.
+var pipelineEngines = []struct {
+	name   string
+	engine Engine
+}{{"auto", EngineAuto}, {"pathdag", EnginePathDAG}}
+
 // Yes-answers must always be exact and no-answers match the oracle w.h.p.;
 // on these sizes with the default run budget a disagreement would be a
 // bug, not bad luck.
 func TestDecideAgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for trial := 0; trial < 40; trial++ {
-		n := 10 + rng.IntN(60)
-		g := graph.RandomPlanar(n, rng.Float64(), rng)
-		h := randomPattern(2+rng.IntN(4), rng.IntN(3), rng)
-		want := naive.Decide(g, h)
-		got, err := Decide(g, h, Options{Seed: uint64(trial)})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: Decide=%v oracle=%v (n=%d k=%d)", trial, got, want, n, h.N())
-		}
+	for _, e := range pipelineEngines {
+		t.Run(e.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			for trial := 0; trial < 40; trial++ {
+				n := 10 + rng.IntN(60)
+				g := graph.RandomPlanar(n, rng.Float64(), rng)
+				h := randomPattern(2+rng.IntN(4), rng.IntN(3), rng)
+				want := naive.Decide(g, h)
+				got, err := Decide(g, h, Options{Seed: uint64(trial), Engine: e.engine})
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if got != want {
+					t.Fatalf("trial %d: Decide=%v oracle=%v (n=%d k=%d)", trial, got, want, n, h.N())
+				}
+			}
+		})
 	}
 }
 
@@ -132,29 +144,33 @@ func TestFindOneVerifies(t *testing.T) {
 
 // The paper's listing guarantee: all occurrences, each exactly once.
 func TestListMatchesOracleExactly(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	for trial := 0; trial < 15; trial++ {
-		g := graph.RandomPlanar(8+rng.IntN(25), rng.Float64(), rng)
-		h := randomPattern(3, rng.IntN(2), rng)
-		wantSet := map[string]struct{}{}
-		for _, a := range naive.Search(g, h, naive.Options{}) {
-			wantSet[Occurrence(a).Key()] = struct{}{}
-		}
-		got, err := List(g, h, Options{Seed: uint64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(wantSet) {
-			t.Fatalf("trial %d: listed %d occurrences, oracle has %d", trial, len(got), len(wantSet))
-		}
-		for _, o := range got {
-			if _, ok := wantSet[o.Key()]; !ok {
-				t.Fatalf("trial %d: listed non-occurrence %v", trial, o)
+	for _, e := range pipelineEngines {
+		t.Run(e.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(7, 8))
+			for trial := 0; trial < 15; trial++ {
+				g := graph.RandomPlanar(8+rng.IntN(25), rng.Float64(), rng)
+				h := randomPattern(3, rng.IntN(2), rng)
+				wantSet := map[string]struct{}{}
+				for _, a := range naive.Search(g, h, naive.Options{}) {
+					wantSet[Occurrence(a).Key()] = struct{}{}
+				}
+				got, err := List(g, h, Options{Seed: uint64(trial), Engine: e.engine})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(wantSet) {
+					t.Fatalf("trial %d: listed %d occurrences, oracle has %d", trial, len(got), len(wantSet))
+				}
+				for _, o := range got {
+					if _, ok := wantSet[o.Key()]; !ok {
+						t.Fatalf("trial %d: listed non-occurrence %v", trial, o)
+					}
+					if !VerifyOccurrence(g, h, o) {
+						t.Fatalf("trial %d: listed invalid occurrence %v", trial, o)
+					}
+				}
 			}
-			if !VerifyOccurrence(g, h, o) {
-				t.Fatalf("trial %d: listed invalid occurrence %v", trial, o)
-			}
-		}
+		})
 	}
 }
 

@@ -38,29 +38,32 @@ func twoHubWheel(rim int) (*graph.Graph, []bool) {
 	return b.Build(), s
 }
 
-// TestDeterministicCountersPinned pins, for fixed seeds, the exact
-// counters of one-pattern calls. Misses and capped counts run every band
-// to completion, so their counters hold at any parallelism; hits cancel
-// their sibling bands, so those cases pin band order with
-// SetParallelism(1). The answers (and witnesses) are pinned alongside.
-// Every band span must carry one of the single-pattern outcome notes.
-func TestDeterministicCountersPinned(t *testing.T) {
+// pinnedCase is one one-pattern call of TestDeterministicCountersPinned
+// with its answer and counters under the named engine.
+type pinnedCase struct {
+	name       string
+	engine     Engine
+	sequential bool // pin par.SetParallelism(1)
+	run        func(Options) (string, error)
+	answer     string
+	want       pinnedCounters
+	notes      string // band-note histogram, pinned for sequential cases
+}
+
+// pinnedCases builds the pinned calls on fixed targets. Each case names
+// its engine, so no pin depends on EngineAuto's choice. Separating bands
+// run the sequential engine under every Engine.
+func pinnedCases() []pinnedCase {
 	rng := rand.New(rand.NewPCG(71, 73))
 	planar := graph.RandomPlanar(220, 0.7, rng)
 	small := graph.RandomPlanar(60, 0.7, rng)
 	grid := graph.Grid(12, 12)
 	wheel, terminals := twoHubWheel(6)
 
-	cases := []struct {
-		name       string
-		sequential bool // pin par.SetParallelism(1)
-		run        func(Options) (string, error)
-		answer     string
-		want       pinnedCounters
-		notes      string // band-note histogram, pinned for sequential cases
-	}{
+	return []pinnedCase{
 		{
-			name: "decide-miss",
+			name:   "decide-miss",
+			engine: EnginePathDAG,
 			run: func(o Options) (string, error) {
 				ok, err := Decide(grid, graph.Cycle(3), o)
 				return fmt.Sprint(ok), err
@@ -71,9 +74,9 @@ func TestDeterministicCountersPinned(t *testing.T) {
 				Work: 515510, Rounds: 6765},
 		},
 		{
-			name: "decide-miss-sequential-engine",
+			name:   "decide-miss-sequential-engine",
+			engine: EngineSequential,
 			run: func(o Options) (string, error) {
-				o.Engine = EngineSequential
 				ok, err := Decide(grid, graph.Cycle(5), o)
 				return fmt.Sprint(ok), err
 			},
@@ -83,7 +86,8 @@ func TestDeterministicCountersPinned(t *testing.T) {
 				Work: 1040721, Rounds: 21829},
 		},
 		{
-			name: "count-capped",
+			name:   "count-capped",
+			engine: EnginePathDAG,
 			run: func(o Options) (string, error) {
 				o.MaxRuns = 3
 				n, err := Count(small, graph.Path(3), o)
@@ -95,7 +99,8 @@ func TestDeterministicCountersPinned(t *testing.T) {
 				Work: 211982, Rounds: 1405},
 		},
 		{
-			name: "separating-miss",
+			name:   "separating-miss",
+			engine: EngineSequential,
 			run: func(o Options) (string, error) {
 				occ, err := DecideSeparating(wheel, graph.Cycle(3), terminals, o)
 				return fmt.Sprint(occ), err
@@ -107,6 +112,7 @@ func TestDeterministicCountersPinned(t *testing.T) {
 		},
 		{
 			name:       "decide-hit",
+			engine:     EnginePathDAG,
 			sequential: true,
 			run: func(o Options) (string, error) {
 				o.Seed = 1 // a miss band precedes the hit
@@ -121,6 +127,7 @@ func TestDeterministicCountersPinned(t *testing.T) {
 		},
 		{
 			name:       "find-witness",
+			engine:     EnginePathDAG,
 			sequential: true,
 			run: func(o Options) (string, error) {
 				occ, err := FindOne(planar, graph.Path(5), o)
@@ -137,6 +144,7 @@ func TestDeterministicCountersPinned(t *testing.T) {
 		},
 		{
 			name:       "separating-hit",
+			engine:     EngineSequential,
 			sequential: true,
 			run: func(o Options) (string, error) {
 				occ, err := DecideSeparating(wheel, graph.Cycle(6), terminals, o)
@@ -152,23 +160,39 @@ func TestDeterministicCountersPinned(t *testing.T) {
 			notes: "found×1 skipped×1",
 		},
 	}
+}
+
+// runPinned makes c's call under engine with seed 5 and returns its
+// answer and counters; rec, when non-nil, records the call's spans.
+func runPinned(t *testing.T, c pinnedCase, engine Engine, rec *obs.Recorder) (string, pinnedCounters) {
+	t.Helper()
+	var st Stats
+	tr := wd.NewTracker()
+	got, err := c.run(Options{Seed: 5, Engine: engine, Stats: &st, Tracker: tr, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, pinnedCounters{Runs: st.Runs, Bands: st.Bands, FallbackBands: st.FallbackBands,
+		MaxBandWidth: st.MaxBandWidth, Cost: st.Cost, Work: tr.Work(), Rounds: tr.Rounds()}
+}
+
+// TestDeterministicCountersPinned pins, for fixed seeds, the exact
+// counters of one-pattern calls. Misses and capped counts run every band
+// to completion, so their counters hold at any parallelism; hits cancel
+// their sibling bands, so those cases pin band order with
+// SetParallelism(1). The answers (and witnesses) are pinned alongside.
+// Every band span must carry one of the single-pattern outcome notes.
+func TestDeterministicCountersPinned(t *testing.T) {
 	soloNotes := map[string]bool{"skipped": true, "cancelled": true, "found": true, "miss": true,
 		"fallback:found": true, "fallback:miss": true}
-	for _, c := range cases {
+	for _, c := range pinnedCases() {
 		t.Run(c.name, func(t *testing.T) {
 			if c.sequential {
 				par.SetParallelism(1)
 				defer par.SetParallelism(0)
 			}
-			var st Stats
-			tr := wd.NewTracker()
 			rec := obs.NewRecorder(1 << 16)
-			got, err := c.run(Options{Seed: 5, Stats: &st, Tracker: tr, Trace: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			have := pinnedCounters{Runs: st.Runs, Bands: st.Bands, FallbackBands: st.FallbackBands,
-				MaxBandWidth: st.MaxBandWidth, Cost: st.Cost, Work: tr.Work(), Rounds: tr.Rounds()}
+			got, have := runPinned(t, c, c.engine, rec)
 			if got != c.answer || have != c.want {
 				t.Errorf("answer %s counters %#v\nwant   %s counters %#v", got, have, c.answer, c.want)
 			}
@@ -188,13 +212,63 @@ func TestDeterministicCountersPinned(t *testing.T) {
 					t.Errorf("run %d band %d: note %q is not a single-pattern outcome", sp.Run, sp.Band, sp.Note)
 				}
 			}
-			if bands != st.Bands {
-				t.Errorf("%d band spans, Stats.Bands = %d", bands, st.Bands)
+			if bands != have.Bands {
+				t.Errorf("%d band spans, Stats.Bands = %d", bands, have.Bands)
 			}
 			if c.sequential {
 				if notes := noteHistogram(hist); notes != c.notes {
 					t.Errorf("band notes %q, want %q", notes, c.notes)
 				}
+			}
+		})
+	}
+}
+
+// brentCrossover is P* of DESIGN.md's "Engine choice" table: the
+// smallest power of two at or above the decide-miss crossovers ΔW/ΔD,
+// past which Brent's rule projects the path-DAG engine to be faster.
+const brentCrossover = 64
+
+// TestEngineAutoFollowsBrentCrossover checks EngineAuto against the Brent
+// trade it rests on. On the pinned miss and capped-count calls its
+// counters are the sequential engine's, and a separating call runs the
+// sequential engine under every Engine. On the 12×12 triangle miss the
+// path-DAG engine's extra work per saved round, ΔW/ΔD, must lie in
+// (brentCrossover/2, brentCrossover]; a change that moves it must
+// revisit the table and EngineAuto's choice.
+func TestEngineAutoFollowsBrentCrossover(t *testing.T) {
+	separating := map[string]bool{"decide-miss": false, "count-capped": false, "separating-miss": true}
+	for _, c := range pinnedCases() {
+		sep, ok := separating[c.name]
+		if !ok {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			ref := map[Engine]pinnedCounters{}
+			for _, e := range []Engine{EngineAuto, EngineSequential, EnginePathDAG} {
+				var got string
+				if got, ref[e] = runPinned(t, c, e, nil); got != c.answer {
+					t.Fatalf("engine %d: answer %s, want %s", e, got, c.answer)
+				}
+			}
+			seq, dag := ref[EngineSequential], ref[EnginePathDAG]
+			if ref[EngineAuto] != seq {
+				t.Errorf("EngineAuto counters %#v\nwant the sequential engine's %#v", ref[EngineAuto], seq)
+			}
+			// Plain calls must tell the engines apart, or the check above
+			// would pass unobserved; separating calls run one engine.
+			if differ := seq != dag; differ == sep {
+				t.Fatalf("separating=%v call: explicit engines' counters differ=%v", sep, differ)
+			}
+			if c.name != "decide-miss" {
+				return
+			}
+			dW, dD := dag.Work-seq.Work, seq.Rounds-dag.Rounds
+			if dD <= 0 {
+				t.Fatalf("path-DAG engine saved %d rounds", dD)
+			}
+			if x := float64(dW) / float64(dD); x <= brentCrossover/2 || x > brentCrossover {
+				t.Errorf("crossover ΔW/ΔD = %d/%d = %.1f, want it in (%d, %d]", dW, dD, x, brentCrossover/2, brentCrossover)
 			}
 		})
 	}

@@ -283,13 +283,13 @@ func witnessNote(solved bool, found, cancelled, active int) string {
 }
 
 // solveBand runs the band solver once over pb's decomposition for the
-// patterns act of hs, pattern j under token cancels[j]. The sequential
-// engine serves separating mode (the path-DAG engine's state universes
-// carry no separating labels) and EngineSequential; the path-DAG engine
-// serves the rest. solved=false signals that the decomposition exceeded
-// the engines' bag capacity and the caller must use the naive fallback;
-// Stats are charged per pattern either way. The prepared band is only
-// read, so concurrent queries may share it.
+// patterns act of hs, pattern j under token cancels[j]. The path-DAG
+// engine serves plain bands under EnginePathDAG; the sequential engine
+// serves the rest, separating mode included (the path-DAG engine's state
+// universes carry no separating labels). solved=false signals that the
+// decomposition exceeded the engines' bag capacity and the caller must
+// use the naive fallback; Stats are charged per pattern either way. The
+// prepared band is only read, so concurrent queries may share it.
 func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Canceller, separating, decideOnly bool, opt Options) ([]*match.Result, bool) {
 	opt.noteWidth(pb.Width)
 	if pb.Fallback {
@@ -313,7 +313,7 @@ func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Ca
 			Separating: separating, DecideOnly: decideOnly, Cancel: cancels[j],
 			Trace: opt.Trace, Cost: bc}
 	}
-	if separating || opt.Engine == EngineSequential {
+	if separating || opt.Engine != EnginePathDAG {
 		return match.RunMulti(ps, opt.Tracker), true
 	}
 	rs, _ := pmdag.RunMulti(ps, pmdag.Config{}, opt.Tracker)

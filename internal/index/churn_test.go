@@ -13,10 +13,12 @@ import (
 // eviction does — batched scans racing cache resets — and checks that
 // every answer stays identical to the direct API's: in-flight queries
 // keep the immutable artifacts they already hold, and rebuilt artifacts
-// are bit-identical by the derived-randomness property.
+// are bit-identical by the derived-randomness property. It runs the
+// path-DAG engine, so concurrent scans share each prepared band through
+// pmdag; TestConcurrentIndexQueries covers the default engine.
 func TestConcurrentScanReset(t *testing.T) {
 	g := graph.Grid(6, 6)
-	opt := core.Options{Seed: 11, MaxRuns: 4}
+	opt := core.Options{Seed: 11, MaxRuns: 4, Engine: core.EnginePathDAG}
 	patterns := []*graph.Graph{
 		graph.Cycle(4), graph.Cycle(3), graph.Path(4), graph.Star(4),
 	}

@@ -101,7 +101,7 @@ func LayersSequential(parent []int32) []int32 {
 //
 // with A <= t+1 (identity is φ(0,0,-1), f≠i is φ(i,i,i), and g=i is
 // φ(i+1,0,i)). Composition stays O(1), so Lemma 3.2's bounds are
-// unaffected; EXPERIMENTS.md records the deviation, and the tests verify
+// unaffected; DESIGN.md records the deviation, and the tests verify
 // closure exhaustively over small parameter ranges.
 type uFn struct {
 	a, s, t int32
