@@ -170,7 +170,7 @@ func BenchmarkFig4DP(b *testing.B) {
 			var states int64
 			for i := 0; i < b.N; i++ {
 				eng := match.Run(&match.Problem{G: g, H: h, ND: nd}, nil)
-				states += eng.StatesGenerated()
+				states += eng.Cost().Emissions
 			}
 			b.ReportMetric(float64(states)/float64(b.N), "states/op")
 		})
@@ -378,7 +378,7 @@ func BenchmarkAblationBalancedDP(b *testing.B) {
 		if !eng.Found() {
 			b.Fatal("missed")
 		}
-		states = eng.StatesGenerated()
+		states = eng.Cost().Emissions
 	}
 	b.ReportMetric(float64(states), "states")
 }

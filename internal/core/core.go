@@ -82,24 +82,30 @@ type Options struct {
 	Trace *obs.Recorder
 	// Cost, when non-nil, accumulates the call's DP cost counters
 	// (nodes, states, joins, emissions, bytes) across every band
-	// solved. Band spans on a traced call carry the same per-band
-	// snapshots, so the span costs sum to this counter exactly.
-	// Another per-call attachment that never influences answers.
+	// solved: each band adds the summed cost records of its DP runs
+	// once. Band spans on a traced call carry the same per-band sums,
+	// so the span costs sum to this counter exactly. Another per-call
+	// attachment that never influences answers.
 	Cost *obs.CostCounter
 }
 
-// SameConfig reports whether two option sets produce identical answers
-// and identical cached artifacts: it compares the value fields that feed
-// the pipeline's randomness and shape (Seed, Engine, MaxRuns, Heuristic,
-// Beta) and ignores the per-call attachments (Tracker, Stats, Cancel,
-// Trace, Cost), which never influence results. Snapshot restore uses it
-// to refuse loading artifacts built under a different configuration.
-func (o Options) SameConfig(p Options) bool {
-	return o.Seed == p.Seed && o.Engine == p.Engine && o.MaxRuns == p.MaxRuns &&
-		o.Heuristic == p.Heuristic && o.Beta == p.Beta
+// Config returns the value fields that feed the pipeline's randomness
+// and shape (Seed, Engine, MaxRuns, Heuristic, Beta), with the per-call
+// attachments (Tracker, Stats, Cancel, Trace, Cost) stripped: they
+// never influence results. It is the configuration a snapshot records.
+func (o Options) Config() Options {
+	return Options{Seed: o.Seed, Engine: o.Engine, MaxRuns: o.MaxRuns, Heuristic: o.Heuristic, Beta: o.Beta}
 }
 
-// Stats reports what a pipeline call did.
+// SameConfig reports whether two option sets produce identical answers
+// and identical cached artifacts: their Configs are equal. Snapshot
+// restore uses it to refuse loading artifacts built under a different
+// configuration.
+func (o Options) SameConfig(p Options) bool { return o.Config() == p.Config() }
+
+// Stats reports what a pipeline call did. For a disconnected pattern
+// (Lemma 4.1) it counts the inner searches: the cover repetitions and
+// bands of every color-class search that ran.
 type Stats struct {
 	// Runs is the number of cover repetitions executed.
 	Runs int
@@ -150,8 +156,8 @@ func (o Options) rng(stream uint64) *rand.Rand {
 // statsMu guards every Stats update: band solves run in parallel loops,
 // and an Index serves concurrent queries sharing one Stats. A global
 // mutex is deliberate — it is only taken when Stats is non-nil
-// (instrumentation mode), at per-band granularity, and embedding a lock
-// in the public Stats struct would break callers that copy it.
+// (instrumentation mode), once per run and once per band, and embedding
+// a lock in the public Stats struct would break callers that copy it.
 var statsMu sync.Mutex
 
 func (o Options) addRun(bands int) {
@@ -164,44 +170,19 @@ func (o Options) addRun(bands int) {
 	statsMu.Unlock()
 }
 
-func (o Options) noteWidth(w int) {
-	if o.Stats == nil {
-		return
-	}
-	statsMu.Lock()
-	if w > o.Stats.MaxBandWidth {
-		o.Stats.MaxBandWidth = w
-	}
-	statsMu.Unlock()
-}
-
-// addBandCost folds one solved band's engine cost counters into the
-// per-call accumulator and the Stats totals. Each band is snapshotted
-// exactly once, so the sum of the band spans' attached costs equals
-// both totals byte for byte.
-func (o Options) addBandCost(c obs.Cost) {
+// noteBand charges one band that reached the solver to the call's
+// sinks: its cost (the summed cost records of its DP runs) to Cost and
+// Stats.Cost, and its width and fallback patterns to Stats. The band's
+// span carries the same cost, so span costs sum to both totals exactly.
+func (o Options) noteBand(width, fallbacks int, c obs.Cost) {
 	o.Cost.Add(c)
-	if o.Stats == nil || c.IsZero() {
-		return
-	}
-	statsMu.Lock()
-	o.Stats.Cost.Accumulate(c)
-	statsMu.Unlock()
-}
-
-// costed reports whether band solves should account DP cost: any of the
-// cost sinks (the per-call counter, a trace wanting span costs, Stats
-// totals) is attached.
-func (o Options) costed() bool {
-	return o.Cost != nil || o.Trace != nil || o.Stats != nil
-}
-
-func (o Options) noteFallback() {
 	if o.Stats == nil {
 		return
 	}
 	statsMu.Lock()
-	o.Stats.FallbackBands++
+	o.Stats.MaxBandWidth = max(o.Stats.MaxBandWidth, width)
+	o.Stats.FallbackBands += int64(fallbacks)
+	o.Stats.Cost.Accumulate(c)
 	statsMu.Unlock()
 }
 

@@ -27,9 +27,9 @@ func decideDisconnected(g, h *graph.Graph, l int, opt Options) (bool, error) {
 	// The inner searches reuse the connected pipeline with a modest run
 	// budget: the outer loop already repeats, so each inner search only
 	// needs constant success probability given a surviving coloring.
+	// They charge Stats, Cost and Trace like any other search.
 	inner := opt
 	inner.MaxRuns = 2
-	inner.Stats = nil
 	for rep := 0; rep < reps; rep++ {
 		if opt.Cancel.Cancelled() {
 			return false, par.ErrCancelled
@@ -38,7 +38,6 @@ func decideDisconnected(g, h *graph.Graph, l int, opt Options) (bool, error) {
 			color[v] = int8(rng.IntN(l))
 		}
 		inner.Seed = rng.Uint64()
-		opt.addRun(0)
 		ok := true
 		for i := 0; i < l && ok; i++ {
 			verts := make([]int32, 0, n/l+1)

@@ -20,7 +20,7 @@ import (
 // of one. Each cover repetition is prepared once per group and each
 // band's decomposition is walked once for all of the group's open
 // patterns (match.RunMulti / pmdag.RunMulti). Answers, Stats
-// contributions, cost flushes and work counters are per pattern exactly
+// contributions, cost records and work counters are per pattern exactly
 // what the pattern would produce alone; only the tree/path walks and the
 // per-(G, ND) metadata are shared. Per-pattern band-local cancellers keep
 // each pattern's early exit: a pattern certified in one band drops out of
@@ -209,19 +209,9 @@ func witnessSweep(pc *PreparedCover, hs []*graph.Graph, hits []Occurrence, kind 
 			opt.Trace.Span("band", run, i, t0, "skipped")
 			return
 		}
-		engs, solved := solveBand(pb, hs, act, cancels, kind == separatingWitness, kind == decideWitness, opt)
-		// Per-pattern cost snapshots feed the query sinks once each and
-		// the band span carries their sum. Fallback bands cost zero: the
-		// naive search is outside the state machinery the counters price.
-		var total obs.Cost
+		engs, solved, cost := solveBand(pb, hs, act, cancels, kind == separatingWitness, kind == decideWitness, opt)
 		found, cancelled := 0, 0
 		for idx, j := range act {
-			if solved {
-				// Felled DPs keep their partial cost: the work was done.
-				cost := engs[idx].Problem().Cost.Snapshot()
-				opt.addBandCost(cost)
-				total.Accumulate(cost)
-			}
 			// A fired token means j's DP may have aborted mid-run (its
 			// partial result must not be read), and j is already certified
 			// elsewhere or the query is dying — so an uncancellable naive
@@ -249,7 +239,7 @@ func witnessSweep(pc *PreparedCover, hs []*graph.Graph, hits []Occurrence, kind 
 			cancels[j].Cancel()
 		}
 		if opt.Trace != nil {
-			opt.Trace.SpanCost("band", run, i, t0, witnessNote(solved, found, cancelled, len(act)), total)
+			opt.Trace.SpanCost("band", run, i, t0, witnessNote(solved, found, cancelled, len(act)), cost)
 		}
 	})
 	open := 0
@@ -288,36 +278,35 @@ func witnessNote(solved bool, found, cancelled, active int) string {
 // serves the rest, separating mode included (the path-DAG engine's state
 // universes carry no separating labels). solved=false signals that the
 // decomposition exceeded the engines' bag capacity and the caller must
-// use the naive fallback; Stats are charged per pattern either way. The
-// prepared band is only read, so concurrent queries may share it.
-func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Canceller, separating, decideOnly bool, opt Options) ([]*match.Result, bool) {
-	opt.noteWidth(pb.Width)
+// use the naive fallback. Either way the band is charged to the call's
+// sinks (noteBand), and its cost, the summed records of its DP runs, is
+// returned for the band span. Fallback bands cost zero: the naive search
+// is outside the state machinery the counters price. The prepared band
+// is only read, so concurrent queries may share it.
+func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Canceller, separating, decideOnly bool, opt Options) ([]*match.Result, bool, obs.Cost) {
+	var cost obs.Cost
 	if pb.Fallback {
-		for range act {
-			opt.noteFallback()
-		}
-		return nil, false
+		opt.noteBand(pb.Width, len(act), cost)
+		return nil, false, cost
 	}
 	b := pb.Band
 	ps := make([]*match.Problem, len(act))
 	for idx, j := range act {
-		// Each pattern gets its own cost counter so the band's cost can be
-		// attributed to its span before folding into the query totals; nil
-		// when no sink wants cost, keeping the engines' flush sites on the
-		// single-nil-check path.
-		var bc *obs.CostCounter
-		if opt.costed() {
-			bc = new(obs.CostCounter)
-		}
 		ps[idx] = &match.Problem{G: b.G, H: hs[j], ND: pb.ND, Allowed: b.Allowed, S: b.S,
-			Separating: separating, DecideOnly: decideOnly, Cancel: cancels[j],
-			Trace: opt.Trace, Cost: bc}
+			Separating: separating, DecideOnly: decideOnly, Cancel: cancels[j], Trace: opt.Trace}
 	}
+	var rs []*match.Result
 	if separating || opt.Engine != EnginePathDAG {
-		return match.RunMulti(ps, opt.Tracker), true
+		rs = match.RunMulti(ps, opt.Tracker)
+	} else {
+		rs, _ = pmdag.RunMulti(ps, pmdag.Config{}, opt.Tracker)
 	}
-	rs, _ := pmdag.RunMulti(ps, pmdag.Config{}, opt.Tracker)
-	return rs, true
+	// Felled DPs keep their partial cost: the work was done.
+	for _, r := range rs {
+		cost.Accumulate(r.Cost())
+	}
+	opt.noteBand(pb.Width, 0, cost)
+	return rs, true, cost
 }
 
 // listRuns is the Theorem 4.2 repetition loop: each run's cover is
@@ -411,24 +400,21 @@ func enumerateSweep(pc *PreparedCover, hs []*graph.Graph, act []int, run int, op
 		}
 		b := pb.Band
 		out := make([][]Occurrence, len(act))
-		var total obs.Cost
+		var cost obs.Cost
 		if b.G.N() >= k {
-			engs, solved := solveBand(pb, hs, act, cancels, false, false, opt)
+			engs, solved, c := solveBand(pb, hs, act, cancels, false, false, opt)
+			cost = c
 			for idx, j := range act {
 				var local []match.Assignment
 				if !solved {
 					for _, a := range naive.Search(b.G, hs[j], naive.Options{}) {
 						local = append(local, a)
 					}
+				} else if opt.Cancel.Cancelled() {
+					// Partial DP: Enumerate would be unsound, and the
+					// caller's error path discards the sweep anyway.
+					continue
 				} else {
-					cost := engs[idx].Problem().Cost.Snapshot()
-					opt.addBandCost(cost)
-					total.Accumulate(cost)
-					if opt.Cancel.Cancelled() {
-						// Partial DP: Enumerate would be unsound, and the
-						// caller's error path discards the sweep anyway.
-						continue
-					}
 					local = engs[idx].Enumerate(0)
 				}
 				out[idx] = bandOccurrences(b, local)
@@ -442,7 +428,7 @@ func enumerateSweep(pc *PreparedCover, hs []*graph.Graph, act []int, run int, op
 			for _, o := range out {
 				n += len(o)
 			}
-			opt.Trace.SpanCost("band", run, i, t0, fmt.Sprintf("occs=%d", n), total)
+			opt.Trace.SpanCost("band", run, i, t0, fmt.Sprintf("occs=%d", n), cost)
 		}
 	})
 	out := make([][]Occurrence, len(act))

@@ -40,7 +40,7 @@ func AblationBalance(cfg Config) *Table {
 			nd := treedecomp.MakeNice(d)
 			p := &match.Problem{G: g, H: h, ND: nd}
 			eng, stats := pmdag.Run(p, nil)
-			paperStates := eng.StatesGenerated()
+			paperStates := eng.Cost().Emissions
 			t.Row(fmt.Sprint(n), fmt.Sprint(k), "path-DAG (paper)",
 				fmt.Sprint(nd.Width), fmt.Sprintf("%d hops", stats.MaxHops),
 				fmt.Sprintf("%.0f", lgn), fmt.Sprint(paperStates), "1.0x")
@@ -49,7 +49,7 @@ func AblationBalance(cfg Config) *Table {
 			bnd := treedecomp.MakeNice(bal)
 			bp := &match.Problem{G: g, H: h, ND: bnd}
 			beng := match.Run(bp, nil)
-			balStates := beng.StatesGenerated()
+			balStates := beng.Cost().Emissions
 			ratio := float64(balStates) / float64(paperStates)
 			t.Row(fmt.Sprint(n), fmt.Sprint(k), "balanced 3w+2",
 				fmt.Sprint(bnd.Width), fmt.Sprintf("%d height", bal.Height()),

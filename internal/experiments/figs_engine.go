@@ -43,7 +43,7 @@ func Fig4(cfg Config) *Table {
 		if !agree {
 			agreeAll = false
 		}
-		states := eng.StatesGenerated()
+		states := eng.Cost().Emissions
 		perN = append(perN, float64(states)/float64(n))
 		t.Row(fmt.Sprint(n), "4", fmt.Sprint(nd.Width), fmt.Sprint(states),
 			fmt.Sprintf("%.1f", float64(states)/float64(n)), fmt.Sprint(agree))
@@ -61,7 +61,7 @@ func Fig4(cfg Config) *Table {
 		if !agree {
 			agreeAll = false
 		}
-		states := eng.StatesGenerated()
+		states := eng.Cost().Emissions
 		growth := "-"
 		if prev > 0 {
 			growth = fmt.Sprintf("%.1fx", float64(states)/float64(prev))

@@ -52,7 +52,7 @@ func oneRun(g, h *graph.Graph, seed uint64) runMeasure {
 		}
 		p := &match.Problem{G: b.G, H: h, ND: nd}
 		eng, stats := pmdag.Run(p, tr)
-		m.work += eng.StatesGenerated()
+		m.work += eng.Cost().Emissions
 		if stats.MaxHops > maxHops {
 			maxHops = stats.MaxHops
 		}

@@ -9,79 +9,88 @@ import (
 	"planarsi/internal/obs"
 )
 
-// TestCostParityBandSpansMatchCounters is the cost-soundness check: on
-// a warm index, a traced miss query (every run and band executes) must
-// attribute its DP work so that three independent views agree exactly —
-// the per-band span costs, the query-level CostCounter, and Stats.Cost
-// are all flushed from the same engine-local batches, so their totals
-// are equal byte for byte, not approximately.
+// TestCostParityBandSpansMatchCounters is the cost-soundness check: a
+// traced query must attribute its DP work so that three independent
+// views agree exactly — the per-band span costs, the query-level
+// CostCounter, and Stats.Cost all receive each band's summed cost
+// records once, so their totals are equal byte for byte, not
+// approximately. On a warm miss every run and band executes; a
+// disconnected pattern charges the bands of its inner color-class
+// searches to Stats like any other search.
 func TestCostParityBandSpansMatchCounters(t *testing.T) {
-	g := graph.Grid(6, 6)
-	opt := core.Options{Seed: 3, MaxRuns: 4}
-	ix := New(g, opt)
-	h := graph.Cycle(3) // no triangles in a grid: a guaranteed miss
-
-	if found, err := ix.Decide(h); err != nil || found {
-		t.Fatalf("warm-up Decide = %v, %v; want false, nil", found, err)
+	cases := []struct {
+		name  string
+		g, h  *graph.Graph
+		found bool
+	}{
+		{"warm-miss", graph.Grid(6, 6), graph.Cycle(3), false}, // no triangles in a grid
+		{"disconnected", graph.Grid(8, 8), graph.DisjointUnion(graph.Path(2), graph.Path(3)), true},
 	}
-
-	var st core.Stats
-	rec := obs.NewRecorder(0)
-	counter := new(obs.CostCounter)
-	qopt := opt
-	qopt.Stats = &st
-	qopt.Trace = rec
-	qopt.Cost = counter
-	found, err := core.DecideFrom(ix, g, h, qopt)
-	if err != nil || found {
-		t.Fatalf("traced Decide = %v, %v; want false, nil", found, err)
-	}
-
-	total := counter.Snapshot()
-	if total.IsZero() || total.Emissions == 0 || total.Nodes == 0 {
-		t.Fatalf("query cost counter empty: %+v", total)
-	}
-	if st.Cost != total {
-		t.Fatalf("Stats.Cost = %+v, counter = %+v; want identical", st.Cost, total)
-	}
-
-	spans, dropped := rec.Snapshot()
-	if dropped != 0 {
-		t.Fatalf("dropped %d spans; raise the limit for this test", dropped)
-	}
-	var sum obs.Cost
-	var bands int
-	for _, sp := range spans {
-		if sp.Name != "band" {
-			continue
-		}
-		bands++
-		// On a miss every band runs its full DP; each executed band must
-		// carry nonzero cost (only skipped/fallback bands may be zero,
-		// and this query has neither).
-		if sp.Note == "miss" || sp.Note == "found" {
-			if sp.Cost == nil || sp.Cost.IsZero() {
-				t.Errorf("band span run=%d band=%d note=%q has no cost", sp.Run, sp.Band, sp.Note)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opt := core.Options{Seed: 3, MaxRuns: 4}
+			ix := New(c.g, opt)
+			if found, err := ix.Decide(c.h); err != nil || found != c.found {
+				t.Fatalf("warm-up Decide = %v, %v; want %v, nil", found, err, c.found)
 			}
-		}
-		if sp.Cost != nil {
-			sum.Accumulate(*sp.Cost)
-		}
-	}
-	if bands == 0 {
-		t.Fatal("no band spans recorded")
-	}
-	if sum != total {
-		t.Fatalf("sum of band span costs = %+v, counter = %+v; want identical", sum, total)
-	}
-	// Prepare spans carry only artifact residency bytes and must stay
-	// out of the query's DP totals.
-	for _, sp := range spans {
-		if sp.Name == "prepare" && sp.Cost != nil {
-			if sp.Cost.Emissions != 0 || sp.Cost.Nodes != 0 {
-				t.Errorf("prepare span carries DP counters: %+v", sp.Cost)
+
+			var st core.Stats
+			rec := obs.NewRecorder(0)
+			counter := new(obs.CostCounter)
+			qopt := opt
+			qopt.Stats = &st
+			qopt.Trace = rec
+			qopt.Cost = counter
+			if found, err := core.DecideFrom(ix, c.g, c.h, qopt); err != nil || found != c.found {
+				t.Fatalf("traced Decide = %v, %v; want %v, nil", found, err, c.found)
 			}
-		}
+
+			total := counter.Snapshot()
+			if total.IsZero() || total.Emissions == 0 || total.Nodes == 0 {
+				t.Fatalf("query cost counter empty: %+v", total)
+			}
+			if st.Cost != total {
+				t.Fatalf("Stats.Cost = %+v, counter = %+v; want identical", st.Cost, total)
+			}
+
+			spans, dropped := rec.Snapshot()
+			if dropped != 0 {
+				t.Fatalf("dropped %d spans; raise the limit for this test", dropped)
+			}
+			var sum obs.Cost
+			var bands int
+			for _, sp := range spans {
+				if sp.Name != "band" {
+					continue
+				}
+				bands++
+				// A band that ran its DP to the end carries nonzero cost;
+				// only skipped, cancelled and fallback bands may be zero.
+				if sp.Note == "miss" || sp.Note == "found" {
+					if sp.Cost == nil || sp.Cost.IsZero() {
+						t.Errorf("band span run=%d band=%d note=%q has no cost", sp.Run, sp.Band, sp.Note)
+					}
+				}
+				if sp.Cost != nil {
+					sum.Accumulate(*sp.Cost)
+				}
+			}
+			if bands == 0 || bands != st.Bands {
+				t.Fatalf("%d band spans, Stats.Bands = %d", bands, st.Bands)
+			}
+			if sum != total {
+				t.Fatalf("sum of band span costs = %+v, counter = %+v; want identical", sum, total)
+			}
+			// Prepare spans carry only artifact residency bytes and must
+			// stay out of the query's DP totals.
+			for _, sp := range spans {
+				if sp.Name == "prepare" && sp.Cost != nil {
+					if sp.Cost.Emissions != 0 || sp.Cost.Nodes != 0 {
+						t.Errorf("prepare span carries DP counters: %+v", sp.Cost)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -30,19 +30,6 @@ import (
 	"planarsi/internal/snap"
 )
 
-// configOnly strips the per-call attachments (Tracker, Stats, Cancel)
-// from an option set, leaving the value configuration a snapshot
-// records.
-func configOnly(o core.Options) core.Options {
-	return core.Options{
-		Seed:      o.Seed,
-		Engine:    o.Engine,
-		MaxRuns:   o.MaxRuns,
-		Heuristic: o.Heuristic,
-		Beta:      o.Beta,
-	}
-}
-
 // Snapshot captures the Index's completed memoized artifacts as a
 // serializable snapshot. Artifacts under construction are skipped (a
 // restored Index rebuilds them bit-identically on demand), so Snapshot
@@ -53,7 +40,7 @@ func (ix *Index) Snapshot() *snap.Snapshot {
 	gen := ix.acquire()
 	defer ix.release(gen)
 	s := &snap.Snapshot{
-		Options: configOnly(ix.opt),
+		Options: ix.opt.Config(),
 		Queries: ix.queries.Load(),
 		Sweeps:  ix.sweeps.Load(),
 		Epoch:   gen.epoch,

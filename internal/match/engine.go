@@ -3,7 +3,6 @@ package match
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"planarsi/internal/graph"
 	"planarsi/internal/obs"
@@ -48,12 +47,8 @@ type Problem struct {
 	// cancellation visible in a query's trace timeline. Never touched on
 	// the per-state hot path.
 	Trace *obs.Recorder
-	// Cost, when non-nil, accumulates the run's DP cost counters.
-	// Engines batch deltas into locals and flush them at the same
-	// program points as AddStatesGenerated (once per node here, once
-	// per path in pmdag), flushing the same emission local to both, so
-	// Cost.Emissions always equals StatesGenerated exactly and the
-	// disabled path stays one nil check per flush site.
+	// Cost, when non-nil, receives the run's cost record (Result.Cost)
+	// once, when the run ends, cancelled runs included.
 	Cost *obs.CostCounter
 }
 
@@ -81,28 +76,21 @@ type Result struct {
 	// transition loops would otherwise recompute million-fold.
 	nodeSlot []int32
 	introAdj []uint32
-	// statesGenerated counts every state emission (the work measure the
-	// Lemma 3.1 experiments report). The transition methods themselves do
-	// NOT touch it: callers accumulate emissions in a plain local int64
-	// and flush once per node (sequential engine) or once per path
-	// (pmdag) via AddStatesGenerated, so the per-emission hot path runs
-	// zero atomic operations.
-	statesGenerated atomic.Int64
+	// cost is the run's cost record. Only the goroutine driving the run
+	// writes it: the sequential engine at every node, pmdag when it folds
+	// a layer's per-path results.
+	cost obs.Cost
 	// arena recycles per-node StateSets within this run.
 	arena arena
 }
 
-// StatesGenerated returns the number of state emissions so far.
-func (r *Result) StatesGenerated() int64 { return r.statesGenerated.Load() }
+// Cost returns the run's cost record so far. Its Emissions field is the
+// Lemma 3.1 work measure: every state emission the transitions made.
+func (r *Result) Cost() obs.Cost { return r.cost }
 
-// AddStatesGenerated flushes a batch of locally counted state emissions
-// into the work counter. Engines call this once per node or per path, not
-// per emission.
-func (r *Result) AddStatesGenerated(n int64) {
-	if n != 0 {
-		r.statesGenerated.Add(n)
-	}
-}
+// AddCost folds a batch of the run's work into its cost record. Only the
+// goroutine driving the run may call it.
+func (r *Result) AddCost(c obs.Cost) { r.cost.Accumulate(c) }
 
 // NewSet returns an empty StateSet from the run's arena, pre-sized for
 // about hint states. Engines use it for the per-node sets they store into
@@ -222,12 +210,13 @@ func Run(p *Problem, tr *wd.Tracker) *Result { return RunMulti([]*Problem{p}, tr
 // RunMulti executes the sequential bottom-up DP for several patterns in
 // one pass over the shared decomposition: the node traversal is walked
 // once, and each still-active pattern performs its own
-// introduce/forget/join at every node. Per-pattern state sets, emission
-// counts and cost flushes are byte-identical to len(ps) separate Run
-// calls — only the tree walk (and the NewEngines node metadata) is
+// introduce/forget/join at every node. Per-pattern state sets and cost
+// records are byte-identical to len(ps) separate Run calls — only the tree walk (and the NewEngines node metadata) is
 // shared. A pattern whose Cancel fires drops out of the sweep at its
 // next node checkpoint with a partial Result, exactly as a solo Run
-// would, without stopping its batch-mates.
+// would, without stopping its batch-mates. Each run flushes its cost
+// record once, at the end: to tr's "dp" phase (work = States, and for
+// a run not cancelled one round per node) and to its Problem.Cost.
 func RunMulti(ps []*Problem, tr *wd.Tracker) []*Result {
 	rs := NewEngines(ps)
 	runSequential(rs, tr)
@@ -264,51 +253,42 @@ func runSequential(rs []*Result, tr *wd.Tracker) {
 				remaining--
 				continue
 			}
-			r.runNode(i, &jis[x], tr)
+			r.runNode(i, &jis[x])
 		}
 	}
-	// A cancelled solo Run returns before its round flush; completed
-	// patterns flush the same per-run round count a solo Run would.
-	for x := range rs {
+	for x, r := range rs {
+		tr.AddPhaseWork("dp", r.cost.States)
 		if alive[x] {
-			tr.AddPhaseRounds("dp", int64(nd.NumNodes()))
+			tr.AddPhaseRounds("dp", r.cost.Nodes)
 		}
+		r.p.Cost.Add(r.cost)
 	}
 }
 
 // runNode executes one pattern's bottom-up step at nice node i: Step,
-// then the store, the per-node flushes and the DecideOnly recycle.
-func (r *Result) runNode(i int32, ji *JoinIndex, tr *wd.Tracker) {
+// then the store, the cost record and the DecideOnly recycle.
+func (r *Result) runNode(i int32, ji *JoinIndex) {
 	p := r.p
 	nd := p.ND
-	// emitted batches this node's state emissions; one flush per node
-	// keeps atomics out of the per-emission path.
 	var emitted int64
 	set := r.Step(i, ji, &emitted)
 	r.Sets[i] = set
-	r.AddStatesGenerated(emitted)
-	if p.Cost != nil {
-		// Children are still resident here (DecideOnly recycles
-		// below), so their lengths price the states read.
-		var read int64
-		if l := nd.Left[i]; l >= 0 {
-			read += int64(r.Sets[l].Len())
-		}
-		if rt := nd.Right[i]; rt >= 0 {
-			read += int64(r.Sets[rt].Len())
-		}
-		c := obs.Cost{
-			Nodes:     1,
-			States:    int64(set.Len()),
-			Emissions: emitted,
-			Bytes:     (read + int64(set.Len())) * StateBytes,
-		}
-		if nd.Kind[i] == treedecomp.Join {
-			c.Joins = emitted
-		}
-		p.Cost.Add(c)
+	// Children are still resident here (DecideOnly recycles below), so
+	// their lengths price the states read.
+	var read int64
+	if l := nd.Left[i]; l >= 0 {
+		read += int64(r.Sets[l].Len())
 	}
-	tr.AddPhaseWork("dp", int64(set.Len()))
+	if rt := nd.Right[i]; rt >= 0 {
+		read += int64(r.Sets[rt].Len())
+	}
+	r.cost.Nodes++
+	r.cost.States += int64(set.Len())
+	r.cost.Emissions += emitted
+	r.cost.Bytes += (read + int64(set.Len())) * StateBytes
+	if nd.Kind[i] == treedecomp.Join {
+		r.cost.Joins += emitted
+	}
 	if p.DecideOnly {
 		if l := nd.Left[i]; l >= 0 {
 			r.RecycleNode(l)
@@ -322,9 +302,10 @@ func (r *Result) runNode(i int32, ji *JoinIndex, tr *wd.Tracker) {
 // Step computes the valid state set of nice node i from its children's
 // sets, which must be resident in Sets: the Section 3.2 leaf, introduce,
 // forget or join transition applied to every child state. It neither
-// stores the set nor flushes counters; it adds one to *emitted per state
-// emission (per attempted combination at a join). The sequential engine
-// runs it at every node, the path-DAG engine at each path's bottom node.
+// stores the set nor touches the cost record; it adds one to *emitted
+// per state emission (per attempted combination at a join). The
+// sequential engine runs it at every node, the path-DAG engine at each
+// path's bottom node.
 func (r *Result) Step(i int32, ji *JoinIndex, emitted *int64) *StateSet {
 	nd := r.p.ND
 	// Separating sets keep one state per mirror pair. Successors commute
@@ -373,7 +354,7 @@ func (r *Result) Step(i int32, ji *JoinIndex, emitted *int64) *StateSet {
 // newMatch is true exactly when the transition maps a new pattern vertex
 // (a non-forest edge of Section 3.3.2); the skip/label transitions are the
 // no-new-match extensions of Figure 5. The caller counts emissions (one
-// per emit call) and flushes them via AddStatesGenerated.
+// per emit call) into the run's cost record.
 func (r *Result) IntroduceSuccessors(i int32, cs State, emit func(State, bool)) {
 	p, pi := r.p, &r.pi
 	nd := p.ND

@@ -177,8 +177,8 @@ func TestRunEquivalentToMapReference(t *testing.T) {
 	}
 }
 
-// The batched per-node flushes must add up to the same total a
-// per-emission counter produces: the reference recomputes the count
+// The per-node cost-record updates must add up to the same emission
+// total a per-emission counter produces: the reference recomputes the count
 // transition by transition (introduce: per emission; forget: per call;
 // join: per attempted combination — the harmonized measure both engines
 // now share; the pre-StateSet sequential joinStep counted successes
@@ -232,8 +232,8 @@ func TestStatesGeneratedMatchesReferenceCount(t *testing.T) {
 			sets[i] = set
 		}
 
-		if got := Run(p, nil).StatesGenerated(); got != count {
-			t.Fatalf("trial %d: StatesGenerated=%d, reference count=%d", trial, got, count)
+		if got := Run(p, nil).Cost().Emissions; got != count {
+			t.Fatalf("trial %d: emissions=%d, reference count=%d", trial, got, count)
 		}
 	}
 }

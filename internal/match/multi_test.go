@@ -74,9 +74,9 @@ func TestRunMultiMatchesSoloRuns(t *testing.T) {
 			if multi[x].Found() != solo.Found() {
 				t.Fatalf("trial %d pattern %d: decisions differ", trial, x)
 			}
-			if multi[x].StatesGenerated() != solo.StatesGenerated() {
-				t.Fatalf("trial %d pattern %d: StatesGenerated %d vs %d",
-					trial, x, multi[x].StatesGenerated(), solo.StatesGenerated())
+			if multi[x].Cost().Emissions != solo.Cost().Emissions {
+				t.Fatalf("trial %d pattern %d: emissions %d vs %d",
+					trial, x, multi[x].Cost().Emissions, solo.Cost().Emissions)
 			}
 			if mc, sc := multiCost[x].Snapshot(), soloCost[x].Snapshot(); mc != sc {
 				t.Fatalf("trial %d pattern %d: cost %+v vs %+v", trial, x, mc, sc)

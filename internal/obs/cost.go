@@ -5,18 +5,17 @@ import (
 	"sync/atomic"
 )
 
-// Cost is one batch of dynamic-programming cost counters: the paper's
-// work measure broken down by what the engines actually did. Engines
-// accumulate a Cost in function-local variables and flush it once per
-// nice node (sequential engine) or once per path (pmdag engine), the
-// same discipline as the work counter, so the disabled path stays a
-// single nil check per flush site.
+// Cost is one record of dynamic-programming cost counters: the paper's
+// work measure broken down by what the engines actually did. Each engine
+// run owns one record (match.Result.Cost), written only by the goroutine
+// driving the run, and every DP counter is read from it: the run flushes
+// it once, when it ends, to the work/depth tracker and to an optional
+// CostCounter sink, and the pipeline sums the records of a band's runs
+// once per band.
 //
-// Emissions is defined to equal the engine work counter
-// (Result.StatesGenerated) exactly: both are flushed from the same
-// local at the same program points. The other fields are attribution
-// detail — Bytes is an estimate (state-struct sizes, not allocator
-// truth).
+// Emissions is the Lemma 3.1 work measure. The other fields are
+// attribution detail — Bytes is an estimate (state-struct sizes, not
+// allocator truth).
 type Cost struct {
 	// Nodes counts nice-decomposition nodes visited.
 	Nodes int64 `json:"nodes,omitempty"`
@@ -26,8 +25,7 @@ type Cost struct {
 	// Joins counts join combinations attempted (signature-bucket
 	// pairings scanned, successful or not).
 	Joins int64 `json:"joins,omitempty"`
-	// Emissions counts state emissions across all transitions; it
-	// matches the engine's StatesGenerated counter byte for byte.
+	// Emissions counts state emissions across all transitions.
 	Emissions int64 `json:"emissions,omitempty"`
 	// Bytes estimates state bytes read and written while processing.
 	Bytes int64 `json:"bytes,omitempty"`
@@ -47,9 +45,9 @@ func (c *Cost) Accumulate(d Cost) {
 	c.Bytes += d.Bytes
 }
 
-// CostCounter is a concurrency-safe Cost accumulator. A nil
-// *CostCounter is a valid no-op sink, mirroring the nil *Recorder
-// contract: engines flush batched locals through one nil check.
+// CostCounter is a concurrency-safe Cost accumulator: the query-level
+// sink that concurrent bands add their records to. A nil *CostCounter
+// is a valid no-op sink, mirroring the nil *Recorder contract.
 type CostCounter struct {
 	nodes     atomic.Int64
 	states    atomic.Int64
@@ -58,8 +56,8 @@ type CostCounter struct {
 	bytes     atomic.Int64
 }
 
-// Add accumulates a flushed cost batch. Nil receivers and zero batches
-// are free.
+// Add accumulates a cost record. Nil receivers and zero records are
+// free.
 func (c *CostCounter) Add(d Cost) {
 	if c == nil || d.IsZero() {
 		return

@@ -3,7 +3,6 @@ package par
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 )
 
@@ -63,28 +62,17 @@ func (c *Canceller) Err() error {
 }
 
 // WatchContext converts a context into a Canceller that fires when the
-// context is done. The returned stop function releases the watcher
-// goroutine and must be called (typically deferred) once the operation
-// using the token has finished; stop is idempotent. Contexts that can
-// never be cancelled (context.Background and friends) spawn no watcher.
+// context is done, through context.AfterFunc: no goroutine runs until
+// the context ends. The returned stop function deregisters the callback
+// and must be called (typically deferred) once the operation using the
+// token has finished; stop is idempotent. An already-done context fires
+// the token before WatchContext returns.
 func WatchContext(ctx context.Context) (*Canceller, func()) {
 	c := NewCanceller()
-	done := ctx.Done()
-	if done == nil {
-		return c, func() {}
-	}
 	if ctx.Err() != nil {
 		c.Cancel()
 		return c, func() {}
 	}
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			c.Cancel()
-		case <-stopped:
-		}
-	}()
-	var once sync.Once
-	return c, func() { once.Do(func() { close(stopped) }) }
+	stop := context.AfterFunc(ctx, c.Cancel)
+	return c, func() { stop() }
 }

@@ -40,10 +40,10 @@ func TestEmissionParityAcrossParEngines(t *testing.T) {
 	pt.Cancel = par.NewCanceller() // never fired
 	engTok, _ := Run(&pt, nil)
 
-	if a, b := engPar.StatesGenerated(), engSeq.StatesGenerated(); a != b {
+	if a, b := engPar.Cost().Emissions, engSeq.Cost().Emissions; a != b {
 		t.Fatalf("emission parity broken across parallelism: default=%d sequential=%d", a, b)
 	}
-	if a, b := engPar.StatesGenerated(), engTok.StatesGenerated(); a != b {
+	if a, b := engPar.Cost().Emissions, engTok.Cost().Emissions; a != b {
 		t.Fatalf("unfired token changed emissions: %d vs %d", a, b)
 	}
 	if engPar.Found() != engSeq.Found() || engPar.Found() != engTok.Found() {
@@ -70,8 +70,8 @@ func TestCancelledRunRerunIdentical(t *testing.T) {
 		Run(&pc, nil) // result intentionally discarded: the token may have fired mid-run
 
 		again, _ := Run(p, nil)
-		if again.StatesGenerated() != ref.StatesGenerated() {
-			t.Fatalf("delay %v: rerun emissions %d, want %d", delay, again.StatesGenerated(), ref.StatesGenerated())
+		if again.Cost().Emissions != ref.Cost().Emissions {
+			t.Fatalf("delay %v: rerun emissions %d, want %d", delay, again.Cost().Emissions, ref.Cost().Emissions)
 		}
 		for i := range ref.Sets {
 			if ref.Sets[i].Len() != again.Sets[i].Len() {

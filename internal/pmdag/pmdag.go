@@ -30,7 +30,8 @@
 // universes and per-node valid sets come from the engine's arena, join
 // grouping uses the hash-partitioned match.JoinIndex (linear in the
 // off-path child's states, one probe per on-path state), and each path
-// worker batches its state-emission count into one flush per path.
+// worker returns its counts in its own slot, which the driving goroutine
+// folds into the run's cost record after the layer.
 package pmdag
 
 import (
@@ -85,11 +86,14 @@ func Run(p *match.Problem, tr *wd.Tracker) (*match.Result, *Stats) {
 // target and decomposition. The layered path decomposition of the nice
 // tree (LayersParallel and Decompose, the per-(G, ND) work) is built
 // once, then each layer's (path, problem) pairs are processed in parallel
-// by the per-path pipeline. Each pattern's per-node state sets, emission
-// counts and cost flushes are byte-identical to a solo Run; a pattern
-// whose Cancel fires drops out at its next path checkpoint (partial
-// Result, one trace event) without stopping its batch-mates. The returned
-// Stats sum the DAG counters over all problems (MaxHops is the maximum).
+// by the per-path pipeline. Each pattern's per-node state sets and cost
+// record are byte-identical to a solo Run; a pattern whose Cancel fires
+// drops out at its next path checkpoint (partial Result, one trace
+// event) without stopping its batch-mates. The returned Stats sum the
+// DAG counters over all problems (MaxHops is the maximum). The counters
+// are flushed once, at the end: tr's "pmdag" work is DAGEdges +
+// DAGVertices, its "pmdag-bfs" rounds the BFS hops of every path, and
+// each run's cost record goes to its Problem.Cost.
 func RunMulti(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result, *Stats) {
 	if len(ps) == 0 {
 		return nil, nil
@@ -107,15 +111,16 @@ func RunMulti(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result,
 	for q := 0; q < paths.Len(); q++ {
 		stats.LongestPath = max(stats.LongestPath, len(paths.Path(q)))
 	}
-	var dagV, dagE, forestE, shortcutE atomic.Int64
-	var maxHops atomic.Int64
+	var hops int64
 	cancelTraced := make([]atomic.Bool, len(ps))
 	for _, ids := range byLayer {
 		// All paths of a layer are independent — their bottom nodes only
 		// depend on strictly lower layers (Lemma 3.2) — and the problems
 		// never share mutable state, so the (path, problem) grid of one
-		// layer is a single flat parallel loop.
-		par.For(0, len(ids)*len(ps), func(t int) {
+		// layer is a single flat parallel loop. Task t writes only
+		// slots[t]; a skipped task leaves its slot zero.
+		slots := make([]pathStats, len(ids)*len(ps))
+		par.For(0, len(slots), func(t int) {
 			j, x := t/len(ps), t%len(ps)
 			p := ps[x]
 			// Cancellation checkpoint at path granularity: a fired token
@@ -132,32 +137,33 @@ func RunMulti(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result,
 				}
 				return
 			}
-			st := processPath(engs[x], paths.Path(int(ids[j])), cfg, tr)
-			dagV.Add(st.DAGVertices)
-			dagE.Add(st.DAGEdges)
-			forestE.Add(st.ForestEdges)
-			shortcutE.Add(st.ShortcutEdges)
-			for {
-				cur := maxHops.Load()
-				if int64(st.MaxHops) <= cur || maxHops.CompareAndSwap(cur, int64(st.MaxHops)) {
-					break
-				}
-			}
+			slots[t] = processPath(engs[x], paths.Path(int(ids[j])), cfg)
 		})
-		tr.AddPhaseRounds("pmdag-layers", 1)
+		for t, st := range slots {
+			engs[t%len(ps)].AddCost(st.cost)
+			stats.DAGVertices += st.dagVertices
+			stats.DAGEdges += st.dagEdges
+			stats.ForestEdges += st.forestEdges
+			stats.ShortcutEdges += st.shortcutEdges
+			stats.MaxHops = max(stats.MaxHops, st.hops)
+			hops += int64(st.hops)
+		}
 	}
-	stats.DAGVertices = dagV.Load()
-	stats.DAGEdges = dagE.Load()
-	stats.ForestEdges = forestE.Load()
-	stats.ShortcutEdges = shortcutE.Load()
-	stats.MaxHops = int(maxHops.Load())
+	tr.AddPhaseRounds("pmdag-layers", int64(len(byLayer)))
+	tr.AddPhaseWork("pmdag", stats.DAGEdges+stats.DAGVertices)
+	tr.AddPhaseRounds("pmdag-bfs", hops)
+	for x, p := range ps {
+		p.Cost.Add(engs[x].Cost())
+	}
 	return engs, stats
 }
 
-// pathStats mirrors Stats for a single path.
+// pathStats is one path's share of a run: its cost record, its DAG
+// counts and the BFS rounds its reachability search took.
 type pathStats struct {
-	DAGVertices, DAGEdges, ForestEdges, ShortcutEdges int64
-	MaxHops                                           int
+	cost                                              obs.Cost
+	dagVertices, dagEdges, forestEdges, shortcutEdges int64
+	hops                                              int
 }
 
 // processPath materializes the partial-match DAG of one decomposition-tree
@@ -166,15 +172,12 @@ type pathStats struct {
 // the top node's set is stored, and the sets this path consumed (the
 // bottom node's children and the off-path join children) plus all scratch
 // universes go back to the engine's arena.
-func processPath(eng *match.Result, path []int32, cfg Config, tr *wd.Tracker) pathStats {
+func processPath(eng *match.Result, path []int32, cfg Config) pathStats {
 	p := eng.Problem()
 	nd := p.ND
 	L := len(path)
-	// emitted batches every state emission of this path (and joins the
-	// join-attempt subset); one atomic flush at the end keeps the
-	// transition loops free of shared-counter traffic. The cost counter
-	// is flushed at the same points from the same emitted local, so
-	// Cost.Emissions tracks StatesGenerated exactly.
+	// emitted counts every state emission of this path, joins the
+	// join-attempt subset.
 	var emitted, joins int64
 	// ji is this worker's reusable signature index for join grouping.
 	var ji match.JoinIndex
@@ -195,16 +198,14 @@ func processPath(eng *match.Result, path []int32, cfg Config, tr *wd.Tracker) pa
 	uni := make([]*match.StateSet, L)
 	// abort recycles this path's private scratch and bails: nothing is
 	// stored into eng.Sets, so a cancelled run leaves only nil or fully
-	// solved node sets behind.
+	// solved node sets behind. The emissions made so far still count.
 	abort := func() pathStats {
 		for j := 0; j < L; j++ {
 			if uni[j] != nil {
 				eng.Recycle(uni[j])
 			}
 		}
-		eng.AddStatesGenerated(emitted)
-		p.Cost.Add(obs.Cost{Joins: joins, Emissions: emitted})
-		return pathStats{}
+		return pathStats{cost: obs.Cost{Joins: joins, Emissions: emitted}}
 	}
 	// The bottom node's children are solved, so the sequential DP step
 	// computes its valid set outright; at a join every emission is an
@@ -388,20 +389,7 @@ func processPath(eng *match.Result, path []int32, cfg Config, tr *wd.Tracker) pa
 			}
 		}
 		frontier = next
-		tr.AddPhaseRounds("pmdag-bfs", 1)
 	}
-	tr.AddPhaseWork("pmdag", edges+int64(V))
-	eng.AddStatesGenerated(emitted)
-	// One cost flush per path, mirroring the work-counter flush above:
-	// Nodes are the path's nice nodes, States the materialized DAG
-	// vertices, Bytes the universes plus the pair list and its CSR copy.
-	p.Cost.Add(obs.Cost{
-		Nodes:     int64(L),
-		States:    int64(V),
-		Joins:     joins,
-		Emissions: emitted,
-		Bytes:     int64(V)*match.StateBytes + int64(len(pairs))*12,
-	})
 
 	// Store valid sets for the path's nodes. Level 0 is its own valid set
 	// verbatim (every bottom state is a BFS source); interior levels keep
@@ -433,12 +421,21 @@ func processPath(eng *match.Result, path []int32, cfg Config, tr *wd.Tracker) pa
 	for _, c := range consumed {
 		eng.RecycleNode(c)
 	}
+	// Nodes are the path's nice nodes, States the materialized DAG
+	// vertices, Bytes the universes plus the pair list and its CSR copy.
 	return pathStats{
-		DAGVertices:   int64(V),
-		DAGEdges:      edges,
-		ForestEdges:   forestEdges,
-		ShortcutEdges: shortcuts,
-		MaxHops:       hops,
+		cost: obs.Cost{
+			Nodes:     int64(L),
+			States:    int64(V),
+			Joins:     joins,
+			Emissions: emitted,
+			Bytes:     int64(V)*match.StateBytes + int64(len(pairs))*12,
+		},
+		dagVertices:   int64(V),
+		dagEdges:      edges,
+		forestEdges:   forestEdges,
+		shortcutEdges: shortcuts,
+		hops:          hops,
 	}
 }
 

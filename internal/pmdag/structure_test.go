@@ -50,8 +50,8 @@ func TestPathDAGStructurePinned(t *testing.T) {
 		if *st != c.want {
 			t.Errorf("%s spacing %d: stats %+v, want %+v", c.target, c.spacing, *st, c.want)
 		}
-		if got := eng.StatesGenerated(); got != c.states {
-			t.Errorf("%s spacing %d: StatesGenerated %d, want %d", c.target, c.spacing, got, c.states)
+		if got := eng.Cost().Emissions; got != c.states {
+			t.Errorf("%s spacing %d: emissions %d, want %d", c.target, c.spacing, got, c.states)
 		}
 		if !eng.Found() {
 			t.Errorf("%s spacing %d: pattern not found", c.target, c.spacing)

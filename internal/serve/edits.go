@@ -53,7 +53,7 @@ func editStatus(err error) int {
 // admitted after the response see the edited graph.
 func (s *Server) handleApplyEdits(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req EditRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)

@@ -235,7 +235,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, needPattern
 		httpError(w, queryStatus(err), "request context done at admission: %v", err)
 		return nil, nil, nil, nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -409,7 +409,7 @@ func (s *Server) handleConnectivity(w http.ResponseWriter, r *http.Request) {
 // the edge-list text format.
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	var g *graph.Graph
 	var err error

@@ -264,29 +264,12 @@ func (s *Server) writeTraceLog(endpoint string, ri *reqInfo, status int, d time.
 }
 
 // logSlow reports one request that exceeded Options.SlowQuery. When the
-// request was traced, the log line carries its slowest band spans and
+// request was traced, the record carries its slowest band spans and
 // cost totals — the band timeline that explains where the tail latency
-// went. A set SlowLogf gets the flat format; otherwise the record goes
-// through the structured logger.
+// went.
 func (s *Server) logSlow(endpoint, reqID string, d time.Duration, status int, trace *obs.Recorder, cost *obs.CostCounter) {
-	detail := ""
-	var spans []obs.Span
-	if trace != nil {
-		if spans, _ = trace.Snapshot(); len(spans) > 0 {
-			detail = " slowest bands: " + slowestBands(spans, 3)
-		}
-	}
+	spans, _ := trace.Snapshot()
 	c := cost.Snapshot()
-	if logf := s.opt.SlowLogf; logf != nil {
-		costDetail := ""
-		if !c.IsZero() {
-			costDetail = fmt.Sprintf(" cost={nodes=%d states=%d joins=%d emissions=%d bytes=%d}",
-				c.Nodes, c.States, c.Joins, c.Emissions, c.Bytes)
-		}
-		logf("serve: slow query: req=%s endpoint=%s status=%d dur=%s%s%s",
-			reqID, endpoint, status, d, costDetail, detail)
-		return
-	}
 	attrs := []any{
 		"requestId", reqID,
 		"endpoint", endpoint,

@@ -2,8 +2,8 @@ package serve_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -302,23 +302,18 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestSlowQueryLog checks the -slow-query hook: with a zero-distance
-// threshold every request logs, and a traced slow request's line names
+// threshold every request logs, and a traced slow request's record names
 // its slowest bands.
 func TestSlowQueryLog(t *testing.T) {
 	// The log fires after the handler has already written the response,
-	// so the client can return before it runs: deliver lines through a
+	// so the client can return before it runs: deliver records through a
 	// buffered channel and wait for one.
-	logged := make(chan string, 4)
+	logged := make(serve.LogLines, 4)
 	s := serve.New(serve.Options{
 		Pipeline:  httpOpt,
 		Scheduler: serve.SchedulerOptions{Window: time.Millisecond},
 		SlowQuery: time.Nanosecond,
-		SlowLogf: func(format string, args ...any) {
-			select {
-			case logged <- fmt.Sprintf(format, args...):
-			default:
-			}
-		},
+		Logger:    slog.New(slog.NewTextHandler(logged, nil)),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -338,7 +333,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(line, "endpoint=decide") {
 		t.Errorf("slow log line %q lacks the endpoint", line)
 	}
-	if !strings.Contains(line, "slowest bands:") {
+	if !strings.Contains(line, "slowestBands=") {
 		t.Errorf("traced slow log line %q lacks band detail", line)
 	}
 }

@@ -116,24 +116,13 @@ func recordOutcome(br *breaker, err error) {
 // the incident counter, and logs the full detail — including the
 // panicking goroutine's stack when the error carries one — correlated
 // with the request id that triggered it. The HTTP response gets only
-// the incident id: stacks are for operators, not clients. A set
-// IncidentLogf gets the flat format; otherwise the record goes through
-// the structured logger.
+// the incident id: stacks are for operators, not clients.
 func (s *Server) incident(where, reqID string, err error) string {
 	id := fmt.Sprintf("inc-%06d", s.incidentSeq.Add(1))
 	s.incidents.Add(1)
-	var qp *index.QueryPanicError
-	isPanic := errors.As(err, &qp)
-	if logf := s.opt.IncidentLogf; logf != nil {
-		if isPanic {
-			logf("serve: incident %s: req=%s %s: query panic: %v\n%s", id, reqID, where, qp.Value, qp.Stack)
-		} else {
-			logf("serve: incident %s: req=%s %s: %v", id, reqID, where, err)
-		}
-		return id
-	}
 	attrs := []any{"incident", id, "requestId", reqID, "where", where}
-	if isPanic {
+	var qp *index.QueryPanicError
+	if errors.As(err, &qp) {
 		attrs = append(attrs, "panic", fmt.Sprint(qp.Value), "stack", string(qp.Stack))
 	} else {
 		attrs = append(attrs, "err", err)

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +143,19 @@ func TestDispatchSurvivesBatchLevelPanic(t *testing.T) {
 	}
 }
 
+// LogLines is a log writer for tests: it delivers each record a text
+// handler writes as one string on the channel, dropping records while
+// the channel is full. It is exported for the serve_test package.
+type LogLines chan string
+
+func (l LogLines) Write(p []byte) (int, error) {
+	select {
+	case l <- string(p):
+	default:
+	}
+	return len(p), nil
+}
+
 func decideBody(t *testing.T, graphName string, h *graph.Graph) *bytes.Reader {
 	t.Helper()
 	raw, err := json.Marshal(map[string]any{"graph": graphName, "pattern": WireGraph(h)})
@@ -156,17 +171,12 @@ func decideBody(t *testing.T, graphName string, h *graph.Graph) *bytes.Reader {
 // successful probe closes the circuit again.
 func TestBreakerHTTPEndToEnd(t *testing.T) {
 	defer fault.Disable()
-	var logged bytes.Buffer
-	var logMu sync.Mutex
+	logged := make(LogLines, 4)
 	s := New(Options{
 		Pipeline:  core.Options{Seed: 1, MaxRuns: 2},
 		Scheduler: SchedulerOptions{Window: WindowDisabled},
 		Breaker:   BreakerOptions{Threshold: 2, Cooldown: 100 * time.Millisecond},
-		IncidentLogf: func(format string, args ...any) {
-			logMu.Lock()
-			fmt.Fprintf(&logged, format+"\n", args...)
-			logMu.Unlock()
-		},
+		Logger:    slog.New(slog.NewTextHandler(logged, nil)),
 	})
 	if _, err := s.Registry().Register("grid", graph.Grid(4, 4), false); err != nil {
 		t.Fatal(err)
@@ -198,11 +208,12 @@ func TestBreakerHTTPEndToEnd(t *testing.T) {
 			t.Fatalf("faulted query %d: no incident id in %+v", i, body)
 		}
 	}
-	logMu.Lock()
-	if !bytes.Contains(logged.Bytes(), []byte("query panic")) {
-		t.Fatalf("incident log missing panic detail:\n%s", logged.String())
+	// Each incident is logged before its 500 is written.
+	for i := 0; i < 2; i++ {
+		if line := <-logged; !strings.Contains(line, "panic=") {
+			t.Fatalf("incident log missing panic detail:\n%s", line)
+		}
 	}
-	logMu.Unlock()
 
 	// Circuit open: fast 503 with a Retry-After hint.
 	resp, _ := post()

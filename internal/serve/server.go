@@ -13,6 +13,9 @@ import (
 	"planarsi/internal/core"
 )
 
+// maxBodyBytes caps request bodies.
+const maxBodyBytes = 32 << 20
+
 // Options configures a Server.
 type Options struct {
 	// Pipeline is the planarsi option set every query runs with. Answers
@@ -26,8 +29,6 @@ type Options struct {
 	// MaxGraphVertices caps registered host graphs and query patterns
 	// (the daemon is network-facing). Default 1 << 21.
 	MaxGraphVertices int
-	// MaxBodyBytes caps request bodies. Default 32 MiB.
-	MaxBodyBytes int64
 	// RequestTimeout, when positive, bounds every request's context with
 	// a deadline: queries still running when it expires are cancelled
 	// mid-band and answered with 504. 0 disables the bound.
@@ -42,18 +43,11 @@ type Options struct {
 	// log line includes its slowest band spans and DP cost totals. 0
 	// disables the log.
 	SlowQuery time.Duration
-	// SlowLogf receives slow-query log lines; nil means structured
-	// logging through Logger.
-	SlowLogf func(format string, args ...any)
 	// Breaker configures the per-(graph, kind) circuit breakers; a zero
 	// Threshold disables them.
 	Breaker BreakerOptions
-	// IncidentLogf receives incident log lines (query panics with their
-	// stacks); nil means structured logging through Logger.
-	IncidentLogf func(format string, args ...any)
 	// Logger receives the server's structured log records (slow queries,
-	// incidents); nil means slog.Default(). The SlowLogf/IncidentLogf
-	// hooks, when set, override it for their respective records.
+	// incidents with their panic stacks); nil means slog.Default().
 	Logger *slog.Logger
 	// TraceLog, when non-nil, receives one JSON line per instrumented
 	// request: request id, trace id, endpoint, status, duration — plus
@@ -72,9 +66,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxGraphVertices <= 0 {
 		o.MaxGraphVertices = 1 << 21
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 32 << 20
 	}
 	o.Breaker = o.Breaker.withDefaults()
 	return o

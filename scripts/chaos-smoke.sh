@@ -77,8 +77,7 @@ check "q1 incident id" '"incident":"inc-' "$(cat "$tmp/q1")"
 st=$(req "$tmp/q2" /decide "$c4"); [ "$st" = 500 ] || fail "q2 status (want 500)" "$st"
 check "q2 incident id" '"incident":"inc-' "$(cat "$tmp/q2")"
 # Incidents land as structured records: the injected panic value plus
-# the full goroutine stack. (The fragment tracks slog's key=value text
-# format, not the legacy IncidentLogf flat format.)
+# the full goroutine stack, in slog's key=value text format.
 check "incident panic logged" 'panic="fault: injected panic at query.panic' "$(cat "$tmp/log")"
 check "incident stack logged" 'stack="goroutine' "$(cat "$tmp/log")"
 
