@@ -214,8 +214,9 @@ func Decide(g, h *graph.Graph, opt Options) (bool, error) {
 }
 
 // DecideFrom is Decide drawing its per-run covers from src; an Index
-// passes itself to reuse preprocessing across queries. For equal Options,
-// answers are identical to Decide's regardless of the source.
+// passes the generation its query pinned, to reuse preprocessing across
+// queries. For equal Options, answers are identical to Decide's
+// regardless of the source.
 func DecideFrom(src CoverSource, g, h *graph.Graph, opt Options) (bool, error) {
 	if trivial, res, err := validate(g, h); trivial || err != nil {
 		return res, err
@@ -228,7 +229,7 @@ func DecideFrom(src CoverSource, g, h *graph.Graph, opt Options) (bool, error) {
 	if h.N() == 1 {
 		return g.N() >= 1, nil
 	}
-	hits, err := witnessRuns(src.Prepared, g.N(), []*graph.Graph{h}, decideWitness, opt)
+	hits, err := witnessRuns(src, nil, g.N(), []*graph.Graph{h}, decideWitness, opt)
 	if err != nil {
 		return false, err
 	}

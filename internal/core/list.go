@@ -40,7 +40,7 @@ func ListFrom(src CoverSource, g, h *graph.Graph, opt Options) ([]Occurrence, er
 		}
 		return out, nil
 	}
-	found, err := listRuns(src.Prepared, g.N(), []*graph.Graph{h}, opt)
+	found, err := listRuns(src, g.N(), []*graph.Graph{h}, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func FindOneFrom(src CoverSource, g, h *graph.Graph, opt Options) (Occurrence, e
 	if k == 1 {
 		return Occurrence{0}, nil
 	}
-	hits, err := witnessRuns(src.Prepared, g.N(), []*graph.Graph{h}, findWitness, opt)
+	hits, err := witnessRuns(src, nil, g.N(), []*graph.Graph{h}, findWitness, opt)
 	if err != nil {
 		return nil, err
 	}

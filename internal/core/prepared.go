@@ -173,49 +173,38 @@ func prepare(cov *cover.Cover, prev *PreparedCover, opt Options) (*PreparedCover
 // PrepareRun builds and decomposes run `run`'s plain cover of g for
 // patterns of size k and diameter d — the fresh, uncached path.
 func PrepareRun(g *graph.Graph, k, d, run int, opt Options) *PreparedCover {
-	pc, _, _ := PrepareFromClustering(g, ClusterRun(g, CoverBeta(k, opt), run, opt), nil, k, d, opt)
-	return pc
-}
-
-// PrepareFromClustering decomposes the plain cover induced by an existing
-// clustering (shared across pattern diameters by a cache), reusing the
-// unchanged bands of prev, the same shape's cover before an edge edit,
-// when prev is non-nil (see prepare). It also returns how many bands
-// were kept and how many decomposed.
-func PrepareFromClustering(g *graph.Graph, cl *estc.Clustering, prev *PreparedCover, k, d int, opt Options) (*PreparedCover, int, int) {
-	cov := cover.FromClustering(g, cl, cover.Params{K: k, D: d, Beta: opt.Beta}, opt.Tracker)
-	return prepare(cov, prev, opt)
+	return freshSource{g, opt}.Prepared(nil, k, d, run)
 }
 
 // PrepareSeparatingRun is PrepareRun for the Section 5.2.1 separating
 // covers (band minors carrying Allowed and S marks for terminal set s).
 func PrepareSeparatingRun(g *graph.Graph, s []bool, k, d, run int, opt Options) *PreparedCover {
-	pc, _, _ := PrepareSeparatingFromClustering(g, ClusterRun(g, CoverBeta(k, opt), run, opt), s, nil, k, d, opt)
-	return pc
+	return freshSource{g, opt}.Prepared(s, k, d, run)
 }
 
-// PrepareSeparatingFromClustering is PrepareFromClustering for separating
-// covers. Separating bands are minors of the whole graph, so an edit
-// anywhere can change any band's contracted complement; the bit-identity
-// check reuses only the minors that are truly untouched.
-func PrepareSeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, prev *PreparedCover, k, d int, opt Options) (*PreparedCover, int, int) {
-	cov := cover.SeparatingFromClustering(g, cl, s, cover.Params{K: k, D: d, Beta: opt.Beta}, opt.Tracker)
+// PrepareFromClustering decomposes the cover induced by an existing
+// clustering (shared across pattern diameters by a cache): the plain
+// cover when s is nil, else the separating cover for terminal mask s
+// (cover.Cut). It reuses the unchanged bands of prev, the same key's
+// cover before an edge edit, when prev is non-nil (see prepare), and
+// also returns how many bands were kept and how many decomposed.
+// Separating bands are minors of the whole graph, so an edit anywhere
+// can change any of them; the bit-identity check reuses only the truly
+// untouched ones.
+func PrepareFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, prev *PreparedCover, k, d int, opt Options) (*PreparedCover, int, int) {
+	cov := cover.Cut(g, cl, s, cover.Params{K: k, D: d, Beta: opt.Beta}, opt.Tracker)
 	return prepare(cov, prev, opt)
 }
 
-// A CoverSource supplies the prepared plain cover for each independent
-// run of a pipeline loop, keyed by pattern size k, pattern diameter d and
-// run index. Implementations must be safe for concurrent use and must
-// return the cover PrepareRun(g, k, d, run, opt) would build for the same
-// Options; planarsi.Index returns memoized instances.
+// A CoverSource supplies the prepared cover for each independent run of
+// a pipeline loop, keyed by terminal mask s (nil for a plain cover),
+// pattern size k, pattern diameter d and run index. Implementations must
+// be safe for concurrent use and must return the cover
+// PrepareFromClustering would build from run `run`'s clustering
+// (ClusterRun) for the same Options; an Index's generations return
+// memoized instances.
 type CoverSource interface {
-	Prepared(k, d, run int) *PreparedCover
-}
-
-// A SeparatingSource supplies prepared separating covers per (terminal
-// set, pattern size, pattern diameter, run).
-type SeparatingSource interface {
-	PreparedSeparating(s []bool, k, d, run int) *PreparedCover
+	Prepared(s []bool, k, d, run int) *PreparedCover
 }
 
 // freshSource rebuilds every prepared cover on demand: the non-indexed
@@ -225,10 +214,8 @@ type freshSource struct {
 	opt Options
 }
 
-func (f freshSource) Prepared(k, d, run int) *PreparedCover {
-	return PrepareRun(f.g, k, d, run, f.opt)
-}
-
-func (f freshSource) PreparedSeparating(s []bool, k, d, run int) *PreparedCover {
-	return PrepareSeparatingRun(f.g, s, k, d, run, f.opt)
+func (f freshSource) Prepared(s []bool, k, d, run int) *PreparedCover {
+	cl := ClusterRun(f.g, CoverBeta(k, f.opt), run, f.opt)
+	pc, _, _ := PrepareFromClustering(f.g, cl, s, nil, k, d, f.opt)
+	return pc
 }

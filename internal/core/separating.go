@@ -25,7 +25,7 @@ func DecideSeparating(g, h *graph.Graph, s []bool, opt Options) (Occurrence, err
 
 // DecideSeparatingFrom is DecideSeparating drawing its per-run separating
 // covers from src.
-func DecideSeparatingFrom(src SeparatingSource, g, h *graph.Graph, s []bool, opt Options) (Occurrence, error) {
+func DecideSeparatingFrom(src CoverSource, g, h *graph.Graph, s []bool, opt Options) (Occurrence, error) {
 	if trivial, res, err := validate(g, h); err != nil {
 		return nil, err
 	} else if trivial {
@@ -50,8 +50,7 @@ func DecideSeparatingFrom(src SeparatingSource, g, h *graph.Graph, s []bool, opt
 	if terminals < 2 {
 		return nil, nil
 	}
-	prepared := func(k, d, run int) *PreparedCover { return src.PreparedSeparating(s, k, d, run) }
-	hits, err := witnessRuns(prepared, g.N(), []*graph.Graph{h}, separatingWitness, opt)
+	hits, err := witnessRuns(src, s, g.N(), []*graph.Graph{h}, separatingWitness, opt)
 	if err != nil {
 		return nil, err
 	}

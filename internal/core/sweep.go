@@ -55,7 +55,7 @@ func DecideGroupFrom(src CoverSource, g *graph.Graph, hs []*graph.Graph, opt Opt
 		return nil, nil
 	}
 	checkGroup(g, hs)
-	hits, err := witnessRuns(src.Prepared, g.N(), hs, decideWitness, opt)
+	hits, err := witnessRuns(src, nil, g.N(), hs, decideWitness, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func CountGroupFrom(src CoverSource, g *graph.Graph, hs []*graph.Graph, opt Opti
 		return nil, nil
 	}
 	checkGroup(g, hs)
-	found, err := listRuns(src.Prepared, g.N(), hs, opt)
+	found, err := listRuns(src, g.N(), hs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -134,12 +134,13 @@ func (w witnessKind) fallbackWitness(b *cover.Band, h *graph.Graph) match.Assign
 }
 
 // witnessRuns is the run loop of decide (Theorem 2.1), find and
-// separating (Lemma 5.3): up to MaxRuns covers from prepared, each swept
-// once for every pattern of hs still without a witness. Entry j of
+// separating (Lemma 5.3): up to MaxRuns covers from src, each swept
+// once for every pattern of hs still without a witness. s is the
+// terminal mask of a separating search and nil otherwise. Entry j of
 // the result is pattern j's witness in original vertex ids, or nil when
 // the run budget found none (correct w.h.p.). The patterns must be
 // connected and share one (k, d) shape.
-func witnessRuns(prepared func(k, d, run int) *PreparedCover, n int, hs []*graph.Graph, kind witnessKind, opt Options) ([]Occurrence, error) {
+func witnessRuns(src CoverSource, s []bool, n int, hs []*graph.Graph, kind witnessKind, opt Options) ([]Occurrence, error) {
 	k, d := hs[0].N(), graph.Diameter(hs[0])
 	hits := make([]Occurrence, len(hs))
 	open := len(hs)
@@ -148,7 +149,7 @@ func witnessRuns(prepared func(k, d, run int) *PreparedCover, n int, hs []*graph
 			return nil, par.ErrCancelled
 		}
 		t0 := opt.Trace.Begin()
-		pc := prepared(k, d, run)
+		pc := src.Prepared(s, k, d, run)
 		tracePrepare(opt, run, t0, pc)
 		// Stats stay per logical pattern: every pattern still searching
 		// charges this repetition exactly as a solo run would.
@@ -317,7 +318,7 @@ func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Ca
 // Θ(log n) consecutive iterations found nothing new (Observation 2
 // bounds the probability that such a streak hides an unfound
 // occurrence) or MaxRuns is reached, and drops out of later sweeps.
-func listRuns(prepared func(k, d, run int) *PreparedCover, n int, hs []*graph.Graph, opt Options) ([]map[string]Occurrence, error) {
+func listRuns(src CoverSource, n int, hs []*graph.Graph, opt Options) ([]map[string]Occurrence, error) {
 	k, d := hs[0].N(), graph.Diameter(hs[0])
 	found := make([]map[string]Occurrence, len(hs))
 	streak := make([]int, len(hs))
@@ -332,7 +333,7 @@ func listRuns(prepared func(k, d, run int) *PreparedCover, n int, hs []*graph.Gr
 			return nil, par.ErrCancelled
 		}
 		t0 := opt.Trace.Begin()
-		pc := prepared(k, d, run)
+		pc := src.Prepared(nil, k, d, run)
 		tracePrepare(opt, run, t0, pc)
 		for range act {
 			opt.addRun(len(pc.Bands))

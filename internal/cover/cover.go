@@ -9,17 +9,18 @@
 // connected k-vertex pattern of diameter d survives — lands entirely
 // inside one band — with probability at least 1/2.
 //
-// The separating variant produces minors instead of induced subgraphs:
-// everything outside the cluster is contracted per connected component of
-// the cluster's complement, and within the cluster the components left
-// after removing a band are contracted too. Merged vertices inherit the
-// S-membership of their class and are excluded from the allowed set, so
-// an S-separating occurrence inside the band remains S-separating in the
-// minor (Figure 7). Relative to the paper — which merges each neighboring
-// cluster into one vertex — contracting the components of the cluster's
-// complement is the same operation done exactly: contraction classes are
-// connected, so the connectivity structure of G minus any band subset is
-// preserved exactly.
+// The separating variant cuts the same level windows, in the same loop,
+// as minors instead of induced subgraphs: the band's vertices stay, and
+// every other vertex of G is contracted per connected component of G
+// minus the band (one contraction over the whole graph per band). Merged
+// vertices inherit the S-membership of their class and are excluded from
+// the allowed set, so an S-separating occurrence inside the band remains
+// S-separating in the minor (Figure 7). Relative to the paper — which
+// merges each neighboring cluster into one vertex — contracting the
+// components of G minus the band is the same operation done exactly:
+// contraction classes are connected and avoid the band, so the
+// connectivity structure of G minus any band subset is preserved
+// exactly.
 package cover
 
 import (
@@ -152,12 +153,27 @@ func Build(g *graph.Graph, p Params, rng *rand.Rand, tr *wd.Tracker) *Cover {
 // serving many queries against one target (planarsi.Index) can reuse a
 // single clustering across every pattern diameter d.
 func FromClustering(g *graph.Graph, cl *estc.Clustering, p Params, tr *wd.Tracker) *Cover {
+	return Cut(g, cl, nil, p, tr)
+}
+
+// SeparatingFromClustering constructs the Section 5.2.1 separating cover
+// induced by an existing ESTC clustering: bands become minors carrying
+// Allowed and S marks. s is the terminal mask over the original graph.
+func SeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, p Params, tr *wd.Tracker) *Cover {
+	return Cut(g, cl, s, p, tr)
+}
+
+// Cut constructs the cover induced by an existing ESTC clustering: the
+// plain k-d cover when s is nil, else the separating cover for the
+// terminal mask s. Both covers run the same in-cluster BFS and cut the
+// same level windows; only the band construction differs.
+func Cut(g *graph.Graph, cl *estc.Clustering, s []bool, p Params, tr *wd.Tracker) *Cover {
 	c := &Cover{Clustering: cl}
 	members := clusterMembers(cl, g.N())
 	bandsPer := make([][]*Band, cl.NumClusters())
 	rounds := make([]int, cl.NumClusters())
 	par.For(0, cl.NumClusters(), func(ci int) {
-		bandsPer[ci], rounds[ci] = clusterBands(g, cl, int32(ci), members[ci], p, tr)
+		bandsPer[ci], rounds[ci] = clusterBands(g, cl, int32(ci), members[ci], s, p, tr)
 	})
 	for ci, bs := range bandsPer {
 		c.Bands = append(c.Bands, bs...)
@@ -178,8 +194,10 @@ func clusterMembers(cl *estc.Clustering, n int) [][]int32 {
 	return members
 }
 
-// clusterBands runs the in-cluster BFS and cuts the level bands.
-func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32, p Params, tr *wd.Tracker) ([]*Band, int) {
+// clusterBands runs the in-cluster BFS and cuts one band per window of
+// d+1 levels holding at least k vertices: the induced subgraph when s is
+// nil, else the separating minor.
+func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32, s []bool, p Params, tr *wd.Tracker) ([]*Band, int) {
 	within := make([]bool, g.N())
 	for _, v := range member {
 		within[v] = true
@@ -190,101 +208,52 @@ func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32,
 	for _, v := range member {
 		levels[res.Dist[v]] = append(levels[res.Dist[v]], v)
 	}
-	d := p.D
 	var bands []*Band
 	for i := 0; i <= res.MaxLevel; i++ {
-		// Skip bands that cannot contain a k-vertex pattern.
 		var verts []int32
-		hi := i + d
-		if hi > res.MaxLevel {
-			hi = res.MaxLevel
-		}
-		for l := i; l <= hi; l++ {
+		for l := i; l <= min(i+p.D, res.MaxLevel); l++ {
 			verts = append(verts, levels[l]...)
 		}
+		// Skip bands that cannot contain a k-vertex pattern.
 		if len(verts) < p.K {
 			continue
 		}
-		sub, orig := graph.Induce(g, verts)
-		lowest := make([]bool, len(orig))
-		for li, ov := range orig {
-			if res.Dist[ov] == int32(i) {
-				lowest[li] = true
-			}
-		}
-		bands = append(bands, &Band{
-			G:                sub,
-			Orig:             orig,
-			Cluster:          ci,
-			Level:            int32(i),
-			LowestLevelLocal: lowest,
-		})
 		// Bands are emitted for every level i (as in the paper), even when
 		// deeper bands are subsets of earlier ones: the listing algorithm
 		// attributes each occurrence to the band whose lowest level is the
 		// occurrence's closest-to-root level, so the tail bands must exist.
-	}
-	return bands, res.Rounds
-}
-
-// SeparatingFromClustering constructs the Section 5.2.1 separating cover
-// induced by an existing ESTC clustering (the separating analogue of
-// FromClustering): bands become minors carrying Allowed and S marks. s is
-// the terminal mask over the original graph.
-func SeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, p Params, tr *wd.Tracker) *Cover {
-	c := &Cover{Clustering: cl}
-	members := clusterMembers(cl, g.N())
-	bandsPer := make([][]*Band, cl.NumClusters())
-	rounds := make([]int, cl.NumClusters())
-	par.For(0, cl.NumClusters(), func(ci int) {
-		bandsPer[ci], rounds[ci] = separatingClusterBands(g, cl, int32(ci), members[ci], s, p, tr)
-	})
-	for ci, bs := range bandsPer {
-		c.Bands = append(c.Bands, bs...)
-		if rounds[ci] > c.BFSRounds {
-			c.BFSRounds = rounds[ci]
-		}
-	}
-	return c
-}
-
-// separatingClusterBands cuts bands as minors of the full graph: band
-// vertices stay, every other vertex is contracted by connected component
-// of G minus the band vertex set (computed in two stages: components of
-// the cluster complement are fixed per cluster; components of
-// cluster-minus-band vary per band).
-func separatingClusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32, s []bool, p Params, tr *wd.Tracker) ([]*Band, int) {
-	n := g.N()
-	within := make([]bool, n)
-	for _, v := range member {
-		within[v] = true
-	}
-	res := bfs.Levels(g, []int32{cl.Center[ci]}, within, tr)
-	levels := make([][]int32, res.MaxLevel+1)
-	for _, v := range member {
-		levels[res.Dist[v]] = append(levels[res.Dist[v]], v)
-	}
-	d := p.D
-	var bands []*Band
-	for i := 0; i <= res.MaxLevel; i++ {
-		hi := i + d
-		if hi > res.MaxLevel {
-			hi = res.MaxLevel
-		}
-		var verts []int32
-		for l := i; l <= hi; l++ {
-			verts = append(verts, levels[l]...)
-		}
-		if len(verts) >= p.K {
+		if s == nil {
+			bands = append(bands, inducedBand(g, ci, int32(i), verts, res.Dist))
+		} else {
 			bands = append(bands, separatingBand(g, ci, int32(i), verts, s))
 		}
 	}
 	return bands, res.Rounds
 }
 
+// inducedBand builds the plain band on verts, marking the vertices at
+// BFS distance level as its lowest level.
+func inducedBand(g *graph.Graph, ci, level int32, verts, dist []int32) *Band {
+	sub, orig := graph.Induce(g, verts)
+	lowest := make([]bool, len(orig))
+	for li, ov := range orig {
+		if dist[ov] == level {
+			lowest[li] = true
+		}
+	}
+	return &Band{
+		G:                sub,
+		Orig:             orig,
+		Cluster:          ci,
+		Level:            level,
+		LowestLevelLocal: lowest,
+	}
+}
+
 // separatingBand builds the minor for one band: band vertices are
-// singleton classes; all other vertices are contracted per connected
-// component of G[V \ band].
+// singleton classes, and every other vertex of g is contracted per
+// connected component of G[V \ band], computed over the whole graph for
+// each band.
 func separatingBand(g *graph.Graph, ci, level int32, verts []int32, s []bool) *Band {
 	n := g.N()
 	inBand := make([]bool, n)

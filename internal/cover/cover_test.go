@@ -2,6 +2,7 @@ package cover
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"planarsi/internal/estc"
@@ -176,6 +177,48 @@ func TestSeparatingBandPreservesSeparation(t *testing.T) {
 			}
 			if separatesInGraph(b.G, b.S, cut) != separatesInOriginal(g, s, b, cut) {
 				t.Fatalf("trial %d: separation differs between minor and original", trial)
+			}
+		}
+	}
+}
+
+// The plain and separating covers of one clustering cut the same level
+// windows: equal band counts, BFS depth and (Cluster, Level) sequence,
+// and each minor's real vertices are exactly the plain band's vertices.
+func TestPlainAndSeparatingCutSameWindows(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 18))
+	for trial := 0; trial < 6; trial++ {
+		g := graph.RandomPlanar(60+rng.IntN(60), 0.4+0.6*rng.Float64(), rng)
+		s := make([]bool, g.N())
+		for v := range s {
+			s[v] = rng.Float64() < 0.3
+		}
+		for _, p := range []Params{{K: 3, D: 1}, {K: 4, D: 2}, {K: 5, D: 3}, {K: 6, D: 2}} {
+			cl := estc.Cluster(g, p.beta(), rng, nil)
+			plain := FromClustering(g, cl, p, nil)
+			sep := SeparatingFromClustering(g, cl, s, p, nil)
+			if len(plain.Bands) != len(sep.Bands) || plain.BFSRounds != sep.BFSRounds {
+				t.Fatalf("trial %d %+v: plain %d bands / %d rounds, separating %d / %d",
+					trial, p, len(plain.Bands), plain.BFSRounds, len(sep.Bands), sep.BFSRounds)
+			}
+			for i, pb := range plain.Bands {
+				sb := sep.Bands[i]
+				if pb.Cluster != sb.Cluster || pb.Level != sb.Level {
+					t.Fatalf("trial %d %+v band %d: plain (%d, %d), separating (%d, %d)",
+						trial, p, i, pb.Cluster, pb.Level, sb.Cluster, sb.Level)
+				}
+				var kept []int32
+				for _, ov := range sb.Orig {
+					if ov >= 0 {
+						kept = append(kept, ov)
+					}
+				}
+				want := slices.Clone(pb.Orig)
+				slices.Sort(kept)
+				slices.Sort(want)
+				if !slices.Equal(kept, want) {
+					t.Fatalf("trial %d %+v band %d: minor keeps %v, plain band has %v", trial, p, i, kept, want)
+				}
 			}
 		}
 	}

@@ -98,8 +98,9 @@ func TestStatsAccounting(t *testing.T) {
 	// Recompute the footprint from the artifacts themselves.
 	var wantBytes int64
 	wantBands := 0
+	gen := ix.acquire()
 	for run := 0; run < runs; run++ {
-		pc := ix.Prepared(k, d, run)
+		pc := gen.Prepared(nil, k, d, run)
 		wantBytes += pc.MemBytes()
 		wantBands += len(pc.Bands)
 		wantBytes += core.ClusterRun(g, core.CoverBeta(k, opt), run, opt).MemBytes()
@@ -114,7 +115,8 @@ func TestStatsAccounting(t *testing.T) {
 	// Separating covers are accounted separately.
 	s := make([]bool, g.N())
 	s[0], s[g.N()-1] = true, true
-	pc := ix.PreparedSeparating(s, k, d, 0)
+	pc := gen.Prepared(s, k, d, 0)
+	ix.release(gen)
 	st2 := ix.Stats()
 	if st2.SeparatingCovers != 1 {
 		t.Fatalf("SeparatingCovers = %d, want 1", st2.SeparatingCovers)

@@ -41,7 +41,9 @@ func TestCostParityBandSpansMatchCounters(t *testing.T) {
 			qopt.Stats = &st
 			qopt.Trace = rec
 			qopt.Cost = counter
-			if found, err := core.DecideFrom(ix, c.g, c.h, qopt); err != nil || found != c.found {
+			gen := ix.acquire()
+			defer ix.release(gen)
+			if found, err := core.DecideFrom(gen, c.g, c.h, qopt); err != nil || found != c.found {
 				t.Fatalf("traced Decide = %v, %v; want %v, nil", found, err, c.found)
 			}
 

@@ -13,8 +13,7 @@ package index
 // draining on it.
 //
 // The generation carries the three memo tables (see memo.go) and the
-// CoverSource/SeparatingSource implementations the core pipeline
-// consumes.
+// CoverSource implementation the core pipeline consumes.
 
 import (
 	"math"
@@ -154,40 +153,32 @@ func (gen *generation) clustering(beta float64, run int) *estc.Clustering {
 }
 
 // Prepared implements core.CoverSource against this generation's graph:
-// the memoized prepared plain cover for run `run` of pattern shape
-// (k, d), identical to the one core.PrepareRun would build fresh.
+// the memoized prepared cover for run `run` of pattern shape (k, d),
+// plain when s is nil and separating for terminal set s otherwise,
+// identical to the one core.PrepareRun (PrepareSeparatingRun) would
+// build fresh. Both kinds share the memoized (beta, run) clustering.
 //
 // Runs past the decide budget are built fresh and not cached: the
 // listing loop's adaptive stopping rule (Theorem 4.2) can push run
 // indices arbitrarily far on occurrence-rich targets, and memoizing that
 // tail would grow the cache without bound. Identity of answers is
 // unaffected — a fresh build equals a cached one by construction.
-func (gen *generation) Prepared(k, d, run int) *core.PreparedCover {
-	if run >= core.RunBudget(gen.g.N(), gen.ix.opt) {
-		return gen.plain.uncached(func() *core.PreparedCover {
-			return core.PrepareRun(gen.g, k, d, run, gen.ix.opt)
-		})
-	}
-	return gen.cover(coverKey{k: k, d: d, run: run})
-}
-
-// PreparedSeparating implements core.SeparatingSource: the memoized
-// separating cover for run `run` of pattern shape (k, d) and terminal set
-// s. It shares the (beta, run) clustering with the plain covers.
-func (gen *generation) PreparedSeparating(s []bool, k, d, run int) *core.PreparedCover {
-	return gen.cover(coverKey{k: k, d: d, run: run, sep: true, mask: packMask(s)})
-}
-
-// cover returns key's memoized cover from the plain or separating
-// table, building it from the memoized clustering of its (beta, run).
-func (gen *generation) cover(key coverKey) *core.PreparedCover {
-	t := gen.plain
+// (Separating searches stop at the budget, so only plain runs get
+// there.)
+func (gen *generation) Prepared(s []bool, k, d, run int) *core.PreparedCover {
+	key, t := coverKey{k: k, d: d, run: run, sep: s != nil, mask: packMask(s)}, gen.plain
 	if key.sep {
 		t = gen.sep
 	}
+	beta := core.CoverBeta(k, gen.ix.opt)
+	if run >= core.RunBudget(gen.g.N(), gen.ix.opt) {
+		return t.uncached(func() *core.PreparedCover {
+			pc, _, _ := gen.prepare(key, core.ClusterRun(gen.g, beta, run, gen.ix.opt), nil)
+			return pc
+		})
+	}
 	return t.get(key, func() *core.PreparedCover {
-		cl := gen.clustering(core.CoverBeta(key.k, gen.ix.opt), key.run)
-		pc, _, _ := gen.prepare(key, cl, nil)
+		pc, _, _ := gen.prepare(key, gen.clustering(beta, run), nil)
 		return pc
 	})
 }
@@ -197,9 +188,5 @@ func (gen *generation) cover(key coverKey) *core.PreparedCover {
 // before an edge edit, when prev is non-nil (see
 // core.PrepareFromClustering).
 func (gen *generation) prepare(key coverKey, cl *estc.Clustering, prev *core.PreparedCover) (*core.PreparedCover, int, int) {
-	if key.sep {
-		s := unpackMask(key.mask, gen.g.N())
-		return core.PrepareSeparatingFromClustering(gen.g, cl, s, prev, key.k, key.d, gen.ix.opt)
-	}
-	return core.PrepareFromClustering(gen.g, cl, prev, key.k, key.d, gen.ix.opt)
+	return core.PrepareFromClustering(gen.g, cl, unpackMask(key.mask, gen.g.N()), prev, key.k, key.d, gen.ix.opt)
 }

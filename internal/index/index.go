@@ -165,25 +165,8 @@ func (ix *Index) Embedded() (*graph.Graph, error) {
 	return gen.embedded, gen.embedErr
 }
 
-// Prepared implements core.CoverSource against the current generation
-// (see generation.Prepared). Queries that need several covers should run
-// through the query methods, which pin one generation for their whole
-// life; Prepared alone pins only per call.
-func (ix *Index) Prepared(k, d, run int) *core.PreparedCover {
-	gen := ix.acquire()
-	defer ix.release(gen)
-	return gen.Prepared(k, d, run)
-}
-
-// PreparedSeparating implements core.SeparatingSource against the
-// current generation (see generation.PreparedSeparating).
-func (ix *Index) PreparedSeparating(s []bool, k, d, run int) *core.PreparedCover {
-	gen := ix.acquire()
-	defer ix.release(gen)
-	return gen.PreparedSeparating(s, k, d, run)
-}
-
-// packMask renders a bool mask as a compact comparable string.
+// packMask renders a bool mask as a compact comparable string; a nil
+// mask (a plain cover's) renders as "".
 func packMask(s []bool) string {
 	b := make([]byte, (len(s)+7)/8)
 	for i, in := range s {
@@ -196,6 +179,9 @@ func packMask(s []bool) string {
 
 // unpackMask inverts packMask for an n-vertex target.
 func unpackMask(s string, n int) []bool {
+	if s == "" {
+		return nil
+	}
 	out := make([]bool, n)
 	for i := range out {
 		if i/8 < len(s) && s[i/8]&(1<<uint(i%8)) != 0 {
@@ -538,7 +524,7 @@ func (ix *Index) Prewarm(k, d int) {
 	gen := ix.acquire()
 	defer ix.release(gen)
 	offPool(core.RunBudget(gen.g.N(), ix.opt), func(run int) {
-		gen.Prepared(k, d, run)
+		gen.Prepared(nil, k, d, run)
 	})
 }
 

@@ -309,8 +309,9 @@ func cachedCovers(ix *Index) int {
 // pattern diameters of one size class.
 func TestCacheReuse(t *testing.T) {
 	ix := New(graph.Grid(6, 6), core.Options{Seed: 9})
-	a := ix.Prepared(4, 2, 0)
-	b := ix.Prepared(4, 2, 0)
+	gen := ix.acquire()
+	a := gen.Prepared(nil, 4, 2, 0)
+	b := gen.Prepared(nil, 4, 2, 0)
 	if a != b {
 		t.Error("Prepared(4,2,0) rebuilt instead of cached")
 	}
@@ -318,7 +319,7 @@ func TestCacheReuse(t *testing.T) {
 		t.Errorf("cached covers = %d, want 1", got)
 	}
 	// Same k, different d: new cover, same clustering.
-	c := ix.Prepared(4, 3, 0)
+	c := gen.Prepared(nil, 4, 3, 0)
 	if c == a {
 		t.Error("distinct (k,d) shapes must not share a prepared cover")
 	}
@@ -331,24 +332,27 @@ func TestCacheReuse(t *testing.T) {
 	// Separating covers share the clustering too.
 	s := make([]bool, 36)
 	s[0], s[35] = true, true
-	sp := ix.PreparedSeparating(s, 4, 2, 0)
+	sp := gen.Prepared(s, 4, 2, 0)
 	if sp.Cover.Clustering != a.Cover.Clustering {
 		t.Error("separating cover must reuse the (beta, run) clustering")
 	}
 	// Runs past the decide budget must not be memoized (the listing
 	// loop can request arbitrarily deep run indices).
 	before := cachedCovers(ix)
-	if ix.Prepared(4, 2, core.RunBudget(36, core.Options{Seed: 9})) == nil {
+	if gen.Prepared(nil, 4, 2, core.RunBudget(36, core.Options{Seed: 9})) == nil {
 		t.Error("overflow run returned nil")
 	}
 	if got := cachedCovers(ix); got != before {
 		t.Errorf("overflow run was cached: cached covers %d -> %d", before, got)
 	}
+	ix.release(gen)
 	ix.Reset()
 	if cachedCovers(ix) != 0 || ix.Stats().Clusterings != 0 {
 		t.Error("Reset left artifacts cached")
 	}
-	if ix.Prepared(4, 2, 0) == a {
+	gen = ix.acquire()
+	defer ix.release(gen)
+	if gen.Prepared(nil, 4, 2, 0) == a {
 		t.Error("Reset must drop memoized covers")
 	}
 }

@@ -30,7 +30,9 @@ func TestTraceSpansMatchStatsBands(t *testing.T) {
 	qopt := opt
 	qopt.Stats = &st
 	qopt.Trace = rec
-	found, err := core.DecideFrom(ix, g, h, qopt)
+	gen := ix.acquire()
+	found, err := core.DecideFrom(gen, g, h, qopt)
+	ix.release(gen)
 	if err != nil || found {
 		t.Fatalf("traced Decide = %v, %v; want false, nil", found, err)
 	}

@@ -116,18 +116,16 @@ type Scheduler struct {
 	mu     sync.Mutex
 	groups map[groupKey]*group
 
-	queued    atomic.Int64
-	batches   atomic.Uint64
-	requests  atomic.Uint64
-	rejected  atomic.Uint64
-	retries   atomic.Uint64 // members re-run as singletons after a panic
-	maxBatch  atomic.Int64  // largest batch dispatched so far
-	inFlight  atomic.Int64
-	waitNanos atomic.Int64 // total time requests spent waiting for their batch
+	queued   atomic.Int64
+	rejected atomic.Uint64
+	retries  atomic.Uint64 // members re-run as singletons after a panic
+	maxBatch atomic.Int64  // largest batch dispatched so far
+	inFlight atomic.Int64
 
 	// Scheduler shape distributions, exposed on /metrics: how big the
 	// batches actually are, how long requests sit waiting for them, and
-	// how deep the queue runs at admission.
+	// how deep the queue runs at admission. Stats reads its batch,
+	// request and wait totals from the first two.
 	batchSizes *obs.Histogram
 	waits      *obs.Histogram
 	depths     *obs.Histogram
@@ -463,9 +461,7 @@ func (s *Scheduler) run(e *Entry, kind BatchKind, batch []request) []index.ScanR
 
 	start := time.Now()
 	for _, rq := range batch {
-		wait := start.Sub(rq.enqueued)
-		s.waitNanos.Add(wait.Nanoseconds())
-		s.waits.ObserveDuration(wait)
+		s.waits.ObserveDuration(start.Sub(rq.enqueued))
 	}
 	s.batchSizes.Observe(float64(len(batch)))
 	patterns := make([]*graph.Graph, len(batch))
@@ -480,8 +476,6 @@ func (s *Scheduler) run(e *Entry, kind BatchKind, batch []request) []index.ScanR
 	} else {
 		res = e.Index().ScanCount(ctx, patterns)
 	}
-	s.batches.Add(1)
-	s.requests.Add(uint64(len(batch)))
 	for {
 		prev := s.maxBatch.Load()
 		if int64(len(batch)) <= prev || s.maxBatch.CompareAndSwap(prev, int64(len(batch))) {
@@ -524,7 +518,10 @@ func (s *Scheduler) Direct(ctx context.Context, f func()) error {
 // SchedulerStats is a point-in-time snapshot of the scheduler.
 type SchedulerStats struct {
 	// Batches and Requests give the coalescing ratio: Requests/Batches
-	// is the average number of queries that shared one Scan.
+	// is the average number of queries that shared one Scan. A batch and
+	// its requests count when the batch starts, not when it ends: both
+	// are the batch-size histogram's count and sum (/metrics'
+	// planarsi_sched_batch_size).
 	Batches  uint64 `json:"batches"`
 	Requests uint64 `json:"requests"`
 	Rejected uint64 `json:"rejected"`
@@ -535,7 +532,8 @@ type SchedulerStats struct {
 	InFlight int64  `json:"inFlight"`
 	Queued   int64  `json:"queued"`
 	// AvgWaitMicros is the mean time a request spent waiting for its
-	// batch to dispatch (the coalescing latency cost).
+	// batch to dispatch (the coalescing latency cost): the mean of the
+	// window-wait histogram (planarsi_sched_window_wait_seconds).
 	AvgWaitMicros float64 `json:"avgWaitMicros"`
 	// WindowMicros is the effective window the next batch timer would
 	// be armed with right now — equal to the configured window unless
@@ -545,18 +543,16 @@ type SchedulerStats struct {
 
 // Stats returns a snapshot of the scheduler counters.
 func (s *Scheduler) Stats() SchedulerStats {
-	st := SchedulerStats{
-		Batches:  s.batches.Load(),
-		Requests: s.requests.Load(),
-		Rejected: s.rejected.Load(),
-		Retries:  s.retries.Load(),
-		MaxBatch: s.maxBatch.Load(),
-		InFlight: s.inFlight.Load(),
-		Queued:   s.queued.Load(),
+	sizes := s.batchSizes.Snapshot()
+	return SchedulerStats{
+		Batches:       sizes.Count,
+		Requests:      uint64(sizes.Sum),
+		Rejected:      s.rejected.Load(),
+		Retries:       s.retries.Load(),
+		MaxBatch:      s.maxBatch.Load(),
+		InFlight:      s.inFlight.Load(),
+		Queued:        s.queued.Load(),
+		AvgWaitMicros: s.waits.Snapshot().Mean() * 1e6,
+		WindowMicros:  float64(s.effectiveWindow()) / 1e3,
 	}
-	if st.Requests > 0 {
-		st.AvgWaitMicros = float64(s.waitNanos.Load()) / float64(st.Requests) / 1e3
-	}
-	st.WindowMicros = float64(s.effectiveWindow()) / 1e3
-	return st
 }

@@ -106,7 +106,9 @@ func (e *Entry) Index() *index.Index { return e.ix }
 // needs the planar embedding, which the Index also caches; within an
 // epoch the graph and the options are fixed, so the seeded answer never
 // changes, and an ApplyEdits invalidates the cache by advancing the
-// epoch).
+// epoch). A panic in the computation propagates to the caller — the
+// handler's index.Guard reports it as an incident — and unwinds past
+// the cache write, so the next call computes afresh.
 func (e *Entry) Connectivity() (conn.Result, error) {
 	e.connMu.Lock()
 	defer e.connMu.Unlock()
@@ -127,15 +129,9 @@ func (e *Entry) Connectivity() (conn.Result, error) {
 	return res, err
 }
 
-// computeConnectivity runs one vertex-connectivity computation,
-// converting a panic into an error instead of poisoning the entry (the
-// computation is deterministic, so a panic would repeat anyway).
-func (e *Entry) computeConnectivity() (res conn.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("serve: connectivity computation panicked: %v", v)
-		}
-	}()
+// computeConnectivity runs one vertex-connectivity computation on the
+// embedded host graph.
+func (e *Entry) computeConnectivity() (conn.Result, error) {
 	g, err := e.ix.Embedded()
 	if err != nil {
 		return conn.Result{}, err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -246,6 +247,53 @@ func TestBreakerHTTPEndToEnd(t *testing.T) {
 	bi := st.Resilience.Breakers[0]
 	if bi.Graph != "grid" || bi.Kind != "decide" || bi.State != "closed" || bi.Opens != 1 {
 		t.Fatalf("breaker snapshot = %+v", bi)
+	}
+}
+
+// TestConnectivityPanicIsIncident: a panic under /connectivity is an
+// incident like any query's — a 500 with an incident id, counted by the
+// breaker — and is not cached, so the next call computes the answer.
+func TestConnectivityPanicIsIncident(t *testing.T) {
+	defer fault.Disable()
+	s := New(Options{
+		Pipeline:  core.Options{Seed: 1},
+		Scheduler: SchedulerOptions{Window: WindowDisabled},
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if _, err := s.Registry().Register("grid", graph.Grid(4, 4), false); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func() (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/connectivity", "application/json", strings.NewReader(`{"graph":"grid"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	if err := fault.Enable("dp.panic=first:1", 1); err != nil {
+		t.Fatal(err)
+	}
+	status, body := post()
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil || status != http.StatusInternalServerError || er.Incident == "" {
+		t.Fatalf("faulted connectivity: status %d, body %s; want 500 with an incident id", status, body)
+	}
+	status, body = post()
+	var cr ConnectivityResponse
+	if err := json.Unmarshal(body, &cr); err != nil || status != http.StatusOK || cr.Connectivity != 2 {
+		t.Fatalf("second connectivity: status %d, body %s; want 200 with connectivity 2", status, body)
+	}
+	if got := s.Stats().Resilience.Incidents; got != 1 {
+		t.Fatalf("incidents = %d, want 1", got)
 	}
 }
 

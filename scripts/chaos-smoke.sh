@@ -18,6 +18,9 @@
 #     lands the checkpoint
 #   - a failed snapshot read at boot falls back to a cold preload and
 #     still serves byte-identical answers (with band latency injected)
+#   - a panic inside the connectivity computation (dp.panic) is a 500
+#     incident like any query's, and is not cached: the next
+#     /connectivity answers the baseline bytes
 #   - planarsiload -chaos survives a probabilistic panic storm with no
 #     bare 500s/503s (every failure is either incident-tagged or
 #     Retry-After-tagged)
@@ -137,14 +140,18 @@ echo "chaos-smoke: graceful shutdown after panic storm ok"
 # ---- Leg 2: warm restart under fault. The snapshot restore fails
 # (injected read error), the daemon falls back to the cold edge-list
 # preload, and — with latency injected into the first band DPs — still
-# serves byte-identical answers.
-boot "$tmp/snaps" -fault 'snapshot.read=first:1,band.latency=first:6;dur:2ms'
+# serves byte-identical answers. The first /connectivity panics in its
+# first band (dp.panic): a 500 incident, not a cached error, so the
+# retry answers the baseline bytes.
+boot "$tmp/snaps" -fault 'snapshot.read=first:1,band.latency=first:6;dur:2ms,dp.panic=first:1'
 check "restore fallback" 'continuing cold' "$(cat "$tmp/log")"
 check "cold preload" 'loaded graph grid' "$(cat "$tmp/log")"
-same_bytes "cold-fallback count" /count "$c4" "$tmp/base.count"
+st=$(req "$tmp/conn1" /connectivity "$conn"); [ "$st" = 500 ] || fail "faulted connectivity status (want 500)" "$st"
+check "faulted connectivity incident id" '"incident":"inc-' "$(cat "$tmp/conn1")"
 same_bytes "cold-fallback connectivity" /connectivity "$conn" "$tmp/base.conn"
+same_bytes "cold-fallback count" /count "$c4" "$tmp/base.count"
 stop
-echo "chaos-smoke: warm-restart fault fallback ok"
+echo "chaos-smoke: warm-restart fault fallback and connectivity incident ok"
 
 # ---- Leg 3: probabilistic panic storm under load. Micro-batching is
 # back on (retry-as-singleton path in play); every failed request must
