@@ -142,6 +142,10 @@ var ErrPatternTooLarge = errors.New("core: pattern exceeds MaxK vertices")
 // connected patterns (List, Count, DecideSeparating).
 var ErrDisconnectedPattern = errors.New("core: operation requires a connected pattern")
 
+// ErrTerminalMask is returned by DecideSeparating when the terminal mask
+// does not hold exactly one entry per target vertex.
+var ErrTerminalMask = errors.New("core: terminal mask length must equal the target's vertex count")
+
 func (o Options) maxRuns(n int) int {
 	if o.MaxRuns > 0 {
 		return o.MaxRuns

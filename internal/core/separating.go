@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"planarsi/internal/cover"
 	"planarsi/internal/graph"
 	"planarsi/internal/match"
@@ -12,7 +14,8 @@ import (
 // of the terminal set s in different connected components. On success it
 // returns a witness occurrence (which always verifies: yes-answers are
 // exact); a nil occurrence means none was found, which is correct w.h.p.
-// after the default run budget.
+// after the default run budget. s must hold one entry per vertex of g;
+// any other length is an ErrTerminalMask error.
 //
 // The cover is the Section 5.2.1 separating variant — bands are minors of
 // g whose merged vertices (contracted complement components) keep the
@@ -26,6 +29,9 @@ func DecideSeparating(g, h *graph.Graph, s []bool, opt Options) (Occurrence, err
 // DecideSeparatingFrom is DecideSeparating drawing its per-run separating
 // covers from src.
 func DecideSeparatingFrom(src CoverSource, g, h *graph.Graph, s []bool, opt Options) (Occurrence, error) {
+	if len(s) != g.N() {
+		return nil, fmt.Errorf("%w: the mask has %d entries, the graph %d vertices", ErrTerminalMask, len(s), g.N())
+	}
 	if trivial, res, err := validate(g, h); err != nil {
 		return nil, err
 	} else if trivial {
@@ -33,9 +39,6 @@ func DecideSeparatingFrom(src CoverSource, g, h *graph.Graph, s []bool, opt Opti
 		// occur at all.
 		_ = res
 		return nil, nil
-	}
-	if len(s) != g.N() {
-		panic("core: terminal mask length must equal g.N()")
 	}
 	if _, l := graph.Components(h); l > 1 {
 		return nil, ErrDisconnectedPattern

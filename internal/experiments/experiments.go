@@ -15,6 +15,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -109,74 +110,61 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// All runs every experiment in paper order.
-func All(cfg Config) []*Table {
-	return []*Table{
-		Table1(cfg),
-		Fig1(cfg),
-		Fig2(cfg),
-		Fig3(cfg),
-		Fig4(cfg),
-		Fig5(cfg),
-		Fig6(cfg),
-		Fig7(cfg),
-		ListAll(cfg),
-		Disconnected(cfg),
-		Genus43(cfg),
-		AblationEngine(cfg),
-		AblationBeta(cfg),
-		AblationShortcut(cfg),
-		AblationTD(cfg),
-		AblationBalance(cfg),
-	}
+// experiment is one registered experiment: its id, the other names
+// ByName accepts for it, and its runner.
+type experiment struct {
+	name    string
+	aliases []string
+	run     func(Config) *Table
 }
 
-// ByName returns the experiment runner with the given id (e.g. "table1",
-// "fig3", "list", "disconnected", "ablation-beta"), or nil.
+// experimentList holds every experiment, in paper order; All, ByName and
+// Names all read it.
+var experimentList = []experiment{
+	{"table1", []string{"t1", "1"}, Table1},
+	{"fig1", []string{"f1"}, Fig1},
+	{"fig2", []string{"f2"}, Fig2},
+	{"fig3", []string{"f3"}, Fig3},
+	{"fig4", []string{"f4"}, Fig4},
+	{"fig5", []string{"f5"}, Fig5},
+	{"fig6", []string{"f6"}, Fig6},
+	{"fig7", []string{"f7"}, Fig7},
+	{"list", []string{"listing", "thm4.2"}, ListAll},
+	{"disconnected", []string{"lemma4.1"}, Disconnected},
+	{"genus", []string{"thm4.4", "section4.3"}, Genus43},
+	{"ablation-engine", nil, AblationEngine},
+	{"ablation-beta", nil, AblationBeta},
+	{"ablation-shortcut", nil, AblationShortcut},
+	{"ablation-td", nil, AblationTD},
+	{"ablation-balance", nil, AblationBalance},
+}
+
+// All runs every experiment in paper order.
+func All(cfg Config) []*Table {
+	tables := make([]*Table, len(experimentList))
+	for i, e := range experimentList {
+		tables[i] = e.run(cfg)
+	}
+	return tables
+}
+
+// ByName returns the experiment runner with the given id or alias (e.g.
+// "table1", "fig3", "list", "disconnected", "ablation-beta"), or nil.
 func ByName(name string) func(Config) *Table {
-	switch strings.ToLower(name) {
-	case "table1", "t1", "1":
-		return Table1
-	case "fig1", "f1":
-		return Fig1
-	case "fig2", "f2":
-		return Fig2
-	case "fig3", "f3":
-		return Fig3
-	case "fig4", "f4":
-		return Fig4
-	case "fig5", "f5":
-		return Fig5
-	case "fig6", "f6":
-		return Fig6
-	case "fig7", "f7":
-		return Fig7
-	case "list", "listing", "thm4.2":
-		return ListAll
-	case "disconnected", "lemma4.1":
-		return Disconnected
-	case "genus", "thm4.4", "section4.3":
-		return Genus43
-	case "ablation-engine":
-		return AblationEngine
-	case "ablation-beta":
-		return AblationBeta
-	case "ablation-shortcut":
-		return AblationShortcut
-	case "ablation-td":
-		return AblationTD
-	case "ablation-balance":
-		return AblationBalance
+	name = strings.ToLower(name)
+	for _, e := range experimentList {
+		if e.name == name || slices.Contains(e.aliases, name) {
+			return e.run
+		}
 	}
 	return nil
 }
 
 // Names lists the experiment ids ByName accepts, in paper order.
 func Names() []string {
-	return []string{
-		"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"list", "disconnected", "genus",
-		"ablation-engine", "ablation-beta", "ablation-shortcut", "ablation-td",
-		"ablation-balance",
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
 	}
+	return names
 }

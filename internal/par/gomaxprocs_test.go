@@ -48,7 +48,11 @@ func TestSetParallelism(t *testing.T) {
 	}
 
 	done := make(chan struct{})
-	Do(func() {}, func() { close(done) })
+	For(0, 2, func(i int) {
+		if i == 1 {
+			close(done)
+		}
+	})
 	<-done
 
 	SetParallelism(0)

@@ -31,13 +31,15 @@ func TestPoolTaskPanicReachesJoin(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		var ran atomic.Int32
 		var pe *PanicError
-		p.Run(func(c *Ctx) {
+		inScope(p, func(c *Ctx) {
 			pe = recoverPanicError(t, func() {
-				c.Do(
-					func(*Ctx) { ran.Add(1) },
-					func(*Ctx) { panic("boom") },
-					func(*Ctx) { ran.Add(1) },
-				)
+				// Block 1 of three is forked, never the owner's inline block.
+				c.ForBlocks(0, 3, 1, func(lo, _ int) {
+					if lo == 1 {
+						panic("boom")
+					}
+					ran.Add(1)
+				})
 			})
 		})
 		if pe == nil {
@@ -54,8 +56,8 @@ func TestPoolTaskPanicReachesJoin(t *testing.T) {
 		}
 		// The pool must still work after the panic: same pool, new scope.
 		var sum atomic.Int64
-		p.Run(func(c *Ctx) {
-			c.For(0, 1000, 1, func(i int) { sum.Add(int64(i)) })
+		inScope(p, func(c *Ctx) {
+			c.ForBlocks(0, 1000, 1, func(lo, _ int) { sum.Add(int64(lo)) })
 		})
 		if sum.Load() != 999*1000/2 {
 			t.Fatalf("round %d: pool wedged after panic: sum=%d", round, sum.Load())
@@ -66,22 +68,21 @@ func TestPoolTaskPanicReachesJoin(t *testing.T) {
 func TestPoolInlinePanicStillJoinsForks(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
+	errInline := errors.New("inline")
 	var ran atomic.Int32
-	p.Run(func(c *Ctx) {
-		pe := recoverPanicError(t, func() {
-			c.Do(
-				func(*Ctx) { panic(errors.New("inline")) }, // runs inline on the scope owner
-				func(*Ctx) { ran.Add(1) },
-				func(*Ctx) { ran.Add(1) },
-			)
+	var v any
+	inScope(p, func(c *Ctx) {
+		defer func() { v = recover() }()
+		c.ForBlocks(0, 3, 1, func(lo, _ int) {
+			if lo == 0 {
+				panic(errInline) // block 0 runs inline on the scope owner
+			}
+			ran.Add(1)
 		})
-		if pe == nil {
-			t.Fatal("inline panic lost")
-		}
-		if !errors.Is(pe, errors.New("inline")) && pe.Unwrap() == nil {
-			t.Fatalf("error panic value not unwrappable: %v", pe)
-		}
 	})
+	if err, ok := v.(error); !ok || !errors.Is(err, errInline) {
+		t.Fatalf("inline panic lost or changed: %v", v)
+	}
 	if ran.Load() != 2 {
 		t.Fatalf("forked siblings ran %d times before panic propagated, want 2", ran.Load())
 	}
@@ -91,13 +92,13 @@ func TestPanicWrappedExactlyOnceAcrossNesting(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var pe *PanicError
-	p.Run(func(c *Ctx) {
+	inScope(p, func(c *Ctx) {
 		pe = recoverPanicError(t, func() {
-			// Outer For → nested For inside a forked block → panic: the
-			// value must cross both joins as the same *PanicError.
-			c.For(0, 8, 1, func(i int) {
-				if i == 5 {
-					panic(fmt.Sprintf("nested-%d", i))
+			// Block 5 is forked inside the forked half [4, 8): the value
+			// must cross both joins as the same *PanicError.
+			c.ForBlocks(0, 8, 1, func(lo, _ int) {
+				if lo == 5 {
+					panic(fmt.Sprintf("nested-%d", lo))
 				}
 			})
 		})
@@ -127,14 +128,14 @@ func TestPackagePanicIsolationBothEngines(t *testing.T) {
 		}
 
 		pe = recoverPanicError(t, func() {
-			Do(
-				func() {},
-				func() { panic("do-panic") },
-				func() {},
-			)
+			ForBlocks(0, 64, 8, func(lo, _ int) {
+				if lo == 32 {
+					panic("blocks-panic")
+				}
+			})
 		})
-		if pe == nil || pe.Value != "do-panic" {
-			t.Fatalf("Do: pe=%v", pe)
+		if pe == nil || pe.Value != "blocks-panic" {
+			t.Fatalf("ForBlocks: pe=%v", pe)
 		}
 
 		// The pool must be fully usable afterwards.

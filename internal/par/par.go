@@ -3,7 +3,7 @@
 // sums, packing, an explicit work-stealing pool, and a lightweight
 // cooperative cancellation token (Canceller).
 //
-// The package-level functions (Do, For, ExclusivePrefixSum, Pack, ...)
+// The package-level functions (For, ForBlocks, ExclusivePrefixSum, Pack, ...)
 // run every operation as a structured fork-join scope on a shared, lazily
 // started work-stealing Pool (Chase-Lev deques, help-while-joining — the
 // greedy scheduler the paper's Brent-style bounds assume). Scopes keep
@@ -153,36 +153,6 @@ func runBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
 	c := p.enter()
 	defer p.exit(c)
 	c.ForBlocks(lo, hi, grain, body)
-}
-
-// Do runs the given functions, possibly in parallel, and returns when all
-// of them have returned. It is the fork-join primitive: fork every
-// function but the first, run the first inline, join.
-func Do(fs ...func()) {
-	switch len(fs) {
-	case 0:
-		return
-	case 1:
-		fs[0]()
-		return
-	}
-	e := current()
-	if e.procs == 1 {
-		retireSharedPool()
-		for _, f := range fs {
-			f()
-		}
-		return
-	}
-	p := poolFor(e.procs)
-	c := p.enter()
-	defer p.exit(c)
-	tasks := make([]Task, len(fs))
-	for i, f := range fs {
-		f := f
-		tasks[i] = func(*Ctx) { f() }
-	}
-	c.Do(tasks...)
 }
 
 // For runs f(i) for every i in [lo, hi), possibly in parallel, with an

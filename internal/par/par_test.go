@@ -7,23 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestDoRunsAll(t *testing.T) {
-	var a, b, c atomic.Int32
-	Do(func() { a.Store(1) }, func() { b.Store(2) }, func() { c.Store(3) })
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Fatalf("Do did not run all functions: %d %d %d", a.Load(), b.Load(), c.Load())
-	}
-}
-
-func TestDoEmptyAndSingle(t *testing.T) {
-	Do() // must not panic
-	ran := false
-	Do(func() { ran = true })
-	if !ran {
-		t.Fatal("single-function Do did not run")
-	}
-}
-
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 10_000} {
 		counts := make([]atomic.Int32, n)

@@ -17,8 +17,8 @@ import (
 // Two kinds of threads own deques. Background *workers* ((procs-1) per
 // pool — the submitting goroutine always works too) live for the pool's
 // lifetime and do nothing but steal and execute. *Scopes* are transient:
-// every structured fork-join operation (a Pool.Run, or one package-level
-// Do/For/ForBlocks call) registers a deque for its duration, forks into
+// every structured fork-join operation (one package-level For/ForBlocks
+// call) registers a deque for its duration, forks into
 // it, and helps until its own joins resolve. The scope's owner never
 // blocks — it pops its own deque, steals from every registered deque,
 // or runs an unclaimed future inline — which makes
@@ -145,8 +145,8 @@ func (fu *Future) run(ctx *Ctx) {
 
 // Pool is a work-stealing fork-join pool. Construct with NewPool; the
 // zero value is not usable. A Pool with parallelism p runs p-1
-// background workers — the goroutine calling Run (or a package-level
-// combinator routed to the pool) is always the p-th participant.
+// background workers — the goroutine running a package-level combinator
+// on the pool is always the p-th participant.
 type Pool struct {
 	procs int
 	quit  chan struct{}
@@ -277,15 +277,6 @@ func (p *Pool) exit(c *Ctx) {
 	scopeCtxs.Put(c)
 }
 
-// Run executes task on the pool as a fork-join scope and returns when it
-// (and everything it joined) has. The calling goroutine participates in
-// the work; nested Run calls (from inside pool tasks) are safe.
-func (p *Pool) Run(task Task) {
-	c := p.enter()
-	defer p.exit(c)
-	task(c)
-}
-
 // workerLoop is the background worker body: steal, execute, park.
 func (p *Pool) workerLoop(c *Ctx) {
 	defer p.wg.Done()
@@ -382,9 +373,8 @@ func (c *Ctx) Join(fu *Future) {
 	}
 }
 
-// joinNoPanic waits for fu without re-panicking a captured panic; Do
-// uses it to finish joining every sibling before propagating the first
-// panic.
+// joinNoPanic is Join's helping loop. It stays a separate function so
+// that Join is small enough to inline at ForBlocks' joins.
 func (c *Ctx) joinNoPanic(fu *Future) {
 	spins := 0
 	for !fu.done.Load() {
@@ -408,38 +398,6 @@ func (c *Ctx) joinNoPanic(fu *Future) {
 		} else {
 			time.Sleep(20 * time.Microsecond)
 		}
-	}
-}
-
-// Do runs the functions as a fork-join group: all but the first are forked,
-// the first runs inline, then all forks are joined. If any function
-// panics, every sibling is still joined before the first panic (in
-// fork order: inline first, then forks) re-panics on the caller.
-func (c *Ctx) Do(fs ...Task) {
-	if len(fs) == 0 {
-		return
-	}
-	futures := make([]*Future, len(fs)-1)
-	for i := len(fs) - 1; i >= 1; i-- {
-		futures[i-1] = c.Fork(fs[i])
-	}
-	var first *PanicError
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				first = asPanicError(v)
-			}
-		}()
-		fs[0](c)
-	}()
-	for _, fu := range futures {
-		c.joinNoPanic(fu)
-		if fu.panicked != nil && first == nil {
-			first = fu.panicked
-		}
-	}
-	if first != nil {
-		panic(first)
 	}
 }
 
@@ -467,13 +425,4 @@ func (c *Ctx) ForBlocks(lo, hi, grain int, body func(lo, hi int)) {
 	if lo < hi {
 		rec(c, lo, hi)
 	}
-}
-
-// For runs f(i) for i in [lo, hi) using recursive halving on the pool.
-func (c *Ctx) For(lo, hi, grain int, f func(i int)) {
-	c.ForBlocks(lo, hi, grain, func(l, h int) {
-		for i := l; i < h; i++ {
-			f(i)
-		}
-	})
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,13 +113,32 @@ func TestDequeStress(t *testing.T) {
 	}
 }
 
+// inScope runs task as the root of a fork-join scope on p, the way
+// runBlocks drives the pool for a package-level combinator.
+func inScope(p *Pool, task Task) {
+	c := p.enter()
+	defer p.exit(c)
+	task(c)
+}
+
+// TestPoolRun: a scope runs its root task on the caller's goroutine,
+// with its deque registered for stealing until exit.
 func TestPoolRun(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
+	c := p.enter()
+	dq := c.dq
+	if !slices.Contains(*p.victims.Load(), dq) {
+		t.Fatal("scope deque not stealable inside the scope")
+	}
 	var x atomic.Int32
-	p.Run(func(c *Ctx) { x.Store(7) })
+	c.Join(c.Fork(func(*Ctx) { x.Store(7) }))
+	p.exit(c)
 	if x.Load() != 7 {
-		t.Fatal("Run did not execute the task")
+		t.Fatal("scope did not execute the forked task")
+	}
+	if slices.Contains(*p.victims.Load(), dq) {
+		t.Fatal("scope deque still stealable after exit")
 	}
 }
 
@@ -126,7 +146,7 @@ func TestPoolForkJoin(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var sum atomic.Int64
-	p.Run(func(c *Ctx) {
+	inScope(p, func(c *Ctx) {
 		var rec func(c *Ctx, lo, hi int)
 		rec = func(c *Ctx, lo, hi int) {
 			if hi-lo <= 4 {
@@ -152,8 +172,15 @@ func TestPoolFor(t *testing.T) {
 	defer p.Close()
 	n := 5000
 	counts := make([]atomic.Int32, n)
-	p.Run(func(c *Ctx) {
-		c.For(0, n, 16, func(i int) { counts[i].Add(1) })
+	inScope(p, func(c *Ctx) {
+		c.ForBlocks(0, n, 16, func(lo, hi int) {
+			if hi-lo > 16 {
+				t.Errorf("block [%d, %d) exceeds grain 16", lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				counts[i].Add(1)
+			}
+		})
 	})
 	for i := range counts {
 		if counts[i].Load() != 1 {
@@ -162,29 +189,13 @@ func TestPoolFor(t *testing.T) {
 	}
 }
 
-func TestPoolDo(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var a, b, c atomic.Int32
-	p.Run(func(ctx *Ctx) {
-		ctx.Do(
-			func(*Ctx) { a.Store(1) },
-			func(*Ctx) { b.Store(2) },
-			func(*Ctx) { c.Store(3) },
-		)
-	})
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Fatal("Ctx.Do did not run all tasks")
-	}
-}
-
 func TestPoolManySequentialRuns(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var total atomic.Int64
 	for r := 0; r < 50; r++ {
-		p.Run(func(c *Ctx) {
-			c.For(0, 100, 8, func(i int) { total.Add(1) })
+		inScope(p, func(c *Ctx) {
+			c.ForBlocks(0, 100, 8, func(lo, hi int) { total.Add(int64(hi - lo)) })
 		})
 	}
 	if total.Load() != 5000 {

@@ -261,16 +261,34 @@ func (s *Scheduler) admit() error {
 // Submit coalesces one decide/count query for entry e into the entry's
 // current batch and blocks until the batch executes, returning this
 // pattern's positional result. The answer is identical to calling the
-// corresponding Index method directly.
+// corresponding Index method directly. With coalescing disabled, or for
+// a traced request, the query runs alone through Direct instead.
 //
 // ctx is the request's own context: an already-done context is rejected
 // at admission, a context that dies while the request waits for (or
 // rides in) its batch makes Submit return the context's error
 // immediately, and once every member of a batch is gone the batch's
-// in-flight dynamic programs are cancelled mid-band.
+// in-flight dynamic programs are cancelled mid-band. A query running
+// alone is cancelled mid-band as soon as its ctx dies.
 func (s *Scheduler) Submit(ctx context.Context, e *Entry, kind BatchKind, h *graph.Graph) (index.ScanResult, error) {
 	if err := ctx.Err(); err != nil {
 		return index.ScanResult{}, err
+	}
+	rq := request{ctx: ctx, h: h, enqueued: time.Now()}
+	s.observeArrival(rq.enqueued)
+	if s.opt.Window < 0 || obs.FromContext(ctx) != nil {
+		// Run alone: either coalescing is disabled, or the request
+		// carries a ?trace=1 span recorder — a traced request must ride
+		// alone so that its own context (the recorder's carrier) is the
+		// context the Scan runs under, rather than a merged batch context
+		// that would blend its spans with batch-mates'. It still counts
+		// as a batch of one.
+		var res index.ScanResult
+		err := s.Direct(ctx, func() error {
+			res = s.scan(e, kind, []request{rq})[0]
+			return nil
+		})
+		return res, err
 	}
 	if err := s.admit(); err != nil {
 		return index.ScanResult{}, err
@@ -281,26 +299,7 @@ func (s *Scheduler) Submit(ctx context.Context, e *Entry, kind BatchKind, h *gra
 	// releasing early would let a connect-and-cancel flood bypass the
 	// MaxQueued bound while dead work piles up behind the in-flight
 	// semaphore.
-	rq := request{ctx: ctx, h: h, enqueued: time.Now(), done: make(chan index.ScanResult, 1)}
-	s.observeArrival(rq.enqueued)
-	if s.opt.Window < 0 || obs.FromContext(ctx) != nil {
-		// Dispatch a singleton batch: either coalescing is disabled, or
-		// the request carries a ?trace=1 span recorder — a traced request
-		// must ride alone so that its own context (the recorder's
-		// carrier) is the batch context the Scan runs under, rather than
-		// a merged context that would blend its spans with batch-mates'.
-		// Still async, so a context that dies while the batch waits for
-		// an in-flight slot unblocks Submit immediately (the dead query
-		// itself is cancelled through the batch context once dispatched).
-		go s.dispatch(e, kind, []request{rq})
-		select {
-		case res := <-rq.done:
-			return res, nil
-		case <-ctx.Done():
-			return index.ScanResult{}, ctx.Err()
-		}
-	}
-
+	rq.done = make(chan index.ScanResult, 1)
 	g := s.group(groupKey{e, kind})
 	g.mu.Lock()
 	g.pending = append(g.pending, rq)
@@ -447,18 +446,17 @@ func batchContext(batch []request) (context.Context, context.CancelFunc) {
 	}
 }
 
-// run executes one batch under the in-flight semaphore and records stats.
+// run executes one batch under the in-flight semaphore.
 func (s *Scheduler) run(e *Entry, kind BatchKind, batch []request) []index.ScanResult {
-	if s.opt.AfterBatch != nil {
-		defer s.opt.AfterBatch()
-	}
 	s.sem <- struct{}{}
 	s.inFlight.Add(1)
-	defer func() {
-		s.inFlight.Add(-1)
-		<-s.sem
-	}()
+	defer s.release()
+	return s.scan(e, kind, batch)
+}
 
+// scan answers a batch (of one, too) as one Index.Scan or ScanCount and
+// records its size and waits; the caller holds an in-flight slot.
+func (s *Scheduler) scan(e *Entry, kind BatchKind, batch []request) []index.ScanResult {
 	start := time.Now()
 	for _, rq := range batch {
 		s.waits.ObserveDuration(start.Sub(rq.enqueued))
@@ -485,12 +483,24 @@ func (s *Scheduler) run(e *Entry, kind BatchKind, batch []request) []index.ScanR
 	return res
 }
 
-// Direct runs a non-batchable operation (find, list, separating) under
-// the same admission control and in-flight bound as the batches. An
-// already-done ctx is rejected at admission, and a ctx that dies while
-// the operation waits for an in-flight slot abandons the wait (the
-// operation itself is then never started).
-func (s *Scheduler) Direct(ctx context.Context, f func()) error {
+// release frees an in-flight slot, then runs AfterBatch outside it.
+func (s *Scheduler) release() {
+	s.inFlight.Add(-1)
+	<-s.sem
+	if s.opt.AfterBatch != nil {
+		s.opt.AfterBatch()
+	}
+}
+
+// Direct runs f alone, outside any batch: it is the path of find,
+// separating and connectivity, and of the decide/count queries Submit
+// does not coalesce. f runs under the same admission control and
+// in-flight bound as the batches, and inside index.Guard, so a panic in
+// f or in the AfterBatch call after it returns as an ErrQueryPanic
+// error. An already-done ctx is rejected at admission, and a ctx that
+// dies while f waits for an in-flight slot abandons the wait (f is then
+// never started).
+func (s *Scheduler) Direct(ctx context.Context, f func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -498,21 +508,16 @@ func (s *Scheduler) Direct(ctx context.Context, f func()) error {
 		return err
 	}
 	defer s.queued.Add(-1)
-	if s.opt.AfterBatch != nil {
-		defer s.opt.AfterBatch()
-	}
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 	s.inFlight.Add(1)
-	defer func() {
-		s.inFlight.Add(-1)
-		<-s.sem
-	}()
-	f()
-	return nil
+	return index.Guard(func() error {
+		defer s.release()
+		return f()
+	})
 }
 
 // SchedulerStats is a point-in-time snapshot of the scheduler.

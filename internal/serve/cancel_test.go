@@ -44,7 +44,7 @@ func TestAdmissionFailFastOnDeadContext(t *testing.T) {
 	s := cancelTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, ep := range []string{"/decide", "/count", "/find", "/connectivity"} {
+	for _, ep := range []string{"/decide", "/count", "/find", "/separating", "/connectivity"} {
 		req := httptest.NewRequest("POST", ep, strings.NewReader(patternBody(t, graph.Cycle(4)))).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)

@@ -225,183 +225,160 @@ func queryStatus(err error) int {
 	}
 }
 
-// decodeQuery parses a query body and acquires its host graph; on success
-// the caller owns the returned release func.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, needPattern bool) (*QueryRequest, *Entry, *graph.Graph, func(), bool) {
-	// Fail fast for clients that are already gone: decoding bodies and
-	// queueing work for a dead connection only steals cores from live
-	// requests.
-	if err := r.Context().Err(); err != nil {
-		httpError(w, queryStatus(err), "request context done at admission: %v", err)
-		return nil, nil, nil, nil, false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return nil, nil, nil, nil, false
-	}
-	var h *graph.Graph
-	if needPattern {
-		var err error
-		if h, err = req.Pattern.Build(s.opt.MaxGraphVertices); err != nil {
-			httpError(w, http.StatusBadRequest, "bad pattern: %v", err)
-			return nil, nil, nil, nil, false
-		}
-		// The DP engine's bitset state is sized for match.MaxK pattern
-		// vertices; reject anything larger at the boundary with a 400
-		// instead of letting it anywhere near the query path.
-		if h.N() > match.MaxK {
-			httpError(w, http.StatusBadRequest,
-				"pattern has %d vertices, over the engine limit of %d", h.N(), match.MaxK)
-			return nil, nil, nil, nil, false
-		}
-	}
-	e := s.reg.Acquire(req.Graph)
-	if e == nil {
-		httpError(w, http.StatusNotFound, "graph %q not registered", req.Graph)
-		return nil, nil, nil, nil, false
-	}
-	release := func() { s.reg.Release(e) }
-	return &req, e, h, release, true
+// query is one decoded query request: its body, the acquired host
+// entry, the pattern (nil on /connectivity) and, on /separating, the
+// terminal mask.
+type query struct {
+	QueryRequest
+	e    *Entry
+	h    *graph.Graph
+	mask []bool
 }
 
-// handleBatched serves /decide and /count: the query joins the entry's
-// current micro-batch and the batch runs as one Index.Scan / ScanCount.
-func (s *Server) handleBatched(kind BatchKind) http.HandlerFunc {
-	kindName := "decide"
-	if kind == KindCount {
-		kindName = "count"
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, e, h, release, ok := s.decodeQuery(w, r, true)
-		if !ok {
-			return
-		}
-		defer release()
-		br, err := s.admitQuery(r, req.Graph, kindName)
-		if err != nil {
-			s.writeQueryError(w, r, req.Graph, err)
-			return
-		}
-		res, err := s.sched.Submit(r.Context(), e, kind, h)
+// queryRoute is one query endpoint. Its name is the path, the metric
+// label and the breaker kind; pattern and terminals say what its body
+// must carry. run answers a decoded query with the endpoint's response
+// body. An alone route runs through Scheduler.Direct; the others submit
+// to the micro-batching scheduler, which runs a request alone itself
+// when it does not coalesce.
+type queryRoute struct {
+	name      string
+	pattern   bool
+	terminals bool
+	alone     bool
+	run       func(s *Server, ctx context.Context, q *query) (any, error)
+}
+
+// queryRoutes are the query endpoints, all served by handleQuery.
+var queryRoutes = []queryRoute{
+	{name: "decide", pattern: true, run: submit(KindDecide)},
+	{name: "count", pattern: true, run: submit(KindCount)},
+	{name: "find", pattern: true, alone: true, run: func(_ *Server, ctx context.Context, q *query) (any, error) {
+		occ, err := q.e.Index().FindOccurrenceCtx(ctx, q.h)
+		return &QueryResponse{Graph: q.Graph, Found: occ != nil, Occurrence: occ}, err
+	}},
+	{name: "separating", pattern: true, terminals: true, alone: true, run: func(_ *Server, ctx context.Context, q *query) (any, error) {
+		occ, err := q.e.Index().DecideSeparatingCtx(ctx, q.h, q.mask)
+		return &QueryResponse{Graph: q.Graph, Found: occ != nil, Occurrence: occ}, err
+	}},
+	{name: "connectivity", alone: true, run: func(_ *Server, _ context.Context, q *query) (any, error) {
+		res, err := q.e.Connectivity()
+		return ConnectivityResponse{Graph: q.Graph, Connectivity: res.Connectivity, Cut: res.Cut}, err
+	}},
+}
+
+// submit is the run of /decide and /count: the query joins its entry's
+// current micro-batch, which runs as one Index.Scan or ScanCount.
+func submit(kind BatchKind) func(*Server, context.Context, *query) (any, error) {
+	return func(s *Server, ctx context.Context, q *query) (any, error) {
+		res, err := s.sched.Submit(ctx, q.e, kind, q.h)
 		if err == nil {
 			err = res.Err
 		}
-		recordOutcome(br, err)
-		if err != nil {
-			s.writeQueryError(w, r, req.Graph, err)
-			return
-		}
-		out := QueryResponse{Graph: req.Graph, Found: res.Found, Trace: traceJSON(r)}
+		out := &QueryResponse{Graph: q.Graph, Found: res.Found}
 		if kind == KindCount {
 			out.Count = &res.Count
+		}
+		return out, err
+	}
+}
+
+// handleQuery serves one query route: decode, admit, run, feed the
+// outcome to the breaker, respond.
+func (s *Server) handleQuery(rt queryRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := s.decodeQuery(w, r, rt)
+		if q == nil {
+			return
+		}
+		defer s.reg.Release(q.e)
+		br, err := s.admitQuery(r, q.Graph, rt.name)
+		var out any
+		if err == nil {
+			run := func() (err error) {
+				out, err = rt.run(s, r.Context(), q)
+				return err
+			}
+			if rt.alone {
+				err = s.sched.Direct(r.Context(), run)
+			} else {
+				err = run()
+			}
+		}
+		recordOutcome(br, err) // br is nil when admission failed
+		if err != nil {
+			s.writeQueryError(w, r, q.Graph, err)
+			return
+		}
+		if qr, ok := out.(*QueryResponse); ok {
+			qr.Trace = traceJSON(r)
 		}
 		writeJSON(w, http.StatusOK, out)
 	}
 }
 
-func (s *Server) handleFind(w http.ResponseWriter, r *http.Request) {
-	req, e, h, release, ok := s.decodeQuery(w, r, true)
-	if !ok {
-		return
+// decodeQuery decodes one request for route rt and acquires its host
+// entry, which the caller must release. On failure it answers the
+// request itself and returns nil: 499 (or 504) for a context already
+// done, 400 for a bad body, pattern or terminal set, 404 for an unknown
+// graph.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, rt queryRoute) *query {
+	// Fail fast for clients that are already gone: decoding bodies and
+	// queueing work for a dead connection only steals cores from live
+	// requests.
+	if err := r.Context().Err(); err != nil {
+		httpError(w, queryStatus(err), "request context done at admission: %v", err)
+		return nil
 	}
-	defer release()
-	br, err := s.admitQuery(r, req.Graph, "find")
-	if err != nil {
-		s.writeQueryError(w, r, req.Graph, err)
-		return
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	q := new(query)
+	if err := json.NewDecoder(r.Body).Decode(&q.QueryRequest); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil
 	}
-	var occ core.Occurrence
-	if derr := s.sched.Direct(r.Context(), func() {
-		// Guard converts an engine panic (carried to this goroutine by
-		// the fork-join pool) into a structured 500, keeping the
-		// daemon up.
-		err = index.Guard(func() error {
-			var ferr error
-			occ, ferr = e.Index().FindOccurrenceCtx(r.Context(), h)
-			return ferr
-		})
-	}); derr != nil {
-		err = derr
+	if rt.pattern {
+		var err error
+		if q.h, err = q.Pattern.Build(s.opt.MaxGraphVertices); err != nil {
+			httpError(w, http.StatusBadRequest, "bad pattern: %v", err)
+			return nil
+		}
+		// The DP engine's bitset state is sized for match.MaxK pattern
+		// vertices; reject anything larger at the boundary with a 400
+		// instead of letting it anywhere near the query path.
+		if q.h.N() > match.MaxK {
+			httpError(w, http.StatusBadRequest,
+				"pattern has %d vertices, over the engine limit of %d", q.h.N(), match.MaxK)
+			return nil
+		}
 	}
-	recordOutcome(br, err)
-	if err != nil {
-		s.writeQueryError(w, r, req.Graph, err)
-		return
+	if q.e = s.reg.Acquire(q.Graph); q.e == nil {
+		httpError(w, http.StatusNotFound, "graph %q not registered", q.Graph)
+		return nil
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{Graph: req.Graph, Found: occ != nil, Occurrence: occ, Trace: traceJSON(r)})
+	if rt.terminals {
+		var err error
+		if q.mask, err = terminalMask(q.Terminals, q.e.Graph().N()); err != nil {
+			s.reg.Release(q.e)
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return nil
+		}
+	}
+	return q
 }
 
-func (s *Server) handleSeparating(w http.ResponseWriter, r *http.Request) {
-	req, e, h, release, ok := s.decodeQuery(w, r, true)
-	if !ok {
-		return
-	}
-	defer release()
-	n := e.Graph().N()
-	if len(req.Terminals) < 2 {
-		httpError(w, http.StatusBadRequest, "separating needs at least two terminals")
-		return
+// terminalMask builds the terminal mask of /separating over n vertices.
+func terminalMask(terminals []int32, n int) ([]bool, error) {
+	if len(terminals) < 2 {
+		return nil, errors.New("separating needs at least two terminals")
 	}
 	mask := make([]bool, n)
-	for _, v := range req.Terminals {
+	for _, v := range terminals {
 		if v < 0 || int(v) >= n {
-			httpError(w, http.StatusBadRequest, "terminal %d out of range [0, %d)", v, n)
-			return
+			return nil, fmt.Errorf("terminal %d out of range [0, %d)", v, n)
 		}
 		mask[v] = true
 	}
-	br, err := s.admitQuery(r, req.Graph, "separating")
-	if err != nil {
-		s.writeQueryError(w, r, req.Graph, err)
-		return
-	}
-	var occ core.Occurrence
-	if derr := s.sched.Direct(r.Context(), func() {
-		err = index.Guard(func() error {
-			var ferr error
-			occ, ferr = e.Index().DecideSeparatingCtx(r.Context(), h, mask)
-			return ferr
-		})
-	}); derr != nil {
-		err = derr
-	}
-	recordOutcome(br, err)
-	if err != nil {
-		s.writeQueryError(w, r, req.Graph, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{Graph: req.Graph, Found: occ != nil, Occurrence: occ, Trace: traceJSON(r)})
-}
-
-func (s *Server) handleConnectivity(w http.ResponseWriter, r *http.Request) {
-	req, e, _, release, ok := s.decodeQuery(w, r, false)
-	if !ok {
-		return
-	}
-	defer release()
-	br, err := s.admitQuery(r, req.Graph, "connectivity")
-	if err != nil {
-		s.writeQueryError(w, r, req.Graph, err)
-		return
-	}
-	var res ConnectivityResponse
-	if derr := s.sched.Direct(r.Context(), func() {
-		err = index.Guard(func() error {
-			cr, cerr := e.Connectivity()
-			res = ConnectivityResponse{Graph: req.Graph, Connectivity: cr.Connectivity, Cut: cr.Cut}
-			return cerr
-		})
-	}); derr != nil {
-		err = derr
-	}
-	recordOutcome(br, err)
-	if err != nil {
-		s.writeQueryError(w, r, req.Graph, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	return mask, nil
 }
 
 // handleRegisterGraph registers the named graph from the request body:

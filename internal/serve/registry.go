@@ -107,8 +107,8 @@ func (e *Entry) Index() *index.Index { return e.ix }
 // epoch the graph and the options are fixed, so the seeded answer never
 // changes, and an ApplyEdits invalidates the cache by advancing the
 // epoch). A panic in the computation propagates to the caller — the
-// handler's index.Guard reports it as an incident — and unwinds past
-// the cache write, so the next call computes afresh.
+// index.Guard in Scheduler.Direct reports it as an incident — and
+// unwinds past the cache write, so the next call computes afresh.
 func (e *Entry) Connectivity() (conn.Result, error) {
 	e.connMu.Lock()
 	defer e.connMu.Unlock()

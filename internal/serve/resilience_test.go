@@ -297,6 +297,64 @@ func TestConnectivityPanicIsIncident(t *testing.T) {
 	}
 }
 
+// TestQueryRoutesErrorStatuses drives each of the five query routes
+// through the error answers they share: an unknown graph is a 404, an
+// injected dp.panic is a 500 with an incident id, and that incident
+// opens the route's own breaker, so its next request is a 503 with
+// Retry-After.
+func TestQueryRoutesErrorStatuses(t *testing.T) {
+	defer fault.Disable()
+	s := New(Options{
+		Pipeline:  core.Options{Seed: 1},
+		Scheduler: SchedulerOptions{Window: WindowDisabled},
+		Breaker:   BreakerOptions{Threshold: 1, Cooldown: time.Minute},
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if _, err := s.Registry().Register("grid", graph.Grid(4, 4), false); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(ep, graphName string) (*http.Response, errorResponse) {
+		t.Helper()
+		raw, err := json.Marshal(QueryRequest{Graph: graphName, Pattern: wirePtr(graph.Path(3)), Terminals: []int32{0, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+ep, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		return resp, body
+	}
+
+	eps := []string{"/decide", "/count", "/find", "/separating", "/connectivity"}
+	for _, ep := range eps {
+		if resp, _ := post(ep, "nope"); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s on an unknown graph: status %d, want 404", ep, resp.StatusCode)
+		}
+		if err := fault.Enable("dp.panic=first:1", 1); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := post(ep, "grid")
+		fault.Disable()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.HasPrefix(body.Incident, "inc-") {
+			t.Fatalf("%s with dp.panic: status %d, body %+v; want 500 with an incident id", ep, resp.StatusCode, body)
+		}
+		resp, _ = post(ep, "grid")
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s with its breaker open: status %d, Retry-After %q; want 503 with Retry-After",
+				ep, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	if got := s.Stats().Resilience.Incidents; got != uint64(len(eps)) {
+		t.Fatalf("incidents = %d, want %d", got, len(eps))
+	}
+}
+
 // TestDeadlineShedding: once an endpoint has latency history, a request
 // whose remaining deadline is below the median is rejected up front
 // with a 503 instead of burning a core on an answer nobody will read.

@@ -151,11 +151,9 @@ func (s *Server) routes() {
 	mux.HandleFunc("POST /graphs/{name}", s.instrument("graphs.register", s.handleRegisterGraph))
 	mux.HandleFunc("POST /graphs/{name}/edges", s.instrument("edges.apply", s.handleApplyEdits))
 	mux.HandleFunc("DELETE /graphs/{name}", s.instrument("graphs.remove", s.handleRemoveGraph))
-	mux.HandleFunc("POST /decide", s.instrument("decide", s.handleBatched(KindDecide)))
-	mux.HandleFunc("POST /count", s.instrument("count", s.handleBatched(KindCount)))
-	mux.HandleFunc("POST /find", s.instrument("find", s.handleFind))
-	mux.HandleFunc("POST /separating", s.instrument("separating", s.handleSeparating))
-	mux.HandleFunc("POST /connectivity", s.instrument("connectivity", s.handleConnectivity))
+	for _, rt := range queryRoutes {
+		mux.HandleFunc("POST /"+rt.name, s.instrument(rt.name, s.handleQuery(rt)))
+	}
 	if s.opt.SnapshotDir != "" {
 		mux.HandleFunc("POST /snapshot", s.instrument("snapshot", s.handleSnapshot))
 	}

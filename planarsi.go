@@ -218,7 +218,8 @@ func CountOccurrences(g, h *Graph, opt Options) (int, error) {
 
 // DecideSeparating searches for an occurrence of the connected pattern h
 // whose removal disconnects at least two vertices of the terminal set s
-// (Lemma 5.3). It returns a witness occurrence or nil.
+// (Lemma 5.3). It returns a witness occurrence or nil; s must hold one
+// entry per vertex of g (else ErrTerminalMask).
 func DecideSeparating(g, h *Graph, s []bool, opt Options) (Occurrence, error) {
 	return core.DecideSeparating(g, h, s, opt.core())
 }
@@ -370,6 +371,11 @@ var ErrPatternTooLarge = core.ErrPatternTooLarge
 // ErrDisconnectedPattern is returned by operations that require a
 // connected pattern (listing, counting, separating search).
 var ErrDisconnectedPattern = core.ErrDisconnectedPattern
+
+// ErrTerminalMask is returned by DecideSeparating (package-level and on
+// an Index) when the terminal mask's length is not the target's vertex
+// count.
+var ErrTerminalMask = core.ErrTerminalMask
 
 // MaxPatternSize is the largest supported pattern (the DP packs pattern
 // vertices into 16-bit masks).

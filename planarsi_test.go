@@ -1,7 +1,10 @@
 package planarsi_test
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"planarsi"
@@ -96,6 +99,34 @@ func TestPublicSeparatingSearch(t *testing.T) {
 	}
 	if occ == nil || !planarsi.VerifySeparating(g, planarsi.Cycle(rim), s, occ) {
 		t.Fatalf("separating rim not found/verified: %v", occ)
+	}
+}
+
+// TestSeparatingRejectsWrongMaskLength: a terminal mask whose length is
+// not the target's vertex count is an error naming both lengths, from
+// the package-level call and from an Index alike.
+func TestSeparatingRejectsWrongMaskLength(t *testing.T) {
+	g := planarsi.Grid(4, 4)
+	h := planarsi.Path(3)
+	s := []bool{true, false, true}
+	opt := planarsi.Options{Seed: 1}
+	check := func(where string, occ planarsi.Occurrence, err error) {
+		t.Helper()
+		if !errors.Is(err, planarsi.ErrTerminalMask) || occ != nil {
+			t.Fatalf("%s: occ %v, err %v; want ErrTerminalMask", where, occ, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "3 entries") || !strings.Contains(msg, "16 vertices") {
+			t.Fatalf("%s: error %q does not name both lengths", where, msg)
+		}
+	}
+	occ, err := planarsi.DecideSeparating(g, h, s, opt)
+	check("DecideSeparating", occ, err)
+	ix := planarsi.NewIndex(g, opt)
+	occ, err = ix.DecideSeparating(h, s)
+	check("Index.DecideSeparating", occ, err)
+	occ, err = ix.DecideSeparatingCtx(context.Background(), h, make([]bool, 17))
+	if !errors.Is(err, planarsi.ErrTerminalMask) || occ != nil {
+		t.Fatalf("Index.DecideSeparatingCtx with 17 entries: occ %v, err %v; want ErrTerminalMask", occ, err)
 	}
 }
 

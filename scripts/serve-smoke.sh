@@ -46,6 +46,14 @@ done
 
 check "decide C3" '"found":false' "$(curl -sf -X POST "http://$addr/decide" -d "$c3")"
 check connectivity '"connectivity":2' "$(curl -sf -X POST "http://$addr/connectivity" -d '{"graph":"grid"}')"
+# Separating search: a P3 through the centre (the middle column, say)
+# separates corners 0 and 2; a terminal outside the graph is a 400.
+sep='{"graph":"grid","pattern":{"n":3,"edges":[[0,1],[1,2]]},"terminals":[0,2]}'
+sep99='{"graph":"grid","pattern":{"n":3,"edges":[[0,1],[1,2]]},"terminals":[0,99]}'
+check "separating P3" '"found":true' "$(curl -sf -X POST "http://$addr/separating" -d "$sep")"
+st=$(req "$tmp/sep99" /separating "$sep99")
+[ "$st" = 400 ] || fail "separating terminal 99 status (want 400)" "$st $(cat "$tmp/sep99")"
+echo "serve-smoke: separating terminal 99 rejected ok"
 check register '"n":3' "$(printf '0 1\n1 2\n' | curl -sf -X POST "http://$addr/graphs/path" --data-binary @-)"
 check "decide path" '"found":true' "$(curl -sf -X POST "http://$addr/find" -d '{"graph":"path","pattern":{"n":2,"edges":[[0,1]]}}')"
 check stats '"batches"' "$(curl -sf "http://$addr/stats")"
