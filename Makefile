@@ -5,10 +5,12 @@
 # (the Index's memoized decompositions, the fork-join runtime, and the
 # match/pmdag state-set arena shared by parallel path workers). The race
 # pass uses -short: it targets thread-safety, not the statistical sweeps,
-# which the plain test run already covers. It then repeats the par
-# resize tests, whose global worker-count flips must not leak into the
-# tests that follow them, and the Index's memo-deadlock regression test
-# (no pool task may wait on a memoized artifact build).
+# which the plain test run already covers. It then repeats, under
+# -race, the par resize tests, whose global worker-count flips must not
+# leak into the tests that follow them, and the park/wake test, whose
+# parked joiner must always be woken by the thief that finishes its
+# task; and the Index's memo-deadlock regression test (no pool task may
+# wait on a memoized artifact build).
 
 GO ?= go
 
@@ -42,7 +44,7 @@ test:
 
 race:
 	$(GO) test -race -short ./internal/index ./internal/core ./internal/par ./internal/match ./internal/pmdag ./internal/serve ./internal/obs
-	$(GO) test -count=20 -run 'Parallelism|Resize' ./internal/par
+	$(GO) test -race -count=20 -run 'Parallelism|Resize|JoinParks' ./internal/par
 	$(GO) test -count=20 -short -run TestMemoBuildsOffPool ./internal/index
 
 # Full-suite coverage profile with a ratcheted floor (see the script for

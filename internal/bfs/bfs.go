@@ -18,7 +18,8 @@ import (
 
 // Result holds the output of a parallel BFS.
 type Result struct {
-	// Dist is the level of each vertex, -1 if unreachable.
+	// Dist is the level of each vertex the search reached. The rest
+	// keep what dist held on entry: -1 in a fresh array.
 	Dist []int32
 	// Rounds is the number of synchronous frontier expansions, the
 	// empirical depth of the search (up to the log-factor from packing).
@@ -27,27 +28,37 @@ type Result struct {
 	MaxLevel int
 }
 
-// Levels runs a parallel BFS from the given roots. If within is non-nil,
-// the search is restricted to vertices v with within[v] == true (roots
-// must satisfy it). tr accumulates work and depth.
-func Levels(g *graph.Graph, roots []int32, within []bool, tr *wd.Tracker) *Result {
-	n := g.N()
-	dist := make([]int32, n)
-	distA := make([]atomic.Int32, n)
-	for i := range distA {
-		distA[i].Store(-1)
+// Levels runs a parallel BFS from the given roots. If owner is non-nil,
+// the search stays inside the roots' part of that partition: the
+// vertices v with owner[v] equal to the roots' owner (every root must
+// share it). Edges leaving the part are still scanned and counted, just
+// not followed. dist receives the levels; nil allocates a fresh array.
+// A caller-supplied dist must hold -1 on every vertex the search may
+// reach, and searches of distinct parts may share one dist concurrently,
+// since each writes only its own part's entries. tr accumulates work
+// and depth.
+func Levels(g *graph.Graph, roots []int32, owner []int32, dist []int32, tr *wd.Tracker) *Result {
+	if dist == nil {
+		dist = make([]int32, g.N())
+		for i := range dist {
+			dist[i] = -1
+		}
+	}
+	part := int32(-1)
+	if owner != nil && len(roots) > 0 {
+		part = owner[roots[0]]
 	}
 	frontier := make([]int32, 0, len(roots))
 	for _, r := range roots {
-		if within != nil && !within[r] {
-			panic("bfs: root outside the allowed subset")
+		if owner != nil && owner[r] != part {
+			panic("bfs: roots in different parts")
 		}
-		if distA[r].CompareAndSwap(-1, 0) {
+		if atomic.CompareAndSwapInt32(&dist[r], -1, 0) {
 			frontier = append(frontier, r)
 		}
 	}
 	level := int32(0)
-	rounds := 0
+	rounds, maxLevel := 0, 0
 	for len(frontier) > 0 {
 		rounds++
 		level++
@@ -64,24 +75,20 @@ func Levels(g *graph.Graph, roots []int32, within []bool, tr *wd.Tracker) *Resul
 			for j, w := range g.Neighbors(v) {
 				slot := base + int32(j)
 				out[slot] = -1
-				if within != nil && !within[w] {
+				if owner != nil && owner[w] != part {
 					continue
 				}
-				if distA[w].CompareAndSwap(-1, level) {
+				if atomic.CompareAndSwapInt32(&dist[w], -1, level) {
 					out[slot] = w
 				}
 			}
 		})
 		frontier = par.Pack(out, func(i int) bool { return out[i] >= 0 })
+		if len(frontier) > 0 {
+			maxLevel = int(level)
+		}
 		tr.AddPhaseWork("bfs", int64(total)+int64(len(frontier)))
 		tr.AddPhaseRounds("bfs", 1)
-	}
-	maxLevel := 0
-	for i := range distA {
-		dist[i] = distA[i].Load()
-		if int(dist[i]) > maxLevel {
-			maxLevel = int(dist[i])
-		}
 	}
 	return &Result{Dist: dist, Rounds: rounds, MaxLevel: maxLevel}
 }

@@ -35,6 +35,7 @@ import (
 
 	"planarsi/internal/core"
 	"planarsi/internal/graph"
+	"planarsi/internal/par"
 	"planarsi/internal/planarity"
 	"planarsi/internal/wd"
 )
@@ -60,6 +61,10 @@ type Options struct {
 	MaxRuns int
 	// Tracker accumulates work/depth counters when non-nil.
 	Tracker *wd.Tracker
+	// Cancel, when non-nil, aborts the separating-cycle searches
+	// cooperatively: once it fires, VertexConnectivity returns
+	// par.ErrCancelled instead of a result.
+	Cancel *par.Canceller
 }
 
 // FaceIncidence builds the bipartite vertex-face incidence graph G' of an
@@ -138,6 +143,7 @@ func VertexConnectivity(g *graph.Graph, opt Options) (Result, error) {
 			Seed:    opt.Seed + uint64(c),
 			MaxRuns: opt.MaxRuns,
 			Tracker: opt.Tracker,
+			Cancel:  opt.Cancel,
 		})
 		if err != nil {
 			return Result{}, err
@@ -145,6 +151,11 @@ func VertexConnectivity(g *graph.Graph, opt Options) (Result, error) {
 		if occ != nil {
 			res.Connectivity = c
 			res.Cut = verifiedCut(g, gp, s, occ, c, opt)
+			// A cancelled resample reads as a miss there; never report
+			// the cut it may have lost.
+			if err := opt.Cancel.Err(); err != nil {
+				return Result{}, err
+			}
 			return res, nil
 		}
 	}
@@ -207,6 +218,7 @@ func verifiedCut(g, gp *graph.Graph, s []bool, occ core.Occurrence, c int, opt O
 			Seed:    opt.Seed + uint64(c) + try*0x9e3779b9,
 			MaxRuns: 2,
 			Tracker: opt.Tracker,
+			Cancel:  opt.Cancel,
 		})
 		if err != nil || occ2 == nil {
 			continue

@@ -170,10 +170,17 @@ func SeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, p P
 func Cut(g *graph.Graph, cl *estc.Clustering, s []bool, p Params, tr *wd.Tracker) *Cover {
 	c := &Cover{Clustering: cl}
 	members := clusterMembers(cl, g.N())
+	// One level array serves every cluster's BFS: clusters are disjoint,
+	// so the concurrent searches write disjoint entries, and a cluster
+	// costs its own size, not n.
+	dist := make([]int32, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
 	bandsPer := make([][]*Band, cl.NumClusters())
 	rounds := make([]int, cl.NumClusters())
-	par.For(0, cl.NumClusters(), func(ci int) {
-		bandsPer[ci], rounds[ci] = clusterBands(g, cl, int32(ci), members[ci], s, p, tr)
+	par.ForGrain(0, cl.NumClusters(), 1, func(ci int) {
+		bandsPer[ci], rounds[ci] = clusterBands(g, cl, int32(ci), members[ci], dist, s, p, tr)
 	})
 	for ci, bs := range bandsPer {
 		c.Bands = append(c.Bands, bs...)
@@ -194,19 +201,16 @@ func clusterMembers(cl *estc.Clustering, n int) [][]int32 {
 	return members
 }
 
-// clusterBands runs the in-cluster BFS and cuts one band per window of
-// d+1 levels holding at least k vertices: the induced subgraph when s is
-// nil, else the separating minor.
-func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32, s []bool, p Params, tr *wd.Tracker) ([]*Band, int) {
-	within := make([]bool, g.N())
-	for _, v := range member {
-		within[v] = true
-	}
-	res := bfs.Levels(g, []int32{cl.Center[ci]}, within, tr)
+// clusterBands runs the in-cluster BFS, writing its levels into the
+// shared dist, and cuts one band per window of d+1 levels holding at
+// least k vertices: the induced subgraph when s is nil, else the
+// separating minor.
+func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member, dist []int32, s []bool, p Params, tr *wd.Tracker) ([]*Band, int) {
+	res := bfs.Levels(g, []int32{cl.Center[ci]}, cl.Owner, dist, tr)
 	// Bucket members by level.
 	levels := make([][]int32, res.MaxLevel+1)
 	for _, v := range member {
-		levels[res.Dist[v]] = append(levels[res.Dist[v]], v)
+		levels[dist[v]] = append(levels[dist[v]], v)
 	}
 	var bands []*Band
 	for i := 0; i <= res.MaxLevel; i++ {
@@ -223,7 +227,7 @@ func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32,
 		// attributes each occurrence to the band whose lowest level is the
 		// occurrence's closest-to-root level, so the tail bands must exist.
 		if s == nil {
-			bands = append(bands, inducedBand(g, ci, int32(i), verts, res.Dist))
+			bands = append(bands, inducedBand(g, ci, int32(i), verts, len(levels[i])))
 		} else {
 			bands = append(bands, separatingBand(g, ci, int32(i), verts, s))
 		}
@@ -231,15 +235,13 @@ func clusterBands(g *graph.Graph, cl *estc.Clustering, ci int32, member []int32,
 	return bands, res.Rounds
 }
 
-// inducedBand builds the plain band on verts, marking the vertices at
-// BFS distance level as its lowest level.
-func inducedBand(g *graph.Graph, ci, level int32, verts, dist []int32) *Band {
+// inducedBand builds the plain band on verts, whose first nLowest
+// vertices form its lowest BFS level.
+func inducedBand(g *graph.Graph, ci, level int32, verts []int32, nLowest int) *Band {
 	sub, orig := graph.Induce(g, verts)
 	lowest := make([]bool, len(orig))
-	for li, ov := range orig {
-		if dist[ov] == level {
-			lowest[li] = true
-		}
+	for li := range nLowest {
+		lowest[li] = true
 	}
 	return &Band{
 		G:                sub,

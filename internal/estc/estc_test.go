@@ -37,15 +37,13 @@ func TestClustersConnected(t *testing.T) {
 		g := graph.RandomPlanar(200, rng.Float64(), rng)
 		c := Cluster(g, 3, rng, nil)
 		for cl := 0; cl < c.NumClusters(); cl++ {
-			within := make([]bool, g.N())
 			var members []int32
 			for v := int32(0); v < int32(g.N()); v++ {
 				if c.Owner[v] == int32(cl) {
-					within[v] = true
 					members = append(members, v)
 				}
 			}
-			res := bfs.Levels(g, []int32{c.Center[cl]}, within, nil)
+			res := bfs.Levels(g, []int32{c.Center[cl]}, c.Owner, nil, nil)
 			for _, v := range members {
 				if res.Dist[v] < 0 {
 					t.Fatalf("trial %d: cluster %d disconnected at vertex %d", trial, cl, v)
@@ -90,13 +88,7 @@ func TestClusterDiameterBound(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		c := Cluster(g, beta, rng, nil)
 		for cl := 0; cl < c.NumClusters(); cl++ {
-			within := make([]bool, g.N())
-			for v := int32(0); v < int32(g.N()); v++ {
-				if c.Owner[v] == int32(cl) {
-					within[v] = true
-				}
-			}
-			res := bfs.Levels(g, []int32{c.Center[cl]}, within, nil)
+			res := bfs.Levels(g, []int32{c.Center[cl]}, c.Owner, nil, nil)
 			if res.MaxLevel > bound {
 				t.Fatalf("cluster %d radius %d exceeds bound %d", cl, res.MaxLevel, bound)
 			}

@@ -147,21 +147,35 @@ func TestPackagePanicIsolationBothEngines(t *testing.T) {
 	})
 }
 
+// TestPackPanicPropagates: a panic in a forked block of Pack reaches the
+// caller wrapped once as *PanicError, and one in an input short enough
+// to run inline (at most minGrain elements) reaches it as the raw value.
 func TestPackPanicPropagates(t *testing.T) {
 	SetParallelism(4)
 	defer SetParallelism(0)
-	xs := make([]int, 100)
-	pe := recoverPanicError(t, func() {
-		Pack(xs, func(i int) bool {
-			if i == 42 {
+	keep := func(at int) func(int) bool {
+		return func(i int) bool {
+			if i == at {
 				panic("pack")
 			}
 			return true
-		})
-	})
+		}
+	}
+	// Index 3000 of 4096 lies outside block 0, the owner's inline block.
+	xs := make([]int, 8*minGrain)
+	pe := recoverPanicError(t, func() { Pack(xs, keep(3000)) })
 	if pe == nil || pe.Value != "pack" {
 		t.Fatalf("Pack: pe=%v", pe)
 	}
+
+	func() {
+		defer func() {
+			if v := recover(); v != "pack" {
+				t.Fatalf("inline Pack: recovered %v, want the raw value", v)
+			}
+		}()
+		Pack(make([]int, 100), keep(42))
+	}()
 }
 
 func TestSequentialPathPanicPropagates(t *testing.T) {

@@ -156,7 +156,9 @@ func runBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
 }
 
 // For runs f(i) for every i in [lo, hi), possibly in parallel, with an
-// automatically chosen grain size.
+// automatically chosen grain size of at least minGrain: it is for cheap
+// bodies, and ranges up to minGrain run inline. A heavy per-index body
+// belongs in ForGrain(lo, hi, 1, f).
 func For(lo, hi int, f func(i int)) {
 	n := hi - lo
 	if n <= 0 {
@@ -211,12 +213,15 @@ func alignedBlocks(e *engine, lo, hi, grain int, body func(b, l, h int)) {
 	})
 }
 
+// minGrain is the smallest block For, ExclusivePrefixSum and Pack fork
+// off: their bodies are a few instructions per index, and below about
+// this many indices a fork-join costs more than the work it forks.
+// Loops whose per-index body is heavy pass their own grain through
+// ForGrain.
+const minGrain = 512
+
 func grainFor(e *engine, n int) int {
-	grain := n / (8 * e.procs)
-	if grain < 1 {
-		grain = 1
-	}
-	return grain
+	return max(n/(8*e.procs), minGrain)
 }
 
 // Integer is the constraint for the prefix-sum and pack helpers.
@@ -262,6 +267,7 @@ func ExclusivePrefixSum[T Integer](xs []T) T {
 
 // Pack returns the elements of xs whose index satisfies keep, preserving
 // order, using a parallel prefix sum over flags (O(n) work, O(log n) depth).
+// keep runs under For's grain, so it should be cheap.
 func Pack[T any](xs []T, keep func(i int) bool) []T {
 	n := len(xs)
 	if n == 0 {

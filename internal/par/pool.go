@@ -4,24 +4,25 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file implements the work-stealing fork-join runtime in the style
 // of Cilk / Blumofe-Leiserson schedulers: every executing thread owns a
 // Chase-Lev deque, pushes forked tasks to its own bottom, pops LIFO, and
 // steals FIFO from the top of a random victim. A joining thread helps by
-// running tasks until the joined future completes, so joins never block
-// a thread.
+// running tasks until the joined future completes; only when nothing is
+// left to help with and a thief is still running that future does it
+// park, woken by the thief when the task finishes.
 //
 // Two kinds of threads own deques. Background *workers* ((procs-1) per
 // pool — the submitting goroutine always works too) live for the pool's
 // lifetime and do nothing but steal and execute. *Scopes* are transient:
 // every structured fork-join operation (one package-level For/ForBlocks
 // call) registers a deque for its duration, forks into
-// it, and helps until its own joins resolve. The scope's owner never
-// blocks — it pops its own deque, steals from every registered deque,
-// or runs an unclaimed future inline — which makes
+// it, and helps until its own joins resolve. The scope's owner pops its
+// own deque, steals from every registered deque, or runs an unclaimed
+// future inline, and parks only on a future another goroutine is
+// running, which finishes without its help. That makes
 // arbitrary nesting deadlock-free: a nested operation on a worker
 // goroutine simply opens another scope whose tasks remain stealable by
 // everyone.
@@ -125,21 +126,38 @@ type Future struct {
 	// before done flips (so the done.Load in Join orders the read) and
 	// re-panicked at the join point on the joining goroutine.
 	panicked *PanicError
+	// wake is installed by a joiner about to park and closed by
+	// whoever finishes the task (see joinNoPanic).
+	wake atomic.Pointer[chan struct{}]
 }
 
 // run executes the future's function exactly once; later callers no-op.
-// A panic in the task body is recovered here — never on the raw worker
-// goroutine — so workers and thieves survive it; the capture is
+// It drops f before calling it, so a finished future, and the deque
+// slot that still points at it, keep nothing the closure captured
+// alive. A panic in the task body is recovered here — never on the raw
+// worker goroutine — so workers and thieves survive it; the capture is
 // re-panicked by Join.
 func (fu *Future) run(ctx *Ctx) {
 	if fu.claimed.CompareAndSwap(false, true) {
-		defer fu.done.Store(true)
+		f := fu.f
+		fu.f = nil
+		defer fu.finish()
 		defer func() {
 			if v := recover(); v != nil {
 				fu.panicked = asPanicError(v)
 			}
 		}()
-		fu.f(ctx)
+		f(ctx)
+	}
+}
+
+// finish marks the future done, then wakes its joiner if it parked. A
+// joiner installs wake before re-checking done, so either it sees done
+// or finish sees its channel.
+func (fu *Future) finish() {
+	fu.done.Store(true)
+	if ch := fu.wake.Load(); ch != nil {
+		close(*ch)
 	}
 }
 
@@ -384,10 +402,10 @@ func (c *Ctx) joinNoPanic(fu *Future) {
 			continue
 		}
 		// Nothing to help with. If the forked task has not started yet
-		// run it inline; otherwise a thief is mid-execution — yield, and
-		// once yielding has gone on for a while back off into short
-		// sleeps: on an oversubscribed machine a Gosched storm steals
-		// the very cycles the thief needs to finish.
+		// run it inline; otherwise a thief is mid-execution — yield a
+		// few times, then park until the thief finishes it: on an
+		// oversubscribed machine a Gosched storm steals the very cycles
+		// the thief needs, and a parked joiner uses none.
 		fu.run(c)
 		if fu.done.Load() {
 			return
@@ -395,9 +413,16 @@ func (c *Ctx) joinNoPanic(fu *Future) {
 		spins++
 		if spins < 16 {
 			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
+			continue
 		}
+		ch := make(chan struct{})
+		if !fu.wake.CompareAndSwap(nil, &ch) {
+			ch = *fu.wake.Load()
+		}
+		if !fu.done.Load() {
+			<-ch
+		}
+		return
 	}
 }
 

@@ -1,10 +1,13 @@
 package par
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"weak"
 )
 
 func TestDequeLIFOFIFO(t *testing.T) {
@@ -201,4 +204,81 @@ func TestPoolManySequentialRuns(t *testing.T) {
 	if total.Load() != 5000 {
 		t.Fatalf("total=%d want 5000", total.Load())
 	}
+}
+
+// TestJoinParksUntilThiefFinishes: a joiner whose future runs on another
+// worker parks once its spins run out, and the worker's finish wakes it.
+// The forked task does not return until the joiner has installed its wake
+// channel, so every run takes the park-then-wake path.
+func TestJoinParksUntilThiefFinishes(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		inScope(p, func(c *Ctx) {
+			started := make(chan struct{})
+			var fut atomic.Pointer[Future]
+			fu := c.Fork(func(*Ctx) {
+				close(started)
+				giveUp := time.Now().Add(5 * time.Second)
+				for fu := fut.Load(); fu == nil || fu.wake.Load() == nil; fu = fut.Load() {
+					if time.Now().After(giveUp) {
+						t.Error("joiner never parked")
+						return
+					}
+					runtime.Gosched()
+				}
+			})
+			fut.Store(fu)
+			<-started // the worker, not the joiner, claimed the task
+			c.Join(fu)
+			if !fu.done.Load() {
+				t.Error("Join returned before its future finished")
+			}
+		})
+	}()
+	select {
+	case <-joined:
+	case <-time.After(20 * time.Second):
+		t.Fatal("parked joiner never woke")
+	}
+}
+
+// TestFinishedTaskReleasesClosure: once a forked block has run, nothing
+// it captured stays reachable through its future, even though the
+// forking scope's deque slot still points at the task.
+func TestFinishedTaskReleasesClosure(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	c := p.enter()
+	defer p.exit(c)
+	wp := forkCapturing(c)
+	if c.dq.buf.Load().get(0) == nil {
+		t.Fatal("deque slot 0 no longer holds the forked task")
+	}
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a finished task still keeps its captured slice alive")
+	}
+}
+
+// forkCapturing runs a two-block ForBlocks on c whose forked block, run
+// by the pool's worker, captures a fresh slice, and returns a weak
+// pointer to that slice.
+//
+//go:noinline
+func forkCapturing(c *Ctx) weak.Pointer[[1 << 10]int64] {
+	buf := new([1 << 10]int64)
+	wp := weak.Make(buf)
+	stolen := make(chan struct{})
+	c.ForBlocks(0, 2, 1, func(lo, _ int) {
+		if lo == 1 {
+			buf[0] = 1
+			close(stolen)
+			return
+		}
+		<-stolen // block 0 is the owner's; wait until the worker took block 1
+	})
+	return wp
 }

@@ -120,7 +120,7 @@ func RunMulti(ps []*match.Problem, cfg Config, tr *wd.Tracker) ([]*match.Result,
 		// layer is a single flat parallel loop. Task t writes only
 		// slots[t]; a skipped task leaves its slot zero.
 		slots := make([]pathStats, len(ids)*len(ps))
-		par.For(0, len(slots), func(t int) {
+		par.ForGrain(0, len(slots), 1, func(t int) {
 			j, x := t/len(ps), t%len(ps)
 			p := ps[x]
 			// Cancellation checkpoint at path granularity: a fired token

@@ -114,6 +114,41 @@ func TestMidFlightDisconnect(t *testing.T) {
 	}
 }
 
+// TestConnectivityHonorsDeadline: /connectivity's separating-cycle
+// searches stop at the request deadline (504, or 499 when the deadline
+// had already passed at admission), and the cancelled computation is not
+// cached: a later call with a generous deadline gets the real answer.
+func TestConnectivityHonorsDeadline(t *testing.T) {
+	s := New(Options{
+		Scheduler:      SchedulerOptions{Window: -1},
+		RequestTimeout: 20 * time.Millisecond,
+	})
+	if _, err := s.Registry().Register("g", graph.Wheel(60), true); err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/connectivity", strings.NewReader(`{"graph":"g"}`)))
+		return rec
+	}
+	if rec := post(); rec.Code != http.StatusGatewayTimeout && rec.Code != StatusClientClosedRequest {
+		t.Fatalf("20ms deadline: status %d, want 504 or 499 (%s)", rec.Code, rec.Body)
+	}
+
+	s.opt.RequestTimeout = time.Minute
+	rec := post()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("generous deadline: status %d (%s)", rec.Code, rec.Body)
+	}
+	var res ConnectivityResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Connectivity != 3 {
+		t.Fatalf("connectivity = %d, want 3 (wheel)", res.Connectivity)
+	}
+}
+
 // TestRequestTimeout: a server-side deadline shorter than the query
 // cancels it with 504; a generous one leaves answers intact.
 func TestRequestTimeout(t *testing.T) {

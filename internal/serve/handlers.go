@@ -261,8 +261,8 @@ var queryRoutes = []queryRoute{
 		occ, err := q.e.Index().DecideSeparatingCtx(ctx, q.h, q.mask)
 		return &QueryResponse{Graph: q.Graph, Found: occ != nil, Occurrence: occ}, err
 	}},
-	{name: "connectivity", alone: true, run: func(_ *Server, _ context.Context, q *query) (any, error) {
-		res, err := q.e.Connectivity()
+	{name: "connectivity", alone: true, run: func(_ *Server, ctx context.Context, q *query) (any, error) {
+		res, err := q.e.Connectivity(ctx)
 		return ConnectivityResponse{Graph: q.Graph, Connectivity: res.Connectivity, Cut: res.Cut}, err
 	}},
 }

@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -25,6 +26,7 @@ import (
 	"planarsi/internal/core"
 	"planarsi/internal/graph"
 	"planarsi/internal/index"
+	"planarsi/internal/par"
 	"planarsi/internal/snap"
 )
 
@@ -108,15 +110,22 @@ func (e *Entry) Index() *index.Index { return e.ix }
 // changes, and an ApplyEdits invalidates the cache by advancing the
 // epoch). A panic in the computation propagates to the caller — the
 // index.Guard in Scheduler.Direct reports it as an incident — and
-// unwinds past the cache write, so the next call computes afresh.
-func (e *Entry) Connectivity() (conn.Result, error) {
+// unwinds past the cache write, so the next call computes afresh. When
+// ctx ends mid-computation the searches stop at their next checkpoint
+// and ctx's error is returned; a cancelled computation is never cached.
+func (e *Entry) Connectivity(ctx context.Context) (conn.Result, error) {
 	e.connMu.Lock()
 	defer e.connMu.Unlock()
 	epoch := e.ix.Epoch()
 	if e.connOK && e.connEpoch == epoch {
 		return e.connRes, e.connErr
 	}
-	res, err := e.computeConnectivity()
+	cancel, stop := par.WatchContext(ctx)
+	defer stop()
+	res, err := e.computeConnectivity(cancel)
+	if errors.Is(err, par.ErrCancelled) {
+		return conn.Result{}, ctx.Err()
+	}
 	// Cache only if no edit landed during the computation; the answer is
 	// still returned (it is consistent with whichever generation the
 	// embedding call pinned), and the next caller recomputes against the
@@ -131,7 +140,7 @@ func (e *Entry) Connectivity() (conn.Result, error) {
 
 // computeConnectivity runs one vertex-connectivity computation on the
 // embedded host graph.
-func (e *Entry) computeConnectivity() (conn.Result, error) {
+func (e *Entry) computeConnectivity(cancel *par.Canceller) (conn.Result, error) {
 	g, err := e.ix.Embedded()
 	if err != nil {
 		return conn.Result{}, err
@@ -139,6 +148,7 @@ func (e *Entry) computeConnectivity() (conn.Result, error) {
 	return conn.VertexConnectivity(g, conn.Options{
 		Seed:    e.opt.Seed,
 		MaxRuns: e.opt.MaxRuns,
+		Cancel:  cancel,
 	})
 }
 
