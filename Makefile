@@ -14,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet build test race coverage bench bench-index bench-serve benchstat bench-smoke bench-load paper-smoke serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
+.PHONY: check ci lint vet build test race loc coverage bench bench-index bench-serve benchstat bench-smoke bench-load paper-smoke serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
 
 check: lint build test race
 
@@ -46,6 +46,12 @@ race:
 	$(GO) test -race -short ./internal/index ./internal/core ./internal/par ./internal/match ./internal/pmdag ./internal/serve ./internal/obs
 	$(GO) test -race -count=20 -run 'Parallelism|Resize|JoinParks' ./internal/par
 	$(GO) test -count=20 -short -run TestMemoBuildsOffPool ./internal/index
+
+# Go line counts, non-test and test, without the perfbench module: the
+# figures ROADMAP's net-state line quotes. CI's lint job prints them.
+loc:
+	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l)"
+	@echo "test Go lines: $$(find . -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l)"
 
 # Full-suite coverage profile with a ratcheted floor (see the script for
 # the ratchet policy). CI uploads coverage.out as an artifact.

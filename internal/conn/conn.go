@@ -234,19 +234,12 @@ func verifiedCut(g, gp *graph.Graph, s []bool, occ core.Occurrence, c int, opt O
 // VerifyCut checks that removing the given vertices disconnects g — the
 // witness validation tests apply to every reported cut.
 func VerifyCut(g *graph.Graph, cut []int32) bool {
-	removed := make(map[int32]bool, len(cut))
+	drop := make([]bool, g.N())
 	for _, v := range cut {
-		removed[v] = true
-	}
-	keep := make([]int32, 0, g.N()-len(cut))
-	for v := int32(0); v < int32(g.N()); v++ {
-		if !removed[v] {
-			keep = append(keep, v)
+		if v >= 0 && int(v) < g.N() {
+			drop[v] = true
 		}
 	}
-	if len(keep) < 2 {
-		return false
-	}
-	sub, _ := graph.Induce(g, keep)
-	return !graph.IsConnected(sub)
+	_, comps := graph.ComponentsWithout(g, drop)
+	return comps > 1
 }

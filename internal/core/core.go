@@ -233,7 +233,7 @@ func DecideFrom(src CoverSource, g, h *graph.Graph, opt Options) (bool, error) {
 	if h.N() == 1 {
 		return g.N() >= 1, nil
 	}
-	hits, err := witnessRuns(src, nil, g.N(), []*graph.Graph{h}, decideWitness, opt)
+	hits, err := witnessRuns(src, nil, g.N(), []*graph.Graph{h}, decideKind, opt)
 	if err != nil {
 		return false, err
 	}

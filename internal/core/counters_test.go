@@ -47,7 +47,7 @@ type pinnedCase struct {
 	run        func(Options) (string, error)
 	answer     string
 	want       pinnedCounters
-	notes      string // band-note histogram, pinned for sequential cases
+	notes      string // band-note histogram
 }
 
 // pinnedCases builds the pinned calls on fixed targets. Each case names
@@ -72,6 +72,7 @@ func pinnedCases() []pinnedCase {
 			want: pinnedCounters{Runs: 19, Bands: 418, MaxBandWidth: 2,
 				Cost: obs.Cost{Nodes: 13109, States: 193836, Joins: 7318, Emissions: 227384, Bytes: 8606892},
 				Work: 515510, Rounds: 6765},
+			notes: "miss×418",
 		},
 		{
 			name:   "decide-miss-sequential-engine",
@@ -84,6 +85,7 @@ func pinnedCases() []pinnedCase {
 			want: pinnedCounters{Runs: 19, Bands: 341, MaxBandWidth: 3,
 				Cost: obs.Cost{Nodes: 21080, States: 1023000, Joins: 105840, Emissions: 1452824, Bytes: 65461088},
 				Work: 1040721, Rounds: 21829},
+			notes: "miss×341",
 		},
 		{
 			name:   "count-capped",
@@ -97,6 +99,8 @@ func pinnedCases() []pinnedCase {
 			want: pinnedCounters{Runs: 3, Bands: 18, MaxBandWidth: 3,
 				Cost: obs.Cost{Nodes: 2002, States: 95983, Joins: 20798, Emissions: 108234, Bytes: 4399988},
 				Work: 211982, Rounds: 1405},
+			notes: "occs=0×1 occs=10×1 occs=1016×1 occs=1070×1 occs=1102×1 occs=12×1 occs=14×1 occs=140×1 " +
+				"occs=2×1 occs=220×1 occs=246×1 occs=336×1 occs=338×1 occs=36×1 occs=44×1 occs=70×1 occs=72×1 occs=874×1",
 		},
 		{
 			name:   "separating-miss",
@@ -109,6 +113,7 @@ func pinnedCases() []pinnedCase {
 			want: pinnedCounters{Runs: 11, Bands: 27, MaxBandWidth: 4,
 				Cost: obs.Cost{Nodes: 385, States: 11766, Emissions: 14570, Bytes: 751456},
 				Work: 12380, Rounds: 454},
+			notes: "miss×27",
 		},
 		{
 			name:       "decide-hit",
@@ -180,8 +185,9 @@ func runPinned(t *testing.T, c pinnedCase, engine Engine, rec *obs.Recorder) (st
 // counters of one-pattern calls. Misses and capped counts run every band
 // to completion, so their counters hold at any parallelism; hits cancel
 // their sibling bands, so those cases pin band order with
-// SetParallelism(1). The answers (and witnesses) are pinned alongside.
-// Every band span must carry one of the single-pattern outcome notes.
+// SetParallelism(1). The answers (and witnesses) are pinned alongside,
+// and so is every case's band-note histogram. Every band span must
+// carry one of the single-pattern outcome notes.
 func TestDeterministicCountersPinned(t *testing.T) {
 	soloNotes := map[string]bool{"skipped": true, "cancelled": true, "found": true, "miss": true,
 		"fallback:found": true, "fallback:miss": true}
@@ -215,10 +221,8 @@ func TestDeterministicCountersPinned(t *testing.T) {
 			if bands != have.Bands {
 				t.Errorf("%d band spans, Stats.Bands = %d", bands, have.Bands)
 			}
-			if c.sequential {
-				if notes := noteHistogram(hist); notes != c.notes {
-					t.Errorf("band notes %q, want %q", notes, c.notes)
-				}
+			if notes := noteHistogram(hist); notes != c.notes {
+				t.Errorf("band notes %q, want %q", notes, c.notes)
 			}
 		})
 	}

@@ -55,7 +55,7 @@ func decideDisconnected(g, h *graph.Graph, l int, opt Options) (bool, error) {
 			if hi.N() == 1 {
 				continue // any vertex of the class hosts it
 			}
-			hits, err := witnessRuns(freshSource{gi, inner}, nil, gi.N(), []*graph.Graph{hi}, decideWitness, inner)
+			hits, err := witnessRuns(freshSource{gi, inner}, nil, gi.N(), []*graph.Graph{hi}, decideKind, inner)
 			if err != nil {
 				return false, err
 			}

@@ -89,7 +89,7 @@ func FindOneFrom(src CoverSource, g, h *graph.Graph, opt Options) (Occurrence, e
 	if k == 1 {
 		return Occurrence{0}, nil
 	}
-	hits, err := witnessRuns(src, nil, g.N(), []*graph.Graph{h}, findWitness, opt)
+	hits, err := witnessRuns(src, nil, g.N(), []*graph.Graph{h}, findKind, opt)
 	if err != nil {
 		return nil, err
 	}

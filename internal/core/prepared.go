@@ -84,7 +84,11 @@ type PreparedBand struct {
 // decomposition precomputed. It is immutable after construction and safe
 // for concurrent use.
 type PreparedCover struct {
-	Cover *cover.Cover
+	// Clustering is the ESTC clustering that induced the cover.
+	Clustering *estc.Clustering
+	// BFSRounds is the cover's largest in-cluster BFS round count.
+	BFSRounds int
+	// Bands lists the cover's bands in cover order.
 	Bands []PreparedBand
 }
 
@@ -139,7 +143,7 @@ func prepare(cov *cover.Cover, prev *PreparedCover, opt Options) (*PreparedCover
 			}
 		}
 	}
-	pc := &PreparedCover{Cover: cov, Bands: make([]PreparedBand, len(cov.Bands))}
+	pc := &PreparedCover{Clustering: cov.Clustering, BFSRounds: cov.BFSRounds, Bands: make([]PreparedBand, len(cov.Bands))}
 	var kept, rebuilt atomic.Int64
 	par.ForGrain(0, len(cov.Bands), 1, func(i int) {
 		injectBandFaults()
@@ -151,7 +155,6 @@ func prepare(cov *cover.Cover, prev *PreparedCover, opt Options) (*PreparedCover
 			// Share the old band object outright so entries kept across
 			// a generation keep their exact pointers (and snapshot
 			// encoders see one band, not two equal copies).
-			cov.Bands[i] = pb.Band
 			pc.Bands[i] = *pb
 			kept.Add(1)
 			return

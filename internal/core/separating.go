@@ -53,7 +53,7 @@ func DecideSeparatingFrom(src CoverSource, g, h *graph.Graph, s []bool, opt Opti
 	if terminals < 2 {
 		return nil, nil
 	}
-	hits, err := witnessRuns(src, s, g.N(), []*graph.Graph{h}, separatingWitness, opt)
+	hits, err := witnessRuns(src, s, g.N(), []*graph.Graph{h}, separatingKind, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -63,8 +63,8 @@ func DecideSeparatingFrom(src CoverSource, g, h *graph.Graph, s []bool, opt Opti
 // separatingBrute is the exact fallback for bands whose decomposition
 // exceeds the engine capacity: enumerate occurrences naively, restrict to
 // allowed vertices, and test the separation condition directly on the
-// band minor.
-func separatingBrute(b *cover.Band, h *graph.Graph) match.Assignment {
+// band minor. It returns the first separating occurrence found, if any.
+func separatingBrute(b *cover.Band, h *graph.Graph) []match.Assignment {
 	for _, a := range naive.Search(b.G, h, naive.Options{}) {
 		allowed := true
 		for _, v := range a {
@@ -77,7 +77,7 @@ func separatingBrute(b *cover.Band, h *graph.Graph) match.Assignment {
 			continue
 		}
 		if assignmentSeparates(b.G, b.S, a) {
-			return match.Assignment(a)
+			return []match.Assignment{a}
 		}
 	}
 	return nil
@@ -86,26 +86,20 @@ func separatingBrute(b *cover.Band, h *graph.Graph) match.Assignment {
 // assignmentSeparates checks whether removing the assignment's image
 // leaves two S-vertices in different components of bg.
 func assignmentSeparates(bg *graph.Graph, s []bool, a []int32) bool {
-	removed := make(map[int32]bool, len(a))
+	drop := make([]bool, bg.N())
 	for _, v := range a {
-		removed[v] = true
+		drop[v] = true
 	}
-	keep := make([]int32, 0, bg.N()-len(a))
-	for v := int32(0); v < int32(bg.N()); v++ {
-		if !removed[v] {
-			keep = append(keep, v)
-		}
-	}
-	sub, orig := graph.Induce(bg, keep)
-	comp, _ := graph.Components(sub)
+	comp, _ := graph.ComponentsWithout(bg, drop)
 	first := int32(-1)
-	for i, ov := range orig {
-		if s[ov] {
-			if first < 0 {
-				first = comp[i]
-			} else if comp[i] != first {
-				return true
-			}
+	for v, c := range comp {
+		if c < 0 || !s[v] {
+			continue
+		}
+		if first < 0 {
+			first = c
+		} else if c != first {
+			return true
 		}
 	}
 	return false

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"planarsi/internal/cover"
@@ -55,7 +56,7 @@ func DecideGroupFrom(src CoverSource, g *graph.Graph, hs []*graph.Graph, opt Opt
 		return nil, nil
 	}
 	checkGroup(g, hs)
-	hits, err := witnessRuns(src, nil, g.N(), hs, decideWitness, opt)
+	hits, err := witnessRuns(src, nil, g.N(), hs, decideKind, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -85,52 +86,79 @@ func CountGroupFrom(src CoverSource, g *graph.Graph, hs []*graph.Graph, opt Opti
 	return counts, nil
 }
 
-// witnessKind selects what the witness sweep certifies per pattern.
-type witnessKind uint8
+// queryKind selects what a band sweep reads off each solved band.
+type queryKind uint8
 
 const (
-	// decideWitness answers Theorem 2.1's yes/no: the band DPs run
+	// decideKind answers Theorem 2.1's yes/no: the band DPs run
 	// DecideOnly (the engines recycle consumed child sets, so peak memory
 	// per band is the active decomposition frontier) and only the root's
 	// Found is read.
-	decideWitness witnessKind = iota
-	// findWitness extracts one occurrence per pattern.
-	findWitness
-	// separatingWitness extracts one S-separating occurrence (Lemma 5.3)
+	decideKind queryKind = iota
+	// findKind extracts one occurrence per pattern.
+	findKind
+	// separatingKind extracts one S-separating occurrence (Lemma 5.3)
 	// from separating covers, with the Section 5.2.2 labelled DP. Like
 	// find, its bands keep full sets for Enumerate: running them
 	// DecideOnly would need a second full solve of the certifying band
 	// to extract the witness.
-	separatingWitness
+	separatingKind
+	// listKind reads every occurrence of every band (Theorem 4.2).
+	listKind
 )
 
-// engineWitness reads a pattern's certificate off its solved band engine,
-// nil when the band holds none. A decide hit is certified by an empty
-// assignment: only its presence matters.
-func (w witnessKind) engineWitness(eng *match.Result) match.Assignment {
-	if w == decideWitness {
+// limit is how many band-local assignments the kind reads per pattern
+// and band: one witness, or every occurrence (0) when listing.
+func (k queryKind) limit() int {
+	if k == listKind {
+		return 0
+	}
+	return 1
+}
+
+// engineRead reads a pattern's band-local assignments off its solved
+// band engine. A decide hit is certified by one empty assignment: only
+// its presence matters.
+func (k queryKind) engineRead(eng *match.Result) []match.Assignment {
+	if k == decideKind {
 		if eng.Found() {
-			return match.Assignment{}
+			return []match.Assignment{{}}
 		}
 		return nil
 	}
-	if as := eng.Enumerate(1); len(as) > 0 {
-		return as[0]
-	}
-	return nil
+	return eng.Enumerate(k.limit())
 }
 
-// fallbackWitness is engineWitness for a band too wide for the engines:
-// the exact naive baseline on the band graph, with the separation
-// condition tested directly on separating minors.
-func (w witnessKind) fallbackWitness(b *cover.Band, h *graph.Graph) match.Assignment {
-	if w == separatingWitness {
+// fallbackRead is engineRead for a band too wide for the engines: the
+// exact naive baseline on the band graph, with the separation condition
+// tested directly on separating minors.
+func (k queryKind) fallbackRead(b *cover.Band, h *graph.Graph) []match.Assignment {
+	if k == separatingKind {
 		return separatingBrute(b, h)
 	}
-	if as := naive.Search(b.G, h, naive.Options{Limit: 1}); len(as) > 0 {
-		return as[0]
+	var out []match.Assignment
+	for _, a := range naive.Search(b.G, h, naive.Options{Limit: k.limit()}) {
+		out = append(out, a)
 	}
-	return nil
+	return out
+}
+
+// runHead opens repetition run of a run loop with open patterns still
+// searching: it observes the query token, takes the run's prepared
+// cover from src (s is the terminal mask of a separating search, nil
+// otherwise), traces the prepare span and charges the run to Stats once
+// per open pattern, as that many solo runs would.
+func runHead(src CoverSource, s []bool, k, d, run, open int, opt Options) (*PreparedCover, error) {
+	if opt.Cancel.Cancelled() {
+		return nil, par.ErrCancelled
+	}
+	t0 := opt.Trace.Begin()
+	pc := src.Prepared(s, k, d, run)
+	tracePrepare(opt, run, t0, pc)
+	for range open {
+		opt.addRun(len(pc.Bands))
+	}
+	return pc, nil
 }
 
 // witnessRuns is the run loop of decide (Theorem 2.1), find and
@@ -140,27 +168,50 @@ func (w witnessKind) fallbackWitness(b *cover.Band, h *graph.Graph) match.Assign
 // the result is pattern j's witness in original vertex ids, or nil when
 // the run budget found none (correct w.h.p.). The patterns must be
 // connected and share one (k, d) shape.
-func witnessRuns(src CoverSource, s []bool, n int, hs []*graph.Graph, kind witnessKind, opt Options) ([]Occurrence, error) {
+func witnessRuns(src CoverSource, s []bool, n int, hs []*graph.Graph, kind queryKind, opt Options) ([]Occurrence, error) {
 	k, d := hs[0].N(), graph.Diameter(hs[0])
 	hits := make([]Occurrence, len(hs))
-	open := len(hs)
-	for run, runs := 0, opt.maxRuns(n); run < runs && open > 0; run++ {
-		if opt.Cancel.Cancelled() {
-			return nil, par.ErrCancelled
+	act := make([]int, len(hs))
+	for j := range act {
+		act[j] = j
+	}
+	for run, runs := 0, opt.maxRuns(n); run < runs && len(act) > 0; run++ {
+		pc, err := runHead(src, s, k, d, run, len(act), opt)
+		if err != nil {
+			return nil, err
 		}
-		t0 := opt.Trace.Begin()
-		pc := src.Prepared(s, k, d, run)
-		tracePrepare(opt, run, t0, pc)
-		// Stats stay per logical pattern: every pattern still searching
-		// charges this repetition exactly as a solo run would.
-		for _, occ := range hits {
-			if occ == nil {
-				opt.addRun(len(pc.Bands))
+		// Each open pattern owns a band-local child token: the band that
+		// certifies pattern j fires j's token, so j's DP in sibling bands
+		// abandons at its next node/path checkpoint (or never starts)
+		// while its batch-mates sweep on. The children inherit the
+		// request token, so a gone client fells every band the same way.
+		cancels := make([]*par.Canceller, len(hs))
+		for _, j := range act {
+			cancels[j] = par.NewChild(opt.Cancel)
+		}
+		var mu sync.Mutex
+		sweepBands(pc, hs, act, cancels, kind, run, opt, func(j int, b *cover.Band, local []match.Assignment) int {
+			if len(local) == 0 {
+				return 0
+			}
+			occ := toOriginal(b, local[0])
+			mu.Lock()
+			if hits[j] == nil {
+				hits[j] = occ
+			}
+			mu.Unlock()
+			cancels[j].Cancel()
+			return 1
+		})
+		next := act[:0]
+		for _, j := range act {
+			if hits[j] == nil {
+				next = append(next, j)
 			}
 		}
-		open = witnessSweep(pc, hs, hits, kind, run, opt)
+		act = next
 	}
-	if open > 0 {
+	if len(act) > 0 {
 		// The last sweep may have been felled mid-flight: a negative
 		// answer is only trustworthy when every band ran to completion.
 		if err := opt.Cancel.Err(); err != nil {
@@ -168,146 +219,6 @@ func witnessRuns(src CoverSource, s []bool, n int, hs []*graph.Graph, kind witne
 		}
 	}
 	return hits, nil
-}
-
-// witnessSweep solves every band of pc once for the patterns of hs still
-// without a witness, records the first witness each pattern is certified
-// by, and returns how many patterns remain open.
-//
-// Each open pattern owns a band-local child canceller: the band that
-// certifies pattern j fires j's token, so j's DP in sibling bands
-// abandons at its next node/path checkpoint (or never starts) while its
-// batch-mates sweep on. The children inherit the request token, so a
-// gone client fells every band the same way.
-//
-// Every band emits exactly one "band" trace span (skipped and cancelled
-// ones included, with the outcome in the note), so a traced query's
-// band-span count equals its Stats.Bands contribution.
-func witnessSweep(pc *PreparedCover, hs []*graph.Graph, hits []Occurrence, kind witnessKind, run int, opt Options) int {
-	cancels := make([]*par.Canceller, len(hs))
-	for j, occ := range hits {
-		if occ == nil {
-			cancels[j] = par.NewChild(opt.Cancel)
-		}
-	}
-	k := hs[0].N()
-	var mu sync.Mutex
-	bands := pc.Bands
-	par.ForGrain(0, len(bands), 1, func(i int) {
-		injectBandFaults()
-		pb := &bands[i]
-		t0 := opt.Trace.Begin()
-		// Patterns still in play: open at the sweep's start, token unfired.
-		// pb.Band is nil when a cancelled prepare skipped the band; the
-		// token is observed fired before any such band is reached.
-		var act []int
-		for j, c := range cancels {
-			if c != nil && !c.Cancelled() {
-				act = append(act, j)
-			}
-		}
-		if len(act) == 0 || pb.Band == nil || pb.Band.G.N() < k {
-			opt.Trace.Span("band", run, i, t0, "skipped")
-			return
-		}
-		engs, solved, cost := solveBand(pb, hs, act, cancels, kind == separatingWitness, kind == decideWitness, opt)
-		found, cancelled := 0, 0
-		for idx, j := range act {
-			// A fired token means j's DP may have aborted mid-run (its
-			// partial result must not be read), and j is already certified
-			// elsewhere or the query is dying — so an uncancellable naive
-			// fallback is not started either.
-			if cancels[j].Cancelled() {
-				cancelled++
-				continue
-			}
-			var a match.Assignment
-			if solved {
-				a = kind.engineWitness(engs[idx])
-			} else {
-				a = kind.fallbackWitness(pb.Band, hs[j])
-			}
-			if a == nil {
-				continue
-			}
-			found++
-			occ := toOriginal(pb.Band, a)
-			mu.Lock()
-			if hits[j] == nil {
-				hits[j] = occ
-			}
-			mu.Unlock()
-			cancels[j].Cancel()
-		}
-		if opt.Trace != nil {
-			opt.Trace.SpanCost("band", run, i, t0, witnessNote(solved, found, cancelled, len(act)), cost)
-		}
-	})
-	open := 0
-	for _, occ := range hits {
-		if occ == nil {
-			open++
-		}
-	}
-	return open
-}
-
-// witnessNote renders a witness band's span note: "cancelled" when every
-// active pattern was felled, else "found" / "miss" for a single pattern
-// and "found=F/A" for a group of A, prefixed "fallback:" on bands the
-// naive baseline solved.
-func witnessNote(solved bool, found, cancelled, active int) string {
-	if cancelled == active {
-		return "cancelled"
-	}
-	note := "miss"
-	switch {
-	case active > 1:
-		note = fmt.Sprintf("found=%d/%d", found, active)
-	case found > 0:
-		note = "found"
-	}
-	if !solved {
-		note = "fallback:" + note
-	}
-	return note
-}
-
-// solveBand runs the band solver once over pb's decomposition for the
-// patterns act of hs, pattern j under token cancels[j]. The path-DAG
-// engine serves plain bands under EnginePathDAG; the sequential engine
-// serves the rest, separating mode included (the path-DAG engine's state
-// universes carry no separating labels). solved=false signals that the
-// decomposition exceeded the engines' bag capacity and the caller must
-// use the naive fallback. Either way the band is charged to the call's
-// sinks (noteBand), and its cost, the summed records of its DP runs, is
-// returned for the band span. Fallback bands cost zero: the naive search
-// is outside the state machinery the counters price. The prepared band
-// is only read, so concurrent queries may share it.
-func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Canceller, separating, decideOnly bool, opt Options) ([]*match.Result, bool, obs.Cost) {
-	var cost obs.Cost
-	if pb.Fallback {
-		opt.noteBand(pb.Width, len(act), cost)
-		return nil, false, cost
-	}
-	b := pb.Band
-	ps := make([]*match.Problem, len(act))
-	for idx, j := range act {
-		ps[idx] = &match.Problem{G: b.G, H: hs[j], ND: pb.ND, Allowed: b.Allowed, S: b.S,
-			Separating: separating, DecideOnly: decideOnly, Cancel: cancels[j], Trace: opt.Trace}
-	}
-	var rs []*match.Result
-	if separating || opt.Engine != EnginePathDAG {
-		rs = match.RunMulti(ps, opt.Tracker)
-	} else {
-		rs, _ = pmdag.RunMulti(ps, pmdag.Config{}, opt.Tracker)
-	}
-	// Felled DPs keep their partial cost: the work was done.
-	for _, r := range rs {
-		cost.Accumulate(r.Cost())
-	}
-	opt.noteBand(pb.Width, 0, cost)
-	return rs, true, cost
 }
 
 // listRuns is the Theorem 4.2 repetition loop: each run's cover is
@@ -318,42 +229,57 @@ func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Ca
 // Θ(log n) consecutive iterations found nothing new (Observation 2
 // bounds the probability that such a streak hides an unfound
 // occurrence) or MaxRuns is reached, and drops out of later sweeps.
+//
+// Following Section 4.2.1, a band reports only the occurrences touching
+// its lowest BFS level, so each occurrence inside a cluster is produced
+// by exactly one band; this keeps the per-run work proportional to the
+// number of occurrences rather than d times it.
 func listRuns(src CoverSource, n int, hs []*graph.Graph, opt Options) ([]map[string]Occurrence, error) {
 	k, d := hs[0].N(), graph.Diameter(hs[0])
 	found := make([]map[string]Occurrence, len(hs))
 	streak := make([]int, len(hs))
 	act := make([]int, len(hs))
+	// Listing has no per-pattern early exit (all occurrences are
+	// needed), so every pattern runs under the query token.
+	cancels := make([]*par.Canceller, len(hs))
 	for j := range hs {
 		found[j] = make(map[string]Occurrence)
 		act[j] = j
+		cancels[j] = opt.Cancel
 	}
 	logN := math.Log2(float64(n) + 2)
 	for run := 0; len(act) > 0; run++ {
-		if opt.Cancel.Cancelled() {
-			return nil, par.ErrCancelled
+		pc, err := runHead(src, nil, k, d, run, len(act), opt)
+		if err != nil {
+			return nil, err
 		}
-		t0 := opt.Trace.Begin()
-		pc := src.Prepared(nil, k, d, run)
-		tracePrepare(opt, run, t0, pc)
-		for range act {
-			opt.addRun(len(pc.Bands))
-		}
-		occs := enumerateSweep(pc, hs, act, run, opt)
+		added := make([]int, len(hs))
+		var mu sync.Mutex
+		sweepBands(pc, hs, act, cancels, listKind, run, opt, func(j int, b *cover.Band, local []match.Assignment) int {
+			kept := 0
+			for _, a := range local {
+				if !slices.ContainsFunc(a, func(lv int32) bool { return lv >= 0 && b.LowestLevelLocal[lv] }) {
+					continue
+				}
+				kept++
+				o := toOriginal(b, a)
+				key := o.Key()
+				mu.Lock()
+				if _, dup := found[j][key]; !dup {
+					found[j][key] = o
+					added[j]++
+				}
+				mu.Unlock()
+			}
+			return kept
+		})
 		// Every active pattern has run exactly run+1 iterations: all
 		// start at run 0 and stop by dropping out.
 		iters := run + 1
 		threshold := int(math.Ceil(math.Log2(float64(iters)+1))) + int(math.Ceil(2*logN)) + 1
 		next := act[:0]
-		for idx, j := range act {
-			added := 0
-			for _, o := range occs[idx] {
-				key := o.Key()
-				if _, dup := found[j][key]; !dup {
-					found[j][key] = o
-					added++
-				}
-			}
-			if added > 0 {
+		for _, j := range act {
+			if added[j] > 0 {
 				streak[j] = 0
 			} else {
 				streak[j]++
@@ -374,83 +300,124 @@ func listRuns(src CoverSource, n int, hs []*graph.Graph, opt Options) ([]map[str
 	return found, nil
 }
 
-// enumerateSweep lists, per pattern of act (the result is aligned with
-// it), every occurrence contained in some band of pc, in original vertex
-// ids, walking each band's decomposition once for the whole group.
-// Following Section 4.2.1, only occurrences touching a band's lowest BFS
-// level are reported, so each occurrence inside a cluster is produced by
-// exactly one band; this keeps the per-run work proportional to the
-// number of occurrences rather than d times it.
-func enumerateSweep(pc *PreparedCover, hs []*graph.Graph, act []int, run int, opt Options) [][]Occurrence {
-	// Enumeration has no per-pattern early exit (all occurrences are
-	// needed), so every pattern runs under the query token.
-	cancels := make([]*par.Canceller, len(hs))
-	for j := range cancels {
-		cancels[j] = opt.Cancel
-	}
+// sweepBands solves every band of pc once for the patterns act of hs,
+// pattern j under token cancels[j]. For each live pattern j it passes
+// what kind reads off the solved band, in band-local ids, to take(j,
+// band, local). take keeps what its run loop asked for (the first
+// witness, or the occurrences touching the band's lowest level) and
+// returns how many it kept; it runs concurrently across bands.
+//
+// A pattern is live in a band while its token has not fired. A token
+// that fires during the band means j's DP may have aborted mid-run (its
+// partial result must not be read), and j is already certified
+// elsewhere or the query is dying, so an uncancellable naive fallback is
+// not started either.
+//
+// Every band emits exactly one "band" trace span (skipped and cancelled
+// ones included, with the outcome in the note), so a traced query's
+// band-span count equals its Stats.Bands contribution.
+func sweepBands(pc *PreparedCover, hs []*graph.Graph, act []int, cancels []*par.Canceller, kind queryKind, run int, opt Options, take func(j int, b *cover.Band, local []match.Assignment) int) {
 	k := hs[0].N()
-	bands := pc.Bands
-	results := make([][][]Occurrence, len(bands))
-	par.ForGrain(0, len(bands), 1, func(i int) {
+	par.ForGrain(0, len(pc.Bands), 1, func(i int) {
 		injectBandFaults()
-		pb := &bands[i]
+		pb := &pc.Bands[i]
 		t0 := opt.Trace.Begin()
-		if opt.Cancel.Cancelled() || pb.Band == nil {
+		// pb.Band is nil when a cancelled prepare skipped the band; the
+		// token is observed fired before any such band is reached.
+		var live []int
+		for _, j := range act {
+			if !cancels[j].Cancelled() {
+				live = append(live, j)
+			}
+		}
+		if len(live) == 0 || pb.Band == nil || pb.Band.G.N() < k {
 			opt.Trace.Span("band", run, i, t0, "skipped")
 			return
 		}
-		b := pb.Band
-		out := make([][]Occurrence, len(act))
-		var cost obs.Cost
-		if b.G.N() >= k {
-			engs, solved, c := solveBand(pb, hs, act, cancels, false, false, opt)
-			cost = c
-			for idx, j := range act {
-				var local []match.Assignment
-				if !solved {
-					for _, a := range naive.Search(b.G, hs[j], naive.Options{}) {
-						local = append(local, a)
-					}
-				} else if opt.Cancel.Cancelled() {
-					// Partial DP: Enumerate would be unsound, and the
-					// caller's error path discards the sweep anyway.
-					continue
-				} else {
-					local = engs[idx].Enumerate(0)
-				}
-				out[idx] = bandOccurrences(b, local)
+		engs, solved, cost := solveBand(pb, hs, live, cancels, kind, opt)
+		kept, cancelled := 0, 0
+		for idx, j := range live {
+			if cancels[j].Cancelled() {
+				cancelled++
+				continue
 			}
+			var local []match.Assignment
+			if solved {
+				local = kind.engineRead(engs[idx])
+			} else {
+				local = kind.fallbackRead(pb.Band, hs[j])
+			}
+			kept += take(j, pb.Band, local)
 		}
-		results[i] = out
 		if opt.Trace != nil {
-			// The occurrence count is only rendered on traced queries;
-			// unexercised fmt stays off the untraced path.
-			n := 0
-			for _, o := range out {
-				n += len(o)
-			}
-			opt.Trace.SpanCost("band", run, i, t0, fmt.Sprintf("occs=%d", n), cost)
+			// The note is only rendered on traced queries; unexercised
+			// fmt stays off the untraced path.
+			opt.Trace.SpanCost("band", run, i, t0, kind.note(solved, kept, cancelled, len(live)), cost)
 		}
 	})
-	out := make([][]Occurrence, len(act))
-	for _, r := range results {
-		for idx := range r {
-			out[idx] = append(out[idx], r[idx]...)
-		}
-	}
-	return out
 }
 
-// bandOccurrences translates a band's local assignments that touch its
-// lowest level into original-id occurrences.
-func bandOccurrences(b *cover.Band, local []match.Assignment) []Occurrence {
-	var out []Occurrence
-	for _, a := range local {
-		if touchesLowest(b.LowestLevelLocal, a) {
-			out = append(out, toOriginal(b, a))
-		}
+// note renders a band's span note. A listing band reports how many
+// occurrences it kept, "occs=N". A witness band reads "cancelled" when
+// every live pattern was felled, else "found" / "miss" for a single
+// pattern and "found=F/A" for a group of A, prefixed "fallback:" on
+// bands the naive baseline solved.
+func (k queryKind) note(solved bool, found, cancelled, live int) string {
+	if k == listKind {
+		return fmt.Sprintf("occs=%d", found)
 	}
-	return out
+	if cancelled == live {
+		return "cancelled"
+	}
+	note := "miss"
+	switch {
+	case live > 1:
+		note = fmt.Sprintf("found=%d/%d", found, live)
+	case found > 0:
+		note = "found"
+	}
+	if !solved {
+		note = "fallback:" + note
+	}
+	return note
+}
+
+// solveBand runs the band solver once over pb's decomposition for the
+// patterns act of hs, pattern j under token cancels[j]. The path-DAG
+// engine serves plain bands under EnginePathDAG; the sequential engine
+// serves the rest, separating mode included (the path-DAG engine's state
+// universes carry no separating labels). solved=false signals that the
+// decomposition exceeded the engines' bag capacity and the caller must
+// use the naive fallback. Either way the band is charged to the call's
+// sinks (noteBand), and its cost, the summed records of its DP runs, is
+// returned for the band span. Fallback bands cost zero: the naive search
+// is outside the state machinery the counters price. The prepared band
+// is only read, so concurrent queries may share it.
+func solveBand(pb *PreparedBand, hs []*graph.Graph, act []int, cancels []*par.Canceller, kind queryKind, opt Options) ([]*match.Result, bool, obs.Cost) {
+	var cost obs.Cost
+	if pb.Fallback {
+		opt.noteBand(pb.Width, len(act), cost)
+		return nil, false, cost
+	}
+	b := pb.Band
+	separating := kind == separatingKind
+	ps := make([]*match.Problem, len(act))
+	for idx, j := range act {
+		ps[idx] = &match.Problem{G: b.G, H: hs[j], ND: pb.ND, Allowed: b.Allowed, S: b.S,
+			Separating: separating, DecideOnly: kind == decideKind, Cancel: cancels[j], Trace: opt.Trace}
+	}
+	var rs []*match.Result
+	if separating || opt.Engine != EnginePathDAG {
+		rs = match.RunMulti(ps, opt.Tracker)
+	} else {
+		rs, _ = pmdag.RunMulti(ps, pmdag.Config{}, opt.Tracker)
+	}
+	// Felled DPs keep their partial cost: the work was done.
+	for _, r := range rs {
+		cost.Accumulate(r.Cost())
+	}
+	opt.noteBand(pb.Width, 0, cost)
+	return rs, true, cost
 }
 
 // toOriginal translates a band-local assignment to original vertex ids.
@@ -460,13 +427,4 @@ func toOriginal(b *cover.Band, a match.Assignment) Occurrence {
 		occ[u] = b.Orig[lv]
 	}
 	return occ
-}
-
-func touchesLowest(lowest []bool, a match.Assignment) bool {
-	for _, lv := range a {
-		if lv >= 0 && lowest[lv] {
-			return true
-		}
-	}
-	return false
 }

@@ -32,10 +32,8 @@ func VerifyOccurrence(g, h *graph.Graph, occ Occurrence) bool {
 
 // VerifySeparating checks that occ is a valid occurrence of h in g AND
 // that removing its image disconnects at least two vertices of s
-// (Section 5.1's separating-subgraph condition).
+// (Section 5.1's separating-subgraph condition). A mask s without
+// exactly one entry per vertex of g verifies nothing.
 func VerifySeparating(g, h *graph.Graph, s []bool, occ Occurrence) bool {
-	if !VerifyOccurrence(g, h, occ) {
-		return false
-	}
-	return assignmentSeparates(g, s, occ)
+	return len(s) == g.N() && VerifyOccurrence(g, h, occ) && assignmentSeparates(g, s, occ)
 }

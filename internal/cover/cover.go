@@ -254,39 +254,31 @@ func inducedBand(g *graph.Graph, ci, level int32, verts []int32, nLowest int) *B
 
 // separatingBand builds the minor for one band: band vertices are
 // singleton classes, and every other vertex of g is contracted per
-// connected component of G[V \ band], computed over the whole graph for
-// each band.
+// connected component of G[V \ band], labelled in place over the whole
+// graph for each band.
 func separatingBand(g *graph.Graph, ci, level int32, verts []int32, s []bool) *Band {
-	n := g.N()
-	inBand := make([]bool, n)
+	inBand := make([]bool, g.N())
 	for _, v := range verts {
 		inBand[v] = true
 	}
-	// Components of the complement.
-	var rest []int32
-	for v := int32(0); v < int32(n); v++ {
-		if !inBand[v] {
-			rest = append(rest, v)
-		}
-	}
-	restSub, restOrig := graph.Induce(g, rest)
-	restComp, numComp := graph.Components(restSub)
-
-	// Classes: 0..len(verts)-1 = band vertices, then one per component.
-	class := make([]int32, n)
-	for li, v := range verts {
-		class[v] = int32(li)
-	}
-	for ri, ov := range restOrig {
-		class[ov] = int32(len(verts)) + restComp[ri]
-	}
+	// Classes: 0..len(verts)-1 = band vertices, then one per component
+	// of the complement.
+	class, numComp := graph.ComponentsWithout(g, inBand)
 	numClasses := len(verts) + numComp
-	minor := graph.ContractPartition(g, class, numClasses)
-
 	orig := make([]int32, numClasses)
 	allowed := make([]bool, numClasses)
 	sMask := make([]bool, numClasses)
+	for v, c := range class {
+		if c < 0 {
+			continue
+		}
+		class[v] = int32(len(verts)) + c
+		if s[v] {
+			sMask[class[v]] = true
+		}
+	}
 	for li, v := range verts {
+		class[v] = int32(li)
 		orig[li] = v
 		allowed[li] = true
 		sMask[li] = s[v]
@@ -294,13 +286,8 @@ func separatingBand(g *graph.Graph, ci, level int32, verts []int32, s []bool) *B
 	for c := len(verts); c < numClasses; c++ {
 		orig[c] = -1
 	}
-	for _, ov := range restOrig {
-		if s[ov] {
-			sMask[int(class[ov])] = true
-		}
-	}
 	return &Band{
-		G:       minor,
+		G:       graph.ContractPartition(g, class, numClasses),
 		Orig:    orig,
 		Cluster: ci,
 		Level:   level,

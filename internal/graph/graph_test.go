@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +168,61 @@ func TestComponents(t *testing.T) {
 	}
 	if comp[0] == comp[5] || comp[5] == comp[9] {
 		t.Fatal("distinct parts share a label")
+	}
+}
+
+// TestComponentsWithout checks the in-place labelling against the
+// induced subgraph it replaces: on random graphs and drop masks (none,
+// all, and random ones) every kept vertex carries the label Components
+// gives it in Induce(g, kept), every dropped one -1, and the counts agree.
+func TestComponentsWithout(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 24))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(40)
+		b := NewBuilder(n)
+		for e := 0; e < rng.IntN(2*n); e++ {
+			u, v := rng.Int32N(int32(n)), rng.Int32N(int32(n))
+			if u != v && !b.HasEdge(u, v) {
+				b.AddEdge(u, v)
+			}
+		}
+		g := b.Build()
+		var drop []bool
+		switch trial % 4 {
+		case 0: // nil: drop nothing
+		case 1:
+			drop = make([]bool, n)
+			for v := range drop {
+				drop[v] = true
+			}
+		default:
+			drop = make([]bool, n)
+			for v := range drop {
+				drop[v] = rng.IntN(3) == 0
+			}
+		}
+		var kept []int32
+		for v := int32(0); v < int32(n); v++ {
+			if drop == nil || !drop[v] {
+				kept = append(kept, v)
+			}
+		}
+		sub, orig := Induce(g, kept)
+		want, wantCount := Components(sub)
+		got, count := ComponentsWithout(g, drop)
+		if count != wantCount {
+			t.Fatalf("trial %d: %d components, Induce gives %d", trial, count, wantCount)
+		}
+		label := make([]int32, n)
+		for v := range label {
+			label[v] = -1
+		}
+		for i, v := range orig {
+			label[v] = want[i]
+		}
+		if !slices.Equal(got, label) {
+			t.Fatalf("trial %d: labels %v, Induce gives %v", trial, got, label)
+		}
 	}
 }
 

@@ -2,16 +2,31 @@ package graph
 
 // Components labels the connected components of g sequentially (BFS) and
 // returns the label array and the number of components.
-func Components(g *Graph) ([]int32, int) {
+func Components(g *Graph) ([]int32, int) { return ComponentsWithout(g, nil) }
+
+// ComponentsWithout labels the connected components of g minus the
+// vertices marked in drop, which is nil (drop none) or holds one entry
+// per vertex, without building the induced subgraph. Dropped vertices
+// get -1, and the others are numbered in order of their smallest
+// vertex, exactly as Components numbers the subgraph Induce(g, kept)
+// for the kept vertices in increasing order.
+func ComponentsWithout(g *Graph, drop []bool) ([]int32, int) {
 	n := g.N()
 	comp := make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
 	}
+	// A dropped vertex is marked visited up front, so no search starts
+	// at it or enters it; -2 is reset to -1 once every label is out.
+	for v, d := range drop {
+		if d {
+			comp[v] = -2
+		}
+	}
 	var queue []int32
 	count := 0
 	for s := int32(0); s < int32(n); s++ {
-		if comp[s] >= 0 {
+		if comp[s] != -1 {
 			continue
 		}
 		id := int32(count)
@@ -22,11 +37,16 @@ func Components(g *Graph) ([]int32, int) {
 			v := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			for _, w := range g.Neighbors(v) {
-				if comp[w] < 0 {
+				if comp[w] == -1 {
 					comp[w] = id
 					queue = append(queue, w)
 				}
 			}
+		}
+	}
+	for v, d := range drop {
+		if d {
+			comp[v] = -1
 		}
 	}
 	return comp, count

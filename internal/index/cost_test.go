@@ -2,6 +2,8 @@ package index
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"planarsi/internal/core"
@@ -14,24 +16,52 @@ import (
 // views agree exactly — the per-band span costs, the query-level
 // CostCounter, and Stats.Cost all receive each band's summed cost
 // records once, so their totals are equal byte for byte, not
-// approximately. On a warm miss every run and band executes; a
-// disconnected pattern charges the bands of its inner color-class
-// searches to Stats like any other search.
+// approximately. Every query kind runs through the one band sweep, so
+// each is checked: Decide on a warm miss (every run and band executes)
+// and on a disconnected pattern (whose inner color-class searches
+// charge Stats like any other search), Count, and Find and
+// DecideSeparating on hits that fell their sibling bands.
 func TestCostParityBandSpansMatchCounters(t *testing.T) {
+	grid := graph.Grid(6, 6)
+	// The path 1-7-6 cuts corner 0 off, so a 3-vertex path separates the
+	// opposite corners.
+	corners := make([]bool, grid.N())
+	corners[0], corners[grid.N()-1] = true, true
+	decide := func(h *graph.Graph) func(core.CoverSource, *graph.Graph, core.Options) (string, error) {
+		return func(src core.CoverSource, g *graph.Graph, o core.Options) (string, error) {
+			found, err := core.DecideFrom(src, g, h, o)
+			return fmt.Sprint(found), err
+		}
+	}
 	cases := []struct {
-		name  string
-		g, h  *graph.Graph
-		found bool
+		name string
+		g    *graph.Graph
+		run  func(core.CoverSource, *graph.Graph, core.Options) (string, error)
+		want string
 	}{
-		{"warm-miss", graph.Grid(6, 6), graph.Cycle(3), false}, // no triangles in a grid
-		{"disconnected", graph.Grid(8, 8), graph.DisjointUnion(graph.Path(2), graph.Path(3)), true},
+		{"warm-miss", grid, decide(graph.Cycle(3)), "false"}, // no triangles in a grid
+		{"disconnected", graph.Grid(8, 8), decide(graph.DisjointUnion(graph.Path(2), graph.Path(3))), "true"},
+		{"count", grid, func(src core.CoverSource, g *graph.Graph, o core.Options) (string, error) {
+			n, err := core.CountFrom(src, g, graph.Cycle(4), o)
+			return fmt.Sprint(n), err
+		}, "200"}, // 25 squares, 8 maps each
+		{"find", grid, func(src core.CoverSource, g *graph.Graph, o core.Options) (string, error) {
+			occ, err := core.FindOneFrom(src, g, graph.Path(4), o)
+			return fmt.Sprint(core.VerifyOccurrence(g, graph.Path(4), occ)), err
+		}, "true"},
+		{"separating", grid, func(src core.CoverSource, g *graph.Graph, o core.Options) (string, error) {
+			occ, err := core.DecideSeparatingFrom(src, g, graph.Path(3), corners, o)
+			return fmt.Sprint(core.VerifySeparating(g, graph.Path(3), corners, occ)), err
+		}, "true"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			opt := core.Options{Seed: 3, MaxRuns: 4}
 			ix := New(c.g, opt)
-			if found, err := ix.Decide(c.h); err != nil || found != c.found {
-				t.Fatalf("warm-up Decide = %v, %v; want %v, nil", found, err, c.found)
+			gen := ix.acquire()
+			defer ix.release(gen)
+			if got, err := c.run(gen, c.g, opt); err != nil || got != c.want {
+				t.Fatalf("warm-up = %s, %v; want %s, nil", got, err, c.want)
 			}
 
 			var st core.Stats
@@ -41,10 +71,8 @@ func TestCostParityBandSpansMatchCounters(t *testing.T) {
 			qopt.Stats = &st
 			qopt.Trace = rec
 			qopt.Cost = counter
-			gen := ix.acquire()
-			defer ix.release(gen)
-			if found, err := core.DecideFrom(gen, c.g, c.h, qopt); err != nil || found != c.found {
-				t.Fatalf("traced Decide = %v, %v; want %v, nil", found, err, c.found)
+			if got, err := c.run(gen, c.g, qopt); err != nil || got != c.want {
+				t.Fatalf("traced call = %s, %v; want %s, nil", got, err, c.want)
 			}
 
 			total := counter.Snapshot()
@@ -68,7 +96,7 @@ func TestCostParityBandSpansMatchCounters(t *testing.T) {
 				bands++
 				// A band that ran its DP to the end carries nonzero cost;
 				// only skipped, cancelled and fallback bands may be zero.
-				if sp.Note == "miss" || sp.Note == "found" {
+				if sp.Note == "miss" || sp.Note == "found" || (strings.HasPrefix(sp.Note, "occs=") && sp.Note != "occs=0") {
 					if sp.Cost == nil || sp.Cost.IsZero() {
 						t.Errorf("band span run=%d band=%d note=%q has no cost", sp.Run, sp.Band, sp.Note)
 					}

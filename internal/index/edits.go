@@ -182,7 +182,7 @@ func (ix *Index) migrate(old, next *generation, res *EditResult) {
 		// unchanged: pc2 references pc's band pointers throughout, so
 		// the two are bit-identical.
 		survived := rebuilt == 0 && len(pc2.Bands) == len(pc.Bands) &&
-			pc2.Cover.Clustering == pc.Cover.Clustering && pc2.Cover.BFSRounds == pc.Cover.BFSRounds
+			pc2.Clustering == pc.Clustering && pc2.BFSRounds == pc.BFSRounds
 		return pc2, survived
 	}
 	res.PlainCovers = next.plain.carry(plain, refresh)

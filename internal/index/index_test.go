@@ -326,14 +326,14 @@ func TestCacheReuse(t *testing.T) {
 	if got := ix.Stats().Clusterings; got != 1 {
 		t.Errorf("cached clusterings = %d, want 1 (shared across d)", got)
 	}
-	if a.Cover.Clustering != c.Cover.Clustering {
+	if a.Clustering != c.Clustering {
 		t.Error("covers of one (beta, run) must share the clustering")
 	}
 	// Separating covers share the clustering too.
 	s := make([]bool, 36)
 	s[0], s[35] = true, true
 	sp := gen.Prepared(s, 4, 2, 0)
-	if sp.Cover.Clustering != a.Cover.Clustering {
+	if sp.Clustering != a.Clustering {
 		t.Error("separating cover must reuse the (beta, run) clustering")
 	}
 	// Runs past the decide budget must not be memoized (the listing

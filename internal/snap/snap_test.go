@@ -95,10 +95,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// The cover's clustering must be restored as a pointer into the
 	// shared table, exactly like the live Index's sharing.
-	if got.Plain[0].PC.Cover.Clustering != got.Clusters[0].C {
+	if got.Plain[0].PC.Clustering != got.Clusters[0].C {
 		t.Errorf("plain cover does not share the table clustering")
 	}
-	if got.Plain[0].PC.Cover.BFSRounds != s.Plain[0].PC.Cover.BFSRounds {
+	if got.Plain[0].PC.BFSRounds != s.Plain[0].PC.BFSRounds {
 		t.Errorf("BFSRounds differ after round trip")
 	}
 }

@@ -277,18 +277,16 @@ func decodePreparedBand(d *dec, targetN int) core.PreparedBand {
 // the clustering shared by many covers is stored once, mirroring the
 // pointer sharing of the live Index.
 func encodePreparedCover(e *enc, pc *core.PreparedCover, refs map[*estc.Clustering]int32) error {
-	ref := int32(-1)
-	if pc.Cover != nil && pc.Cover.Clustering != nil {
-		if i, ok := refs[pc.Cover.Clustering]; ok {
-			ref = i
-		}
+	if pc.Clustering == nil {
+		return fmt.Errorf("snap: prepared cover without a clustering")
+	}
+	ref, ok := refs[pc.Clustering]
+	if !ok {
+		ref = -1
 	}
 	e.i32(ref)
 	if ref < 0 {
-		if pc.Cover == nil || pc.Cover.Clustering == nil {
-			return fmt.Errorf("snap: prepared cover without a clustering")
-		}
-		encodeClustering(e, pc.Cover.Clustering)
+		encodeClustering(e, pc.Clustering)
 	}
 	e.u32(uint32(len(pc.Bands)))
 	for i := range pc.Bands {
@@ -296,7 +294,7 @@ func encodePreparedCover(e *enc, pc *core.PreparedCover, refs map[*estc.Clusteri
 			return err
 		}
 	}
-	e.u32(uint32(pc.Cover.BFSRounds))
+	e.u32(uint32(pc.BFSRounds))
 	return nil
 }
 
@@ -327,16 +325,15 @@ func decodePreparedCover(d *dec, targetN int, clusters []ClusterArtifact) *core.
 	if d.e != nil {
 		return nil
 	}
-	pc := &core.PreparedCover{Cover: &cover.Cover{Clustering: cl}}
+	pc := &core.PreparedCover{Clustering: cl}
 	for i := 0; i < nb; i++ {
 		pb := decodePreparedBand(d, targetN)
 		if d.e != nil {
 			return nil
 		}
 		pc.Bands = append(pc.Bands, pb)
-		pc.Cover.Bands = append(pc.Cover.Bands, pb.Band)
 	}
-	pc.Cover.BFSRounds = int(d.u32())
+	pc.BFSRounds = int(d.u32())
 	if d.e != nil {
 		return nil
 	}

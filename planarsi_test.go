@@ -128,6 +128,19 @@ func TestSeparatingRejectsWrongMaskLength(t *testing.T) {
 	if !errors.Is(err, planarsi.ErrTerminalMask) || occ != nil {
 		t.Fatalf("Index.DecideSeparatingCtx with 17 entries: occ %v, err %v; want ErrTerminalMask", occ, err)
 	}
+	// The verifier refuses such masks too. The path 1-5-4 cuts corner 0
+	// off, so it separates any right-length mask marking 0 and 15.
+	cut := planarsi.Occurrence{1, 5, 4}
+	for _, n := range []int{16, 3, 17} {
+		mask := make([]bool, n)
+		mask[0] = true
+		if n > 15 {
+			mask[15] = true
+		}
+		if got := planarsi.VerifySeparating(g, h, mask, cut); got != (n == 16) {
+			t.Errorf("VerifySeparating with a %d-entry mask = %v", n, got)
+		}
+	}
 }
 
 func TestPublicDisconnectedPattern(t *testing.T) {
