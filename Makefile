@@ -124,8 +124,9 @@ benchstat:
 # Fig6Connectivity (connectivity 2-5) the searches that miss.
 # Fig5PathDAG and AblationShortcut run the path-DAG engine on long path
 # targets, where the shortcut construction does most of the work.
+# ListAll lists the 392 4-cycles of an 8x8 grid in one layered run.
 bench-smoke:
-	$(GO) test -bench 'Table1DecideOurs|Fig6Connectivity|Fig7Separating|StateSet|ScanMultiPattern|Fig5PathDAG|AblationShortcut' -benchtime 1x -benchmem -run '^$$' . ./internal/match
+	$(GO) test -bench 'Table1DecideOurs|Fig6Connectivity|Fig7Separating|StateSet|ScanMultiPattern|Fig5PathDAG|AblationShortcut|ListAll' -benchtime 1x -benchmem -run '^$$' . ./internal/match
 
 # The paper's claims as shape checks: every experiment of
 # internal/experiments (Table 1, Figs 1-7, Thm 4.2/4.4, Lemma 4.1, the

@@ -110,7 +110,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	seed := flag.Uint64("seed", 1, "random seed fixed for every query")
-	runs := flag.Int("runs", 0, "cover repetitions (0 = w.h.p. default)")
+	runs := flag.Int("runs", 0, "cover run budget (1 = one random run, negatives w.h.p.; any other value ends a miss with the exact layered run)")
 	memMB := flag.Int64("mem-mb", 1024, "memory budget for graphs + cached artifacts, in MiB (0 = unlimited)")
 	window := flag.Duration("window", 2*time.Millisecond, "micro-batching window for decide/count (0 disables coalescing)")
 	maxBatch := flag.Int("max-batch", 64, "dispatch a batch early at this size")

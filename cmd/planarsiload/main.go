@@ -261,7 +261,7 @@ func (l *loader) prepare() error {
 	}
 
 	// Hit: a 4-cycle, present in every grid cell. Miss: a triangle —
-	// grids are bipartite, so the full run budget executes.
+	// grids are bipartite, so the search runs to its last run.
 	hit := serve.WireGraph(graph.Cycle(4))
 	miss := serve.WireGraph(graph.Cycle(3))
 	l.bodies = make(map[string][2][]byte)

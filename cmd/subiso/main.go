@@ -40,7 +40,7 @@ func main() {
 	pattern := flag.String("pattern", "", "pattern edge-list file(s), comma-separated, - for stdin (required)")
 	mode := flag.String("mode", "decide", "decide | find | list | count")
 	seed := flag.Uint64("seed", 1, "random seed")
-	runs := flag.Int("runs", 0, "cover repetitions (0 = w.h.p. default)")
+	runs := flag.Int("runs", 0, "cover run budget (1 = one random run, negatives w.h.p.; any other value ends a miss with the exact layered run)")
 	stats := flag.Bool("stats", false, "print work/depth statistics to stderr")
 	flag.Parse()
 

@@ -22,6 +22,12 @@
 // across its bands, and each band's depth is the full length of its
 // decomposition: the rounds the wd tracker counts under "dp".
 //
+// On the default path each cycle search ends, when its ESTC run misses,
+// with one run on the layered cover, so a miss is exact and the whole
+// decision is: κ ≥ c is certified, not w.h.p. Options.MaxRuns 1 and
+// Options.PaperLoop keep the paper's Monte Carlo searches, whose misses
+// hold w.h.p.
+//
 // Where the paper runs dedicated 2-/3-connectivity algorithms [38, 50]
 // and only uses the C8 search to split 4 from 5, this implementation
 // tests 2-connectivity via articulation points and then lets the
@@ -32,6 +38,7 @@ package conn
 
 import (
 	"fmt"
+	"slices"
 
 	"planarsi/internal/core"
 	"planarsi/internal/graph"
@@ -56,9 +63,13 @@ type Result struct {
 type Options struct {
 	// Seed seeds the randomized separating-cycle searches.
 	Seed uint64
-	// MaxRuns bounds the cover repetitions per cycle search (0 = w.h.p.
-	// default).
+	// MaxRuns is each cycle search's core.Options.MaxRuns: any value but
+	// 1 makes the searches exact on the default path (0 = the paper's
+	// budget under PaperLoop).
 	MaxRuns int
+	// PaperLoop runs each cycle search under core.Options.PaperLoop, the
+	// paper's Monte Carlo loop. Only the paper-claims experiments set it.
+	PaperLoop bool
 	// Tracker accumulates work/depth counters when non-nil.
 	Tracker *wd.Tracker
 	// Cancel, when non-nil, aborts the separating-cycle searches
@@ -105,9 +116,10 @@ func FaceIncidence(g *graph.Graph) (*graph.Graph, []bool, error) {
 // VertexConnectivity decides the vertex connectivity of the planar graph
 // g (Lemma 5.2). Graphs without an embedding are embedded first with the
 // DMP planarity algorithm (non-planar inputs return its error). The
-// result is exact for connectivity 0 and 1 and for complete graphs; for
-// the separating-cycle chain, reported cuts always verify (yes-answers
-// are exact) and the absence of a shorter cut holds w.h.p.
+// result is exact for connectivity 0 and 1 and for complete graphs, and
+// so is the separating-cycle chain on the default path; at MaxRuns 1 or
+// under PaperLoop the absence of a shorter cut holds w.h.p. Reported
+// cuts always verify.
 func VertexConnectivity(g *graph.Graph, opt Options) (Result, error) {
 	n := g.N()
 	if n <= 1 {
@@ -140,10 +152,11 @@ func VertexConnectivity(g *graph.Graph, opt Options) (Result, error) {
 	for _, c := range []int{2, 3, 4} {
 		res.CycleChecks++
 		occ, err := core.DecideSeparating(gp, graph.Cycle(2*c), s, core.Options{
-			Seed:    opt.Seed + uint64(c),
-			MaxRuns: opt.MaxRuns,
-			Tracker: opt.Tracker,
-			Cancel:  opt.Cancel,
+			Seed:      opt.Seed + uint64(c),
+			MaxRuns:   opt.MaxRuns,
+			PaperLoop: opt.PaperLoop,
+			Tracker:   opt.Tracker,
+			Cancel:    opt.Cancel,
 		})
 		if err != nil {
 			return Result{}, err
@@ -193,7 +206,7 @@ func originalVerticesOf(occ core.Occurrence, n int) []int32 {
 }
 
 // verifiedCut turns a separating-cycle occurrence into a verified vertex
-// cut of g, or nil when none of a few candidate cycles yields one.
+// cut of g, or nil when none was found.
 //
 // The subtlety: graph separation in G' is witnessed by *some* separating
 // 2c-cycle whenever κ = c (the cycle tracing the minimum cut's closed
@@ -204,21 +217,30 @@ func originalVerticesOf(occ core.Occurrence, n int) []int32 {
 // disconnects G' outright without {u,v} cutting g. Once g is 3-connected
 // this cannot happen — two faces of a 3-connected planar graph share at
 // most one edge, so removing a 2c-cycle never strands vertices that are
-// connected in g — but for the witness we simply re-check and resample a
-// few cycles with fresh seeds. A failed witness never changes the
-// connectivity value, which Lemma 5.1 ties to the cycle length alone.
+// connected in g — so a witness fails only at c = 2, and the cut is then
+// found directly (twoCut). The paper loop instead resamples a few cycles
+// with fresh seeds, as its Monte Carlo searches can. A failed witness
+// never changes the connectivity value, which Lemma 5.1 ties to the cycle
+// length alone.
 func verifiedCut(g, gp *graph.Graph, s []bool, occ core.Occurrence, c int, opt Options) []int32 {
 	n := g.N()
 	cut := originalVerticesOf(occ, n)
 	if VerifyCut(g, cut) {
 		return cut
 	}
+	if !opt.PaperLoop {
+		if c == 2 {
+			return twoCut(g, cut)
+		}
+		return nil
+	}
 	for try := uint64(1); try <= 8; try++ {
 		occ2, err := core.DecideSeparating(gp, graph.Cycle(2*c), s, core.Options{
-			Seed:    opt.Seed + uint64(c) + try*0x9e3779b9,
-			MaxRuns: 2,
-			Tracker: opt.Tracker,
-			Cancel:  opt.Cancel,
+			Seed:      opt.Seed + uint64(c) + try*0x9e3779b9,
+			MaxRuns:   2,
+			PaperLoop: true,
+			Tracker:   opt.Tracker,
+			Cancel:    opt.Cancel,
 		})
 		if err != nil || occ2 == nil {
 			continue
@@ -226,6 +248,32 @@ func verifiedCut(g, gp *graph.Graph, s []bool, occ core.Occurrence, c int, opt O
 		cut = originalVerticesOf(occ2, n)
 		if VerifyCut(g, cut) {
 			return cut
+		}
+	}
+	return nil
+}
+
+// twoCut returns a 2-vertex cut of g, which must be 2-connected with
+// connectivity 2. For either vertex x of such a cut {x, y}, y is an
+// articulation point of g - x, so trying the vertices of first and then
+// every vertex in order always ends with a cut.
+func twoCut(g *graph.Graph, first []int32) []int32 {
+	n := int32(g.N())
+	tries := slices.Clone(first)
+	for v := range n {
+		tries = append(tries, v)
+	}
+	rest := make([]int32, 0, n-1)
+	for _, x := range tries {
+		rest = rest[:0]
+		for v := range n {
+			if v != x {
+				rest = append(rest, v)
+			}
+		}
+		sub, orig := graph.Induce(g, rest)
+		if a := slices.Index(graph.ArticulationPoints(sub), true); a >= 0 {
+			return []int32{x, orig[a]}
 		}
 	}
 	return nil

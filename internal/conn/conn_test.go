@@ -79,6 +79,10 @@ func TestVertexConnectivityKnownFamilies(t *testing.T) {
 			if res.Connectivity != tc.want {
 				t.Fatalf("connectivity = %d, want %d", res.Connectivity, tc.want)
 			}
+			// Every κ in 1..4 of a non-complete graph has a witness cut.
+			if res.Cut == nil && tc.want >= 1 && tc.want <= 4 && !tc.g.IsComplete() {
+				t.Fatalf("no witness cut for connectivity %d", tc.want)
+			}
 			if res.Cut != nil {
 				if len(res.Cut) != tc.want {
 					t.Fatalf("cut size %d != connectivity %d", len(res.Cut), tc.want)
@@ -187,17 +191,21 @@ func TestVerifyCut(t *testing.T) {
 // Regression: in thin 2-connected graphs (both faces of a cycle touch
 // every vertex) the 4-cycle through an edge and its two faces separates
 // G' without the edge's endpoints being a cut of G. The witness logic
-// must reject such cuts and either resample a verifying one or return
-// nil — never a non-cut.
+// must reject such cuts and find a verifying one; the paper loop's
+// resampling may return nil instead, but never a non-cut.
 func TestCycleWitnessNeverAdjacentPair(t *testing.T) {
-	for seed := uint64(0); seed < 10; seed++ {
+	for seed := uint64(0); seed < 20; seed++ {
 		g := graph.Cycle(10)
-		res, err := VertexConnectivity(g, Options{Seed: seed})
+		paper := seed >= 10
+		res, err := VertexConnectivity(g, Options{Seed: seed % 10, PaperLoop: paper})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Connectivity != 2 {
 			t.Fatalf("seed %d: connectivity %d, want 2", seed, res.Connectivity)
+		}
+		if res.Cut == nil && !paper {
+			t.Fatalf("seed %d: no witness cut", seed)
 		}
 		if res.Cut != nil {
 			if len(res.Cut) != 2 {

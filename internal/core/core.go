@@ -6,12 +6,19 @@
 //
 // One run of the decision algorithm covers the target with
 // bounded-treewidth bands (each fixed occurrence survives into some band
-// with probability >= 1/2, Theorem 2.4) and solves each band exactly.
-// "Yes" answers are therefore always correct; "no" answers are correct
-// with high probability after O(log n) independent runs. The same
-// one-sided error structure carries through listing (Theorem 4.2),
-// disconnected patterns (Lemma 4.1) and the separating variant
-// (Lemma 5.3).
+// with probability >= 1/2, Theorem 2.4) and solves each band exactly, so
+// "yes" answers are always correct. The paper certifies "no" answers
+// w.h.p. after O(log n) independent runs, and lists (Theorem 4.2) by
+// repeating runs until a streak finds nothing new.
+//
+// The default path ends that loop early. A search keeps run 0 on an ESTC
+// cover, so hits cost one random run; a search run 0 leaves open makes
+// one more run on the layered cover (estc.Layered, Eppstein's BFS
+// layering), which holds every occurrence, and stops with an exact
+// answer. Listing makes that layered run alone. Negatives are therefore
+// exact except at MaxRuns 1, under Options.PaperLoop (the paper's loop,
+// kept for the experiments) and in the coloring loop of disconnected
+// patterns (Lemma 4.1), where they hold w.h.p.
 package core
 
 import (
@@ -56,9 +63,17 @@ type Options struct {
 	Seed uint64
 	// Engine selects the per-band solver.
 	Engine Engine
-	// MaxRuns bounds the independent cover repetitions; 0 selects
-	// 2·ceil(log2(n+2)) + 3, enough to certify absence w.h.p.
+	// MaxRuns is the paper's run budget; 0 selects 2·ceil(log2(n+2)) +
+	// 3, enough to certify absence w.h.p. under PaperLoop. On the
+	// default path any budget of 2 or more makes at most two runs, the
+	// second one exact, and MaxRuns 1 makes one ESTC run. Listing makes
+	// one exact run whatever the budget.
 	MaxRuns int
+	// PaperLoop runs the source paper's Monte Carlo loop: every run on a
+	// fresh ESTC cover, up to MaxRuns of them, and listing stopped by
+	// Theorem 4.2's streak rule. Only the paper-claims experiments set
+	// it.
+	PaperLoop bool
 	// Heuristic selects the tree decomposition heuristic for bands.
 	Heuristic treedecomp.Heuristic
 	// Beta overrides the clustering parameter (default 2k), for the beta
@@ -90,11 +105,12 @@ type Options struct {
 }
 
 // Config returns the value fields that feed the pipeline's randomness
-// and shape (Seed, Engine, MaxRuns, Heuristic, Beta), with the per-call
-// attachments (Tracker, Stats, Cancel, Trace, Cost) stripped: they
-// never influence results. It is the configuration a snapshot records.
+// and shape (Seed, Engine, MaxRuns, PaperLoop, Heuristic, Beta), with
+// the per-call attachments (Tracker, Stats, Cancel, Trace, Cost)
+// stripped: they never influence results. It is the configuration a
+// snapshot records.
 func (o Options) Config() Options {
-	return Options{Seed: o.Seed, Engine: o.Engine, MaxRuns: o.MaxRuns, Heuristic: o.Heuristic, Beta: o.Beta}
+	return Options{Seed: o.Seed, Engine: o.Engine, MaxRuns: o.MaxRuns, PaperLoop: o.PaperLoop, Heuristic: o.Heuristic, Beta: o.Beta}
 }
 
 // SameConfig reports whether two option sets produce identical answers
@@ -211,8 +227,8 @@ func validate(g, h *graph.Graph) (trivial bool, result bool, err error) {
 
 // Decide reports whether h occurs in g as a subgraph, dispatching between
 // the connected pipeline (Theorem 2.1) and the disconnected extension
-// (Lemma 4.1). The answer is exact when true and correct w.h.p. when
-// false.
+// (Lemma 4.1). The answer is exact when true; when false it is exact on
+// the default path and correct w.h.p. where the package doc says.
 func Decide(g, h *graph.Graph, opt Options) (bool, error) {
 	return DecideFrom(freshSource{g, opt}, g, h, opt)
 }

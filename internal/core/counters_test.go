@@ -44,6 +44,7 @@ type pinnedCase struct {
 	name       string
 	engine     Engine
 	sequential bool // pin par.SetParallelism(1)
+	paper      bool // run under Options.PaperLoop
 	run        func(Options) (string, error)
 	answer     string
 	want       pinnedCounters
@@ -60,14 +61,33 @@ func pinnedCases() []pinnedCase {
 	grid := graph.Grid(12, 12)
 	wheel, terminals := twoHubWheel(6)
 
+	decideMiss := func(o Options) (string, error) {
+		ok, err := Decide(grid, graph.Cycle(3), o)
+		return fmt.Sprint(ok), err
+	}
+	decideMissSequential := func(o Options) (string, error) {
+		ok, err := Decide(grid, graph.Cycle(5), o)
+		return fmt.Sprint(ok), err
+	}
+	countCapped := func(o Options) (string, error) {
+		o.MaxRuns = 3
+		n, err := Count(small, graph.Path(3), o)
+		return fmt.Sprint(n), err
+	}
+	separatingMiss := func(o Options) (string, error) {
+		occ, err := DecideSeparating(wheel, graph.Cycle(3), terminals, o)
+		return fmt.Sprint(occ), err
+	}
+
 	return []pinnedCase{
+		// The multi-run calls under the paper's loop: every run an ESTC
+		// cover, misses through the whole budget, listing by the
+		// Theorem 4.2 streak rule capped at 3 runs.
 		{
 			name:   "decide-miss",
 			engine: EnginePathDAG,
-			run: func(o Options) (string, error) {
-				ok, err := Decide(grid, graph.Cycle(3), o)
-				return fmt.Sprint(ok), err
-			},
+			paper:  true,
+			run:    decideMiss,
 			answer: "false",
 			want: pinnedCounters{Runs: 19, Bands: 418, MaxBandWidth: 2,
 				Cost: obs.Cost{Nodes: 13109, States: 193836, Joins: 7318, Emissions: 227384, Bytes: 8606892},
@@ -77,10 +97,8 @@ func pinnedCases() []pinnedCase {
 		{
 			name:   "decide-miss-sequential-engine",
 			engine: EngineSequential,
-			run: func(o Options) (string, error) {
-				ok, err := Decide(grid, graph.Cycle(5), o)
-				return fmt.Sprint(ok), err
-			},
+			paper:  true,
+			run:    decideMissSequential,
 			answer: "false",
 			want: pinnedCounters{Runs: 19, Bands: 341, MaxBandWidth: 3,
 				Cost: obs.Cost{Nodes: 21080, States: 1023000, Joins: 105840, Emissions: 1452824, Bytes: 65461088},
@@ -90,11 +108,8 @@ func pinnedCases() []pinnedCase {
 		{
 			name:   "count-capped",
 			engine: EnginePathDAG,
-			run: func(o Options) (string, error) {
-				o.MaxRuns = 3
-				n, err := Count(small, graph.Path(3), o)
-				return fmt.Sprint(n), err
-			},
+			paper:  true,
+			run:    countCapped,
 			answer: "2234",
 			want: pinnedCounters{Runs: 3, Bands: 18, MaxBandWidth: 3,
 				Cost: obs.Cost{Nodes: 2002, States: 95983, Joins: 20798, Emissions: 108234, Bytes: 4399988},
@@ -105,15 +120,57 @@ func pinnedCases() []pinnedCase {
 		{
 			name:   "separating-miss",
 			engine: EngineSequential,
-			run: func(o Options) (string, error) {
-				occ, err := DecideSeparating(wheel, graph.Cycle(3), terminals, o)
-				return fmt.Sprint(occ), err
-			},
+			paper:  true,
+			run:    separatingMiss,
 			answer: "[]",
 			want: pinnedCounters{Runs: 11, Bands: 27, MaxBandWidth: 4,
 				Cost: obs.Cost{Nodes: 385, States: 11766, Emissions: 14570, Bytes: 751456},
 				Work: 12380, Rounds: 454},
 			notes: "miss×27",
+		},
+		// The same calls on the default path: a miss ends with the
+		// layered run (run 1), and the count is that one run whatever
+		// MaxRuns is. Work and rounds include the layered clustering's
+		// BFS sweep.
+		{
+			name:   "decide-miss-exact",
+			engine: EnginePathDAG,
+			run:    decideMiss,
+			answer: "false",
+			want: pinnedCounters{Runs: 2, Bands: 44, MaxBandWidth: 2,
+				Cost: obs.Cost{Nodes: 1285, States: 19290, Joins: 420, Emissions: 23219, Bytes: 861444},
+				Work: 51620, Rounds: 685},
+			notes: "miss×44",
+		},
+		{
+			name:   "decide-miss-sequential-engine-exact",
+			engine: EngineSequential,
+			run:    decideMissSequential,
+			answer: "false",
+			want: pinnedCounters{Runs: 2, Bands: 42, MaxBandWidth: 3,
+				Cost: obs.Cost{Nodes: 2044, States: 94524, Joins: 5855, Emissions: 140042, Bytes: 6048192},
+				Work: 96802, Rounds: 2132},
+			notes: "miss×42",
+		},
+		{
+			name:   "count-exact",
+			engine: EnginePathDAG,
+			run:    countCapped,
+			answer: "2234",
+			want: pinnedCounters{Runs: 1, Bands: 6, MaxBandWidth: 3,
+				Cost: obs.Cost{Nodes: 698, States: 35486, Joins: 7599, Emissions: 39864, Bytes: 1617076},
+				Work: 77958, Rounds: 499},
+			notes: "occs=0×1 occs=1036×1 occs=190×1 occs=212×1 occs=34×1 occs=762×1",
+		},
+		{
+			name:   "separating-miss-exact",
+			engine: EngineSequential,
+			run:    separatingMiss,
+			answer: "[]",
+			want: pinnedCounters{Runs: 2, Bands: 5, MaxBandWidth: 4,
+				Cost: obs.Cost{Nodes: 73, States: 2287, Emissions: 2829, Bytes: 146080},
+				Work: 2429, Rounds: 85},
+			notes: "miss×5",
 		},
 		{
 			name:       "decide-hit",
@@ -173,7 +230,7 @@ func runPinned(t *testing.T, c pinnedCase, engine Engine, rec *obs.Recorder) (st
 	t.Helper()
 	var st Stats
 	tr := wd.NewTracker()
-	got, err := c.run(Options{Seed: 5, Engine: engine, Stats: &st, Tracker: tr, Trace: rec})
+	got, err := c.run(Options{Seed: 5, Engine: engine, PaperLoop: c.paper, Stats: &st, Tracker: tr, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +239,9 @@ func runPinned(t *testing.T, c pinnedCase, engine Engine, rec *obs.Recorder) (st
 }
 
 // TestDeterministicCountersPinned pins, for fixed seeds, the exact
-// counters of one-pattern calls. Misses and capped counts run every band
-// to completion, so their counters hold at any parallelism; hits cancel
+// counters of one-pattern calls, the multi-run ones under both run loops.
+// Misses and counts run every band to completion, so their counters hold
+// at any parallelism; hits cancel
 // their sibling bands, so those cases pin band order with
 // SetParallelism(1). The answers (and witnesses) are pinned alongside,
 // and so is every case's band-note histogram. Every band span must

@@ -24,10 +24,11 @@ func decideDisconnected(g, h *graph.Graph, l int, opt Options) (bool, error) {
 	rng := opt.rng(2)
 	n := g.N()
 	color := make([]int8, n)
-	// The inner searches reuse the connected pipeline with a modest run
-	// budget: the outer loop already repeats, so each inner search only
-	// needs constant success probability given a surviving coloring.
-	// They charge Stats, Cost and Trace like any other search.
+	// The inner searches reuse the connected pipeline with two runs: on
+	// the default path that makes each one exact given the coloring, and
+	// under PaperLoop it gives the constant success probability the outer
+	// loop needs, since it already repeats. They charge Stats, Cost and
+	// Trace like any other search.
 	inner := opt
 	inner.MaxRuns = 2
 	for rep := 0; rep < reps; rep++ {

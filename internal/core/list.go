@@ -4,12 +4,14 @@ import (
 	"planarsi/internal/graph"
 )
 
-// List returns (w.h.p.) every occurrence of the connected pattern h in g,
-// implementing Theorem 4.2: repeat the cover-and-enumerate run, dedupe by
-// hashing, and stop once log2(j) + Θ(log n) consecutive iterations find
-// nothing new (Observation 2 bounds the probability that a long head
-// streak hides an unfound occurrence). Every iteration finds each fixed
-// occurrence with probability >= 1/2.
+// List returns every occurrence of the connected pattern h in g. On the
+// default path it enumerates one layered cover, which holds every
+// occurrence, so the listing is exact. Under PaperLoop it implements
+// Theorem 4.2 and is complete w.h.p.: repeat the cover-and-enumerate run,
+// dedupe by hashing, and stop once log2(j) + Θ(log n) consecutive
+// iterations find nothing new (Observation 2 bounds the probability that
+// a long head streak hides an unfound occurrence). Every iteration finds
+// each fixed occurrence with probability >= 1/2.
 //
 // Occurrences are injective maps from pattern vertices to target vertices;
 // automorphic images of the same vertex set count separately, matching the
@@ -44,17 +46,13 @@ func ListFrom(src CoverSource, g, h *graph.Graph, opt Options) ([]Occurrence, er
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Occurrence, 0, len(found[0]))
-	for _, o := range found[0] {
-		out = append(out, o)
-	}
-	return out, nil
+	return found[0], nil
 }
 
-// Count returns (w.h.p.) the number of occurrences of the connected
-// pattern h in g. As the paper's conclusion notes, counting via listing is
-// not work-efficient — the work grows with the number of occurrences —
-// but it is correct w.h.p.
+// Count returns the number of occurrences of the connected pattern h in
+// g, exact as List is. As the paper's conclusion notes, counting via
+// listing is not work-efficient: the work grows with the number of
+// occurrences.
 func Count(g, h *graph.Graph, opt Options) (int, error) {
 	occs, err := List(g, h, opt)
 	return len(occs), err
@@ -67,7 +65,7 @@ func CountFrom(src CoverSource, g, h *graph.Graph, opt Options) (int, error) {
 }
 
 // FindOne returns a single occurrence of the connected pattern h in g, or
-// nil when none was found within the run budget.
+// nil when the search found none (exact as Decide's negatives are).
 func FindOne(g, h *graph.Graph, opt Options) (Occurrence, error) {
 	return FindOneFrom(freshSource{g, opt}, g, h, opt)
 }

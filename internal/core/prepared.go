@@ -8,10 +8,10 @@ package core
 // Two properties make the split sound:
 //
 //  1. Per-run randomness is derived, not consumed. Run i's clustering is
-//     a pure function of (Options.Seed, coverStream, i), so a cached
-//     cover for run i is bit-identical to the one a fresh pipeline would
-//     build — answers with and without a cache are the same for equal
-//     Options.
+//     a pure function of (Options.Seed, coverStream, i) — the layered
+//     run's of the graph alone — so a cached cover for run i is
+//     bit-identical to the one a fresh pipeline would build: answers
+//     with and without a cache are the same for equal Options.
 //  2. Prepared artifacts are immutable. The engines only read the band
 //     graph, the nice decomposition and the Allowed/S masks, so one
 //     PreparedCover can serve any number of concurrent queries.
@@ -52,15 +52,36 @@ func CoverBeta(k int, opt Options) float64 {
 	return float64(2 * k)
 }
 
-// RunBudget returns the number of independent cover repetitions a
-// negative answer needs for w.h.p. correctness on an n-vertex target
-// (MaxRuns when set). Callers prewarming a cache use it to size the
-// per-(k, d) run range.
+// RunBudget returns the paper's run budget for an n-vertex target
+// (MaxRuns when set): the ESTC runs a negative answer needs for w.h.p.
+// correctness under PaperLoop. The default path makes at most two of
+// them, the second on the layered cover.
 func RunBudget(n int, opt Options) int { return opt.maxRuns(n) }
 
-// ClusterRun builds run `run`'s ESTC clustering of g for the clustering
-// parameter beta. Equal (Seed, beta, run) give equal clusterings.
+// layeredRun is the cover index of the layered run on the default path:
+// the second run of a witness search and the only run of a listing.
+const layeredRun = 1
+
+// CoverRuns returns how many cover indices, 0 through CoverRuns-1, the
+// run loops draw on an n-vertex target: run 0 and the layered run on the
+// default path, whatever MaxRuns is, and RunBudget's under PaperLoop.
+// Only the paper loop's listing draws past them. An Index memoizes these
+// covers and Prewarm builds them.
+func CoverRuns(n int, opt Options) int {
+	if opt.PaperLoop {
+		return opt.maxRuns(n)
+	}
+	return layeredRun + 1
+}
+
+// ClusterRun builds the clustering of g behind cover index run for the
+// clustering parameter beta: the layered clustering (estc.Layered) for
+// the layered run of the default path, else run's ESTC clustering. Equal
+// (Seed, PaperLoop, beta, run) give equal clusterings.
 func ClusterRun(g *graph.Graph, beta float64, run int, opt Options) *estc.Clustering {
+	if run == layeredRun && !opt.PaperLoop {
+		return estc.Layered(g, opt.Tracker)
+	}
 	return estc.Cluster(g, beta, opt.runRNG(coverStream, run), opt.Tracker)
 }
 
@@ -84,7 +105,8 @@ type PreparedBand struct {
 // decomposition precomputed. It is immutable after construction and safe
 // for concurrent use.
 type PreparedCover struct {
-	// Clustering is the ESTC clustering that induced the cover.
+	// Clustering is the ESTC or layered clustering that induced the
+	// cover.
 	Clustering *estc.Clustering
 	// BFSRounds is the cover's largest in-cluster BFS round count.
 	BFSRounds int
@@ -199,10 +221,10 @@ func PrepareFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, prev *
 	return prepare(cov, prev, opt)
 }
 
-// A CoverSource supplies the prepared cover for each independent run of
-// a pipeline loop, keyed by terminal mask s (nil for a plain cover),
-// pattern size k, pattern diameter d and run index. Implementations must
-// be safe for concurrent use and must return the cover
+// A CoverSource supplies the prepared cover for each run of a pipeline
+// loop, keyed by terminal mask s (nil for a plain cover), pattern size
+// k, pattern diameter d and cover index run. Implementations must be
+// safe for concurrent use and must return the cover
 // PrepareFromClustering would build from run `run`'s clustering
 // (ClusterRun) for the same Options; an Index's generations return
 // memoized instances.

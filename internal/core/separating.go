@@ -13,9 +13,9 @@ import (
 // the connected pattern h in g whose removal leaves at least two vertices
 // of the terminal set s in different connected components. On success it
 // returns a witness occurrence (which always verifies: yes-answers are
-// exact); a nil occurrence means none was found, which is correct w.h.p.
-// after the default run budget. s must hold one entry per vertex of g;
-// any other length is an ErrTerminalMask error.
+// exact); a nil occurrence means none was found, which is exact as
+// Decide's negatives are. s must hold one entry per vertex of g; any
+// other length is an ErrTerminalMask error.
 //
 // The cover is the Section 5.2.1 separating variant — bands are minors of
 // g whose merged vertices (contracted complement components) keep the

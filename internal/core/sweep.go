@@ -49,8 +49,7 @@ func checkGroup(g *graph.Graph, hs []*graph.Graph) {
 // DecideGroupFrom decides every pattern of hs — connected, all of one
 // (k, d) shape — against g in shared sweeps. The returned slice is
 // positionally aligned with hs and each entry equals what DecideFrom
-// would return for that pattern alone (true answers exact, false answers
-// w.h.p.).
+// would return for that pattern alone.
 func DecideGroupFrom(src CoverSource, g *graph.Graph, hs []*graph.Graph, opt Options) ([]bool, error) {
 	if len(hs) == 0 {
 		return nil, nil
@@ -162,12 +161,14 @@ func runHead(src CoverSource, s []bool, k, d, run, open int, opt Options) (*Prep
 }
 
 // witnessRuns is the run loop of decide (Theorem 2.1), find and
-// separating (Lemma 5.3): up to MaxRuns covers from src, each swept
-// once for every pattern of hs still without a witness. s is the
-// terminal mask of a separating search and nil otherwise. Entry j of
-// the result is pattern j's witness in original vertex ids, or nil when
-// the run budget found none (correct w.h.p.). The patterns must be
-// connected and share one (k, d) shape.
+// separating (Lemma 5.3): covers from src, each swept once for every
+// pattern of hs still without a witness, up to MaxRuns of them. Run 0
+// is an ESTC cover and run 1, the last, the layered cover; under
+// PaperLoop every run is an ESTC cover (CoverRuns). s is the terminal
+// mask of a separating search and nil otherwise. Entry j of the result
+// is pattern j's witness in original vertex ids, or nil when the runs
+// found none: exact once the layered run has swept, correct w.h.p.
+// otherwise. The patterns must be connected and share one (k, d) shape.
 func witnessRuns(src CoverSource, s []bool, n int, hs []*graph.Graph, kind queryKind, opt Options) ([]Occurrence, error) {
 	k, d := hs[0].N(), graph.Diameter(hs[0])
 	hits := make([]Occurrence, len(hs))
@@ -175,7 +176,7 @@ func witnessRuns(src CoverSource, s []bool, n int, hs []*graph.Graph, kind query
 	for j := range act {
 		act[j] = j
 	}
-	for run, runs := 0, opt.maxRuns(n); run < runs && len(act) > 0; run++ {
+	for run, runs := 0, min(opt.maxRuns(n), CoverRuns(n, opt)); run < runs && len(act) > 0; run++ {
 		pc, err := runHead(src, s, k, d, run, len(act), opt)
 		if err != nil {
 			return nil, err
@@ -221,34 +222,43 @@ func witnessRuns(src CoverSource, s []bool, n int, hs []*graph.Graph, kind query
 	return hits, nil
 }
 
-// listRuns is the Theorem 4.2 repetition loop: each run's cover is
-// prepared once and enumerated in one sweep for every pattern still
-// listing. Every pattern keeps its own dedupe set (entry j of the result,
-// keyed by Occurrence.Key) and its own stopping streak, so it collects
-// exactly what its solo listing would; a pattern stops once log2(j) +
-// Θ(log n) consecutive iterations found nothing new (Observation 2
-// bounds the probability that such a streak hides an unfound
-// occurrence) or MaxRuns is reached, and drops out of later sweeps.
+// listRuns lists every occurrence of each pattern of hs, entry j of the
+// result holding pattern j's. Following Section 4.2.1, a band reports
+// only the occurrences touching its lowest BFS level, so each occurrence
+// inside a cluster is produced by exactly one band, and the per-run work
+// is proportional to the number of occurrences rather than d times it.
 //
-// Following Section 4.2.1, a band reports only the occurrences touching
-// its lowest BFS level, so each occurrence inside a cluster is produced
-// by exactly one band; this keeps the per-run work proportional to the
-// number of occurrences rather than d times it.
-func listRuns(src CoverSource, n int, hs []*graph.Graph, opt Options) ([]map[string]Occurrence, error) {
+// On the default path that is one sweep of the layered cover: it holds
+// every occurrence, each in exactly one band, so the run is exact and
+// needs no dedupe. Under PaperLoop it is the Theorem 4.2 repetition
+// loop: ESTC runs, each swept for every pattern still listing, with a
+// dedupe set (keyed by Occurrence.Key) and a stopping streak per
+// pattern, so each collects exactly what its solo listing would. A
+// pattern stops once log2(j) + Θ(log n) consecutive iterations found
+// nothing new (Observation 2 bounds the probability that such a streak
+// hides an unfound occurrence) or MaxRuns is reached, and drops out of
+// later sweeps.
+func listRuns(src CoverSource, n int, hs []*graph.Graph, opt Options) ([][]Occurrence, error) {
 	k, d := hs[0].N(), graph.Diameter(hs[0])
-	found := make([]map[string]Occurrence, len(hs))
+	found := make([][]Occurrence, len(hs))
 	streak := make([]int, len(hs))
 	act := make([]int, len(hs))
 	// Listing has no per-pattern early exit (all occurrences are
 	// needed), so every pattern runs under the query token.
 	cancels := make([]*par.Canceller, len(hs))
 	for j := range hs {
-		found[j] = make(map[string]Occurrence)
 		act[j] = j
 		cancels[j] = opt.Cancel
 	}
+	first, seen := layeredRun, []map[string]bool(nil)
+	if opt.PaperLoop {
+		first, seen = 0, make([]map[string]bool, len(hs))
+		for j := range seen {
+			seen[j] = make(map[string]bool)
+		}
+	}
 	logN := math.Log2(float64(n) + 2)
-	for run := 0; len(act) > 0; run++ {
+	for run := first; len(act) > 0; run++ {
 		pc, err := runHead(src, nil, k, d, run, len(act), opt)
 		if err != nil {
 			return nil, err
@@ -263,16 +273,21 @@ func listRuns(src CoverSource, n int, hs []*graph.Graph, opt Options) ([]map[str
 				}
 				kept++
 				o := toOriginal(b, a)
-				key := o.Key()
 				mu.Lock()
-				if _, dup := found[j][key]; !dup {
-					found[j][key] = o
+				if seen == nil {
+					found[j] = append(found[j], o)
+				} else if key := o.Key(); !seen[j][key] {
+					seen[j][key] = true
+					found[j] = append(found[j], o)
 					added[j]++
 				}
 				mu.Unlock()
 			}
 			return kept
 		})
+		if !opt.PaperLoop {
+			break
+		}
 		// Every active pattern has run exactly run+1 iterations: all
 		// start at run 0 and stop by dropping out.
 		iters := run + 1

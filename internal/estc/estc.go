@@ -17,6 +17,11 @@
 // Observation 1 of the paper is the reason this clustering is the right
 // one: with β = 2k, a fixed connected k-vertex subgraph keeps all its
 // spanning tree edges inside one cluster with probability at least 1/2.
+//
+// Layered is the deterministic alternative: one cluster per connected
+// component, the clustering behind Eppstein's BFS layering (JGAA 1999).
+// Its cover keeps every connected occurrence, at the price of BFS depth
+// ecc(center) instead of O(β log n).
 package estc
 
 import (
@@ -26,6 +31,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"planarsi/internal/bfs"
 	"planarsi/internal/graph"
 	"planarsi/internal/par"
 	"planarsi/internal/wd"
@@ -265,4 +271,47 @@ func Cluster(g *graph.Graph, beta float64, rng *rand.Rand, tr *wd.Tracker) *Clus
 		dense[v] = idx
 	}
 	return &Clustering{Owner: dense, Center: centers, Rounds: rounds}
+}
+
+// Layered returns one cluster per connected component of g, centered at
+// the far end of one BFS sweep from the component's lowest-id vertex
+// (the lowest-id vertex on the sweep's deepest level). It draws no
+// randomness. A connected occurrence of diameter at most d spans at most
+// d+1 BFS levels of its component, so the cover cut from this clustering
+// holds every such occurrence in the window that starts at its lowest
+// level. Rounds is the longest sweep's round count, and tr counts the
+// sweeps as BFS work.
+func Layered(g *graph.Graph, tr *wd.Tracker) *Clustering {
+	n := g.N()
+	if n == 0 {
+		return &Clustering{}
+	}
+	owner, nc := graph.Components(g)
+	center := make([]int32, nc)
+	for c := range center {
+		center[c] = -1
+	}
+	for v, c := range owner {
+		if center[c] < 0 {
+			center[c] = int32(v)
+		}
+	}
+	// Components are disjoint, so the sweeps share one level array.
+	dist := make([]int32, n)
+	for v := range dist {
+		dist[v] = -1
+	}
+	depth := make([]int32, nc)
+	rounds := make([]int, nc)
+	par.ForGrain(0, nc, 1, func(c int) {
+		res := bfs.Levels(g, []int32{center[c]}, nil, dist, tr)
+		depth[c], rounds[c] = int32(res.MaxLevel), res.Rounds
+	})
+	far := make([]bool, nc)
+	for v, c := range owner {
+		if !far[c] && dist[v] == depth[c] {
+			center[c], far[c] = int32(v), true
+		}
+	}
+	return &Clustering{Owner: owner, Center: center, Rounds: slices.Max(rounds)}
 }

@@ -188,7 +188,7 @@ func AblationTD(cfg Config) *Table {
 				}
 			}
 			buildTime := time.Since(start)
-			found, err := core.Decide(g, h, core.Options{Seed: cfg.Seed, Heuristic: heur.h})
+			found, err := core.Decide(g, h, core.Options{Seed: cfg.Seed, Heuristic: heur.h, PaperLoop: true})
 			if err != nil {
 				t.Fail("%s: %v", heur.name, err)
 				continue

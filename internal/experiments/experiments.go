@@ -11,6 +11,11 @@
 // next to what the paper predicts. The cmd/paperbench binary prints these
 // tables, and make paper-smoke gates CI on their shape checks; the root
 // bench_test.go exercises the same functions under testing.B.
+//
+// Every pipeline call here sets core.Options.PaperLoop (and
+// conn.Options.PaperLoop), so the experiments measure the paper's Monte
+// Carlo loop — ESTC runs only, the Theorem 4.2 streak rule — rather than
+// the default path's exact layered run.
 package experiments
 
 import (

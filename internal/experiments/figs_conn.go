@@ -61,7 +61,7 @@ func Fig6(cfg Config) *Table {
 	for _, fam := range families {
 		tr := wd.NewTracker()
 		start := time.Now()
-		res, err := conn.VertexConnectivity(fam.g, conn.Options{Seed: cfg.Seed, Tracker: tr, MaxRuns: famRuns})
+		res, err := conn.VertexConnectivity(fam.g, conn.Options{Seed: cfg.Seed, Tracker: tr, MaxRuns: famRuns, PaperLoop: true})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fail("%s: %v", fam.name, err)
@@ -99,7 +99,7 @@ func Fig6(cfg Config) *Table {
 		g := graph.Bipyramid(n)
 		tr := wd.NewTracker()
 		start := time.Now()
-		res, err := conn.VertexConnectivity(g, conn.Options{Seed: cfg.Seed, Tracker: tr, MaxRuns: famRuns})
+		res, err := conn.VertexConnectivity(g, conn.Options{Seed: cfg.Seed, Tracker: tr, MaxRuns: famRuns, PaperLoop: true})
 		elapsed := time.Since(start)
 		if err != nil || res.Connectivity != 4 {
 			t.Fail("bipyramid(%d): κ=%d err=%v", n, res.Connectivity, err)
@@ -162,7 +162,7 @@ func Fig7(cfg Config) *Table {
 				break
 			}
 		}
-		occ, err := core.DecideSeparating(g, h, s, core.Options{Seed: cfg.Seed + uint64(trial)})
+		occ, err := core.DecideSeparating(g, h, s, core.Options{Seed: cfg.Seed + uint64(trial), PaperLoop: true})
 		if err != nil {
 			t.Fail("trial %d: %v", trial, err)
 			continue
@@ -200,7 +200,7 @@ func Fig7(cfg Config) *Table {
 	}
 	for i := 0; i < survTrials; i++ {
 		occ, err := core.DecideSeparating(dw, graph.Cycle(rim), s, core.Options{
-			Seed: cfg.Seed + uint64(1000+i), MaxRuns: 1})
+			Seed: cfg.Seed + uint64(1000+i), MaxRuns: 1, PaperLoop: true})
 		if err == nil && occ != nil {
 			survived++
 		}

@@ -56,7 +56,7 @@ func Genus43(cfg Config) *Table {
 				h = graph.Star(4)
 			}
 			want := naive.Decide(tg.g, h)
-			got, err := core.Decide(tg.g, h, core.Options{Seed: cfg.Seed + uint64(trial)})
+			got, err := core.Decide(tg.g, h, core.Options{Seed: cfg.Seed + uint64(trial), PaperLoop: true})
 			if err != nil {
 				t.Fail("%s: %v", tg.name, err)
 				continue

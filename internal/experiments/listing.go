@@ -44,7 +44,7 @@ func ListAll(cfg Config) *Table {
 			oracleKeys[core.Occurrence(a).Key()] = struct{}{}
 		}
 		var st core.Stats
-		occs, err := core.List(in.g, in.h, core.Options{Seed: cfg.Seed, Stats: &st})
+		occs, err := core.List(in.g, in.h, core.Options{Seed: cfg.Seed, Stats: &st, PaperLoop: true})
 		if err != nil {
 			t.Fail("%s: %v", in.name, err)
 			continue
@@ -114,7 +114,7 @@ func Disconnected(cfg Config) *Table {
 		for trial := 0; trial < trials; trial++ {
 			g := graph.RandomPlanar(20+rng.IntN(30), 0.5+0.5*rng.Float64(), rng)
 			want := naive.Decide(g, p.h)
-			got, err := core.Decide(g, p.h, core.Options{Seed: cfg.Seed + uint64(trial)})
+			got, err := core.Decide(g, p.h, core.Options{Seed: cfg.Seed + uint64(trial), PaperLoop: true})
 			if err != nil {
 				t.Fail("%s: %v", p.name, err)
 				continue

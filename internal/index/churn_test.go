@@ -84,7 +84,7 @@ func TestStatsAccounting(t *testing.T) {
 
 	const k, d = 4, 2
 	ix.Prewarm(k, d)
-	runs := core.RunBudget(g.N(), opt)
+	runs := core.CoverRuns(g.N(), opt)
 
 	st := ix.Stats()
 	if st.Clusterings != runs || st.PlainCovers != runs {

@@ -145,7 +145,8 @@ func (gen *generation) completed(cover func(memoEntry[coverKey, *core.PreparedCo
 	gen.clusters.each(cluster)
 }
 
-// clustering returns the memoized ESTC clustering for (beta, run).
+// clustering returns the memoized clustering for (beta, run): ESTC, or
+// the layered clustering for the default path's layered run.
 func (gen *generation) clustering(beta float64, run int) *estc.Clustering {
 	return gen.clusters.get(clusterKey{math.Float64bits(beta), run}, func() *estc.Clustering {
 		return core.ClusterRun(gen.g, beta, run, gen.ix.opt)
@@ -157,21 +158,23 @@ func (gen *generation) clustering(beta float64, run int) *estc.Clustering {
 // plain when s is nil and separating for terminal set s otherwise,
 // identical to the one core.PrepareRun (PrepareSeparatingRun) would
 // build fresh. Both kinds share the memoized (beta, run) clustering.
+// On the default path that is two covers per (s, k, d), run 0 and the
+// layered run, whatever the budget: a listing and a witness search's
+// second run share the layered one.
 //
-// Runs past the decide budget are built fresh and not cached: the
-// listing loop's adaptive stopping rule (Theorem 4.2) can push run
-// indices arbitrarily far on occurrence-rich targets, and memoizing that
-// tail would grow the cache without bound. Identity of answers is
-// unaffected — a fresh build equals a cached one by construction.
-// (Separating searches stop at the budget, so only plain runs get
-// there.)
+// Runs past core.CoverRuns are built fresh and not cached: only the
+// paper loop's listing asks for them, and its adaptive stopping rule
+// (Theorem 4.2) can push run indices arbitrarily far on
+// occurrence-rich targets, so memoizing that tail would grow the cache
+// without bound. Identity of answers is unaffected — a fresh build
+// equals a cached one by construction.
 func (gen *generation) Prepared(s []bool, k, d, run int) *core.PreparedCover {
 	key, t := coverKey{k: k, d: d, run: run, sep: s != nil, mask: packMask(s)}, gen.plain
 	if key.sep {
 		t = gen.sep
 	}
 	beta := core.CoverBeta(k, gen.ix.opt)
-	if run >= core.RunBudget(gen.g.N(), gen.ix.opt) {
+	if run >= core.CoverRuns(gen.g.N(), gen.ix.opt) {
 		return t.uncached(func() *core.PreparedCover {
 			pc, _, _ := gen.prepare(key, core.ClusterRun(gen.g, beta, run, gen.ix.opt), nil)
 			return pc

@@ -24,6 +24,10 @@
 //   - plain prepared covers by (k, d, run);
 //   - separating prepared covers by (k, d, run, terminal set).
 //
+// On the default path run is 0 (ESTC) or 1 (the layered cover every
+// miss and every listing ends with), so a shape holds at most two covers
+// whatever the run budget (core.CoverRuns).
+//
 // Seed and Heuristic are fixed per Index (they are part of its Options),
 // so they need not appear in the keys. All methods are safe for
 // concurrent use: each artifact class lives in one memo table (see
@@ -237,8 +241,9 @@ func query[T any](ctx context.Context, ix *Index, body func(gen *generation, opt
 }
 
 // Decide reports whether the pattern h occurs in the target. Answers
-// equal core.Decide's for the Index's Options: true answers are exact,
-// false answers hold w.h.p.
+// equal core.Decide's for the Index's Options: exact, except for false
+// answers at MaxRuns 1, under PaperLoop or for disconnected patterns,
+// which hold w.h.p.
 func (ix *Index) Decide(h *graph.Graph) (bool, error) {
 	return ix.DecideCtx(context.Background(), h)
 }
@@ -255,7 +260,7 @@ func (ix *Index) DecideCtx(ctx context.Context, h *graph.Graph) (bool, error) {
 }
 
 // FindOccurrence returns one occurrence of the connected pattern h, or
-// nil when none was found within the run budget.
+// nil when the search found none (exact as Decide's negatives are).
 func (ix *Index) FindOccurrence(h *graph.Graph) (core.Occurrence, error) {
 	return ix.FindOccurrenceCtx(context.Background(), h)
 }
@@ -267,8 +272,8 @@ func (ix *Index) FindOccurrenceCtx(ctx context.Context, h *graph.Graph) (core.Oc
 	})
 }
 
-// ListOccurrences returns (w.h.p.) every occurrence of the connected
-// pattern h, deduplicated (Theorem 4.2 stopping rule).
+// ListOccurrences returns every occurrence of the connected pattern h,
+// each once, as core.List does.
 func (ix *Index) ListOccurrences(h *graph.Graph) ([]core.Occurrence, error) {
 	return ix.ListOccurrencesCtx(context.Background(), h)
 }
@@ -280,8 +285,8 @@ func (ix *Index) ListOccurrencesCtx(ctx context.Context, h *graph.Graph) ([]core
 	})
 }
 
-// CountOccurrences returns (w.h.p.) the number of occurrences of the
-// connected pattern h.
+// CountOccurrences returns the number of occurrences of the connected
+// pattern h, as core.Count does.
 func (ix *Index) CountOccurrences(h *graph.Graph) (int, error) {
 	return ix.CountOccurrencesCtx(context.Background(), h)
 }
@@ -309,8 +314,7 @@ func (ix *Index) DecideSeparatingCtx(ctx context.Context, h *graph.Graph, s []bo
 
 // ScanResult is one pattern's answer in a batched scan.
 type ScanResult struct {
-	// Found reports whether the pattern occurs (Decide semantics: exact
-	// when true, w.h.p. when false).
+	// Found reports whether the pattern occurs (Decide semantics).
 	Found bool
 	// Count is the occurrence count; populated by ScanCount only.
 	Count int
@@ -517,13 +521,15 @@ func (ix *Index) scanGroup(ctx context.Context, gen *generation, us []*scanUniq,
 	}
 }
 
-// Prewarm materializes the full run budget of prepared covers for pattern
-// shape (k = pattern size, d = pattern diameter) in parallel, moving the
-// preprocessing cost out of the first queries.
+// Prewarm materializes, in parallel, every prepared cover a search of
+// pattern shape (k = pattern size, d = pattern diameter) can draw
+// (core.CoverRuns: run 0 and the layered cover on the default path, the
+// whole run budget under PaperLoop), moving the preprocessing cost out
+// of the first queries.
 func (ix *Index) Prewarm(k, d int) {
 	gen := ix.acquire()
 	defer ix.release(gen)
-	offPool(core.RunBudget(gen.g.N(), ix.opt), func(run int) {
+	offPool(core.CoverRuns(gen.g.N(), ix.opt), func(run int) {
 		gen.Prepared(nil, k, d, run)
 	})
 }

@@ -357,23 +357,47 @@ func TestCacheReuse(t *testing.T) {
 	}
 }
 
-// TestPrewarm checks that Prewarm materializes the full run budget and
-// that subsequent same-shape queries are served entirely from cache.
+// TestPrewarm checks that Prewarm materializes every cover a search can
+// draw — run 0 and the layered cover on the default path, the whole run
+// budget under PaperLoop — and that subsequent same-shape queries are
+// served entirely from cache: a miss ends on the layered cover and a
+// count lists that cover alone.
 func TestPrewarm(t *testing.T) {
 	g := graph.Grid(6, 6)
-	opt := core.Options{Seed: 2}
-	ix := New(g, opt)
-	ix.Prewarm(4, 2)
-	want := core.RunBudget(g.N(), opt)
-	if got := cachedCovers(ix); got != want {
-		t.Fatalf("cached covers after Prewarm = %d, want %d", got, want)
-	}
-	// C4 has k=4, d=2: deciding it must not build anything new.
-	if _, err := ix.Decide(graph.Cycle(4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := cachedCovers(ix); got != want {
-		t.Errorf("Decide after Prewarm built new covers: %d, want %d", got, want)
+	for _, tc := range []struct {
+		name string
+		opt  core.Options
+		want int
+	}{
+		{"default", core.Options{Seed: 2}, 2},
+		{"default-one-run", core.Options{Seed: 2, MaxRuns: 1}, 2},
+		{"paper-loop", core.Options{Seed: 2, MaxRuns: 6, PaperLoop: true}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := New(g, tc.opt)
+			ix.Prewarm(4, 2)
+			if got := core.CoverRuns(g.N(), tc.opt); got != tc.want {
+				t.Fatalf("CoverRuns = %d, want %d", got, tc.want)
+			}
+			if got := cachedCovers(ix); got != tc.want {
+				t.Fatalf("cached covers after Prewarm = %d, want %d", got, tc.want)
+			}
+			// The paw has C4's shape (k=4, d=2) and misses a grid.
+			paw := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
+			if found, err := ix.Decide(paw); err != nil || found {
+				t.Fatalf("paw: found=%v err=%v", found, err)
+			}
+			// The paper loop's streak rule may list past its budget, so
+			// only the default path counts here.
+			if !tc.opt.PaperLoop {
+				if n, err := ix.CountOccurrences(graph.Cycle(4)); err != nil || n != 25*8 {
+					t.Fatalf("C4 count %d (%v), want %d", n, err, 25*8)
+				}
+			}
+			if got := cachedCovers(ix); got != tc.want {
+				t.Errorf("queries after Prewarm built new covers: %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

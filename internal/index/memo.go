@@ -238,9 +238,10 @@ type MemoStats struct {
 	// form), "epoch" (artifact migration across edit generations).
 	Class string `json:"class"`
 	// Hits counts accesses that found a fully built entry; Misses
-	// counts the rest (entry absent, still building, or past the run
-	// budget and deliberately uncached). For the epoch class, Hits are
-	// artifacts retained across ApplyEdits and Misses artifacts rebuilt.
+	// counts the rest (entry absent, still building, or past
+	// core.CoverRuns and deliberately uncached). For the epoch class,
+	// Hits are artifacts retained across ApplyEdits and Misses
+	// artifacts rebuilt.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// BuildSeconds totals wall time spent inside this class's builds.

@@ -15,7 +15,7 @@ package index
 // What is not: artifacts still under construction when Save runs
 // (their build has not completed; the restored Index rebuilds them
 // on demand, bit-identically, from the derived (Seed, stream, run)
-// randomness), covers past the decide run budget (never memoized, see
+// randomness), covers past core.CoverRuns (never memoized, see
 // Prepared), and the cached planar embedding (recomputed lazily).
 
 import (

@@ -57,8 +57,12 @@ const magic = "PLSISNAP"
 // versions outright: artifacts are cheap to rebuild relative to the risk
 // of misinterpreting a foreign layout. Version 2 added the lifetime
 // sweep counter to the meta section; version 3 added the edit-epoch
-// counter, so a warm boot resumes an index's mutation history.
-const Version uint32 = 3
+// counter, so a warm boot resumes an index's mutation history. Version
+// 4 records Options.PaperLoop: cover index 1 is the layered cover on
+// the default path and an ESTC cover under the paper loop, and a v3
+// file's run-1 entries are ESTC covers this build would otherwise take
+// for the exact layered run.
+const Version uint32 = 4
 
 // Section tags, in their mandatory file order.
 const (

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"planarsi/internal/core"
@@ -189,6 +191,50 @@ func TestRejectsWrongMagicAndVersion(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[8:], Version+1)
 	if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrFormat) {
 		t.Fatalf("future version: got %v", err)
+	}
+}
+
+// A version 3 file is refused: its run-1 covers are ESTC covers, which
+// this build would take for the exact layered run.
+func TestRejectsVersion3(t *testing.T) {
+	old := encode(t, testSnapshot(t))
+	binary.LittleEndian.PutUint32(old[8:], 3)
+	if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrFormat) {
+		t.Fatalf("v3 header: got %v, want ErrFormat", err)
+	}
+}
+
+// The options record carries PaperLoop, and a flag byte other than 0 or
+// 1 is malformed.
+func TestPaperLoopRoundTrip(t *testing.T) {
+	for _, paper := range []bool{false, true} {
+		s := &Snapshot{Options: core.Options{Seed: 3, MaxRuns: 5, PaperLoop: paper}, Graph: graph.Path(5)}
+		data := encode(t, s)
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if got.Options != s.Options {
+			t.Fatalf("options %+v, want %+v", got.Options, s.Options)
+		}
+		if again := encode(t, got); !bytes.Equal(again, data) {
+			t.Fatal("save -> load -> save changed the bytes")
+		}
+	}
+	// The flag ends the options record: name (4+0), pinned (1), seed
+	// (8), engine, max runs, heuristic (4 each) and beta (8) precede it
+	// in the meta payload, which follows the file and section headers.
+	data := encode(t, &Snapshot{Options: core.Options{PaperLoop: true}, Graph: graph.Path(5)})
+	const payload = 12 + 8
+	const flag = payload + 4 + 1 + 8 + 4 + 4 + 4 + 8
+	if data[flag] != 1 {
+		t.Fatalf("byte %d = %d, want the paper-loop flag 1", flag, data[flag])
+	}
+	data[flag] = 2
+	end := payload + int(binary.LittleEndian.Uint32(data[payload-4:]))
+	binary.LittleEndian.PutUint32(data[end:], crc32.ChecksumIEEE(data[payload:end]))
+	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "paper-loop") {
+		t.Fatalf("paper-loop flag 2: got %v, want ErrFormat", err)
 	}
 }
 

@@ -346,6 +346,11 @@ func encodeOptions(e *enc, o core.Options) {
 	e.i32(int32(o.MaxRuns))
 	e.i32(int32(o.Heuristic))
 	e.f64(o.Beta)
+	if o.PaperLoop {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
 }
 
 func decodeOptions(d *dec) core.Options {
@@ -356,9 +361,14 @@ func decodeOptions(d *dec) core.Options {
 		Heuristic: treedecomp.Heuristic(d.i32()),
 		Beta:      d.f64(),
 	}
+	paper := d.u8()
 	if d.e != nil {
 		return core.Options{}
 	}
+	if paper > 1 {
+		d.fail("bad paper-loop flag %d", paper)
+	}
+	o.PaperLoop = paper == 1
 	if o.Engine < core.EngineAuto || o.Engine > core.EnginePathDAG {
 		d.fail("unknown engine %d", o.Engine)
 	}

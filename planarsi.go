@@ -53,8 +53,8 @@
 // Determinism and correctness are unchanged: per-run randomness is
 // derived purely from (Options.Seed, run), so an Index returns exactly
 // the covers a fresh call would build — for equal Options, answers with
-// and without an Index are identical, and the paper's exact-yes/w.h.p.-no
-// guarantees carry over verbatim.
+// and without an Index are identical, and the guarantees below carry
+// over verbatim.
 //
 // Concurrency: an Index is safe for concurrent use by any number of
 // goroutines. Cached artifacts are immutable and built exactly once per
@@ -76,14 +76,19 @@
 // pre-edit generation. See EditBatch, EditResult, and Index.Epoch.
 //
 // Yes-answers (found occurrences, reported cuts) are always exact and can
-// be re-checked with VerifyOccurrence / the returned witnesses;
-// no-answers are correct with high probability, with failure probability
-// shrinking geometrically in Options.MaxRuns.
+// be re-checked with VerifyOccurrence / the returned witnesses. No-answers
+// are exact too: a search its first (random) cover run leaves open ends
+// with one run on a BFS-layered cover (Eppstein's layering), which holds
+// every occurrence, and listing and counting make that one run alone.
+// Only Options.MaxRuns 1 (one random run, no layered run) and the
+// coloring loop of disconnected patterns (Lemma 4.1) leave negatives
+// correct with high probability.
 //
 // The implementation follows the paper's pipeline: Exponential Start Time
 // Clustering decomposes the target into low-diameter clusters (Lemma
 // 2.3), a parallel treewidth k-d cover cuts each cluster into
-// bounded-treewidth bands (Theorem 2.4), and each band is solved by a
+// bounded-treewidth bands (Theorem 2.4) — the layered run cuts each
+// connected component the same way — and each band is solved by a
 // dynamic program over a nice tree decomposition — either bottom-up
 // (Section 3.2) or through the parallel path-DAG engine with shortcut
 // reachability (Section 3.3). Extensions cover disconnected patterns
@@ -160,9 +165,10 @@ type Options struct {
 	Seed uint64
 	// Engine selects the per-band solver (default EngineAuto).
 	Engine Engine
-	// MaxRuns bounds the independent repetitions used to drive down the
-	// one-sided error; 0 selects 2·ceil(log2 n)+3, enough for w.h.p.
-	// correctness of negative answers.
+	// MaxRuns bounds the cover runs of a search. Any value but 1 (0
+	// included) allows the random run and the exact layered run; 1
+	// makes one random run, whose negatives hold w.h.p. only. Listing
+	// and counting make one layered run whatever the value.
 	MaxRuns int
 	// Heuristic selects the band tree-decomposition heuristic.
 	Heuristic Heuristic
@@ -191,27 +197,27 @@ func (o Options) core() core.Options {
 
 // Decide reports whether the pattern h occurs in the target g as a
 // subgraph (Theorem 2.1 for connected patterns, Lemma 4.1 for
-// disconnected ones). True answers are exact; false answers hold w.h.p.
+// disconnected ones). True answers are exact; so are false ones, except
+// at MaxRuns 1 and for disconnected patterns, where they hold w.h.p.
 func Decide(g, h *Graph, opt Options) (bool, error) {
 	return core.Decide(g, h, opt.core())
 }
 
 // FindOccurrence returns one occurrence of the connected pattern h in g,
-// or nil when none was found within the run budget.
+// or nil when there is none (w.h.p. only at MaxRuns 1).
 func FindOccurrence(g, h *Graph, opt Options) (Occurrence, error) {
 	return core.FindOne(g, h, opt.core())
 }
 
-// ListOccurrences returns (w.h.p.) every occurrence of the connected
-// pattern h in g, deduplicated, following the Theorem 4.2 stopping rule.
-// Automorphic images of the same vertex set count as distinct
-// occurrences.
+// ListOccurrences returns every occurrence of the connected pattern h in
+// g, each once, from one run on the BFS-layered cover. Automorphic images
+// of the same vertex set count as distinct occurrences.
 func ListOccurrences(g, h *Graph, opt Options) ([]Occurrence, error) {
 	return core.List(g, h, opt.core())
 }
 
-// CountOccurrences returns (w.h.p.) the number of occurrences of the
-// connected pattern h in g.
+// CountOccurrences returns the number of occurrences of the connected
+// pattern h in g, exact as ListOccurrences is.
 func CountOccurrences(g, h *Graph, opt Options) (int, error) {
 	return core.Count(g, h, opt.core())
 }
@@ -350,7 +356,7 @@ type ConnectivityResult = conn.Result
 // g in O(n log n) work and O(log² n) depth (Lemma 5.2). Graphs without
 // an embedding are embedded first (EmbedPlanar); non-planar inputs
 // return ErrNotPlanar. Reported cuts always verify; the connectivity
-// value holds w.h.p.
+// value is exact, except at MaxRuns 1, where it holds w.h.p.
 func VertexConnectivity(g *Graph, opt Options) (ConnectivityResult, error) {
 	return conn.VertexConnectivity(g, conn.Options{
 		Seed:    opt.Seed,
