@@ -163,12 +163,7 @@ func VertexConnectivity(g *graph.Graph, opt Options) (Result, error) {
 		}
 		if occ != nil {
 			res.Connectivity = c
-			res.Cut = verifiedCut(g, gp, s, occ, c, opt)
-			// A cancelled resample reads as a miss there; never report
-			// the cut it may have lost.
-			if err := opt.Cancel.Err(); err != nil {
-				return Result{}, err
-			}
+			res.Cut = verifiedCut(g, occ, c)
 			return res, nil
 		}
 	}
@@ -218,37 +213,15 @@ func originalVerticesOf(occ core.Occurrence, n int) []int32 {
 // this cannot happen — two faces of a 3-connected planar graph share at
 // most one edge, so removing a 2c-cycle never strands vertices that are
 // connected in g — so a witness fails only at c = 2, and the cut is then
-// found directly (twoCut). The paper loop instead resamples a few cycles
-// with fresh seeds, as its Monte Carlo searches can. A failed witness
-// never changes the connectivity value, which Lemma 5.1 ties to the cycle
-// length alone.
-func verifiedCut(g, gp *graph.Graph, s []bool, occ core.Occurrence, c int, opt Options) []int32 {
-	n := g.N()
-	cut := originalVerticesOf(occ, n)
+// found directly (twoCut). A failed witness never changes the
+// connectivity value, which Lemma 5.1 ties to the cycle length alone.
+func verifiedCut(g *graph.Graph, occ core.Occurrence, c int) []int32 {
+	cut := originalVerticesOf(occ, g.N())
 	if VerifyCut(g, cut) {
 		return cut
 	}
-	if !opt.PaperLoop {
-		if c == 2 {
-			return twoCut(g, cut)
-		}
-		return nil
-	}
-	for try := uint64(1); try <= 8; try++ {
-		occ2, err := core.DecideSeparating(gp, graph.Cycle(2*c), s, core.Options{
-			Seed:      opt.Seed + uint64(c) + try*0x9e3779b9,
-			MaxRuns:   2,
-			PaperLoop: true,
-			Tracker:   opt.Tracker,
-			Cancel:    opt.Cancel,
-		})
-		if err != nil || occ2 == nil {
-			continue
-		}
-		cut = originalVerticesOf(occ2, n)
-		if VerifyCut(g, cut) {
-			return cut
-		}
+	if c == 2 {
+		return twoCut(g, cut)
 	}
 	return nil
 }
@@ -272,7 +245,7 @@ func twoCut(g *graph.Graph, first []int32) []int32 {
 			}
 		}
 		sub, orig := graph.Induce(g, rest)
-		if a := slices.Index(graph.ArticulationPoints(sub), true); a >= 0 {
+		if a := articulationWitness(sub); a >= 0 {
 			return []int32{x, orig[a]}
 		}
 	}

@@ -191,8 +191,7 @@ func TestVerifyCut(t *testing.T) {
 // Regression: in thin 2-connected graphs (both faces of a cycle touch
 // every vertex) the 4-cycle through an edge and its two faces separates
 // G' without the edge's endpoints being a cut of G. The witness logic
-// must reject such cuts and find a verifying one; the paper loop's
-// resampling may return nil instead, but never a non-cut.
+// must reject such cuts and find a verifying one, under either loop.
 func TestCycleWitnessNeverAdjacentPair(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		g := graph.Cycle(10)
@@ -204,19 +203,14 @@ func TestCycleWitnessNeverAdjacentPair(t *testing.T) {
 		if res.Connectivity != 2 {
 			t.Fatalf("seed %d: connectivity %d, want 2", seed, res.Connectivity)
 		}
-		if res.Cut == nil && !paper {
-			t.Fatalf("seed %d: no witness cut", seed)
+		if len(res.Cut) != 2 {
+			t.Fatalf("seed %d: cut %v, want a 2-cut", seed, res.Cut)
 		}
-		if res.Cut != nil {
-			if len(res.Cut) != 2 {
-				t.Fatalf("seed %d: cut size %d", seed, len(res.Cut))
-			}
-			if !VerifyCut(g, res.Cut) {
-				t.Fatalf("seed %d: non-verifying cut %v", seed, res.Cut)
-			}
-			if g.HasEdge(res.Cut[0], res.Cut[1]) {
-				t.Fatalf("seed %d: adjacent pair %v cannot cut a cycle", seed, res.Cut)
-			}
+		if !VerifyCut(g, res.Cut) {
+			t.Fatalf("seed %d: non-verifying cut %v", seed, res.Cut)
+		}
+		if g.HasEdge(res.Cut[0], res.Cut[1]) {
+			t.Fatalf("seed %d: adjacent pair %v cannot cut a cycle", seed, res.Cut)
 		}
 	}
 }

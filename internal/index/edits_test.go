@@ -65,9 +65,10 @@ func editOracleQueries(t *testing.T, ix *Index) []string {
 // the edited graph, and its artifact tables serialize to the same bytes.
 //
 // The byte comparison warms both sides via Prewarm rather than queries:
-// Prewarm materializes a deterministic key set (the full run budget,
-// which depends only on N), whereas queries early-exit on found and so
-// memoize different run counts on different graphs. Per-key the migrated
+// Prewarm materializes a deterministic key set (core.CoverRuns covers:
+// run 0 plus the layered cover on the default path), whereas queries
+// early-exit on found and so memoize different run counts on different
+// graphs. Per-key the migrated
 // artifacts are bit-identical to fresh ones; the fixed key set makes
 // whole snapshots comparable.
 func TestApplyEditsOracle(t *testing.T) {

@@ -82,7 +82,12 @@
 // every occurrence, and listing and counting make that one run alone.
 // Only Options.MaxRuns 1 (one random run, no layered run) and the
 // coloring loop of disconnected patterns (Lemma 4.1) leave negatives
-// correct with high probability.
+// correct with high probability. The layered run pays for exactness in
+// depth: its root sweep and its layering take ecc(root) rounds each,
+// Θ(n) on paths and cycles and 127 + 127 on a 64×64 grid, against 26–46
+// BFS rounds for a random cover run. The O(k log² n) depth bound above
+// holds at MaxRuns 1 and under the paper's Monte Carlo loop (all random
+// runs, which the paper experiments use), not for a run that ends layered.
 //
 // The implementation follows the paper's pipeline: Exponential Start Time
 // Clustering decomposes the target into low-diameter clusters (Lemma
