@@ -402,8 +402,7 @@ func BenchmarkGenusTorusDecide(b *testing.B) {
 // indexBenchBatch returns the 8-pattern motif batch the Index benchmarks
 // scan: the four connected 4-vertex diameter-2 graphs, three 5-vertex
 // diameter-2 graphs, and P3. Patterns of one shape (k, d) share their
-// covers and decompositions outright in the batched path, and each size
-// class shares its per-run clusterings.
+// covers and decompositions outright in the batched path.
 func indexBenchBatch() []*graph.Graph {
 	small := func(edges ...[2]int32) *graph.Graph {
 		n := int32(0)

@@ -186,8 +186,8 @@ func main() {
 	if *snapDir != "" {
 		infos, err := srv.RestoreSnapshots()
 		for _, in := range infos {
-			log.Printf("planarsid: warm boot: restored graph %s (n=%d m=%d, clusterings=%d covers=%d) from %s — preprocessing skipped",
-				in.Name, in.N, in.M, in.Clusterings, in.Covers, in.File)
+			log.Printf("planarsid: warm boot: restored graph %s (n=%d m=%d, covers=%d) from %s — preprocessing skipped",
+				in.Name, in.N, in.M, in.Covers, in.File)
 		}
 		if err != nil {
 			log.Printf("planarsid: snapshot restore (continuing cold for the affected graphs): %v", err)
@@ -265,8 +265,8 @@ func main() {
 			log.Printf("planarsid: snapshot persist: %v", err)
 		}
 		for _, in := range infos {
-			log.Printf("planarsid: persisted graph %s (clusterings=%d covers=%d, %d bytes) to %s",
-				in.Name, in.Clusterings, in.Covers, in.FileBytes, in.File)
+			log.Printf("planarsid: persisted graph %s (covers=%d, %d bytes) to %s",
+				in.Name, in.Covers, in.FileBytes, in.File)
 		}
 	}
 	if traceLogFile != nil {

@@ -253,13 +253,16 @@ func twoCut(g *graph.Graph, first []int32) []int32 {
 }
 
 // VerifyCut checks that removing the given vertices disconnects g — the
-// witness validation tests apply to every reported cut.
+// witness validation tests apply to every reported cut. A cut naming a
+// vertex outside [0, n) or one vertex twice verifies nothing, so len(cut)
+// is the size callers compare with the connectivity.
 func VerifyCut(g *graph.Graph, cut []int32) bool {
 	drop := make([]bool, g.N())
 	for _, v := range cut {
-		if v >= 0 && int(v) < g.N() {
-			drop[v] = true
+		if v < 0 || int(v) >= g.N() || drop[v] {
+			return false
 		}
+		drop[v] = true
 	}
 	_, comps := graph.ComponentsWithout(g, drop)
 	return comps > 1

@@ -186,6 +186,13 @@ func TestVerifyCut(t *testing.T) {
 	if VerifyCut(g, []int32{0, 1, 2, 3}) {
 		t.Fatal("removing all but one vertex is not a separation")
 	}
+	// A cut is a set of vertices of g: an id outside [0, n) or a repeated
+	// id fails, even beside a vertex that disconnects g.
+	for _, cut := range [][]int32{{2, 99}, {-5, 2}, {2, 2}, {2, 5}} {
+		if VerifyCut(g, cut) {
+			t.Errorf("cut %v verified on a 5-vertex path", cut)
+		}
+	}
 }
 
 // Regression: in thin 2-connected graphs (both faces of a cycle touch

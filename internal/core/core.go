@@ -67,7 +67,9 @@ type Options struct {
 	// 3, enough to certify absence w.h.p. under PaperLoop. On the
 	// default path any budget of 2 or more makes at most two runs, the
 	// second one exact, and MaxRuns 1 makes one ESTC run. Listing makes
-	// one exact run whatever the budget.
+	// one exact run whatever the budget. It bounds the cover runs of a
+	// connected search only: the Lemma 4.1 loop of a disconnected
+	// pattern tries up to O(l^k log n) colorings whatever MaxRuns is.
 	MaxRuns int
 	// PaperLoop runs the source paper's Monte Carlo loop: every run on a
 	// fresh ESTC cover, up to MaxRuns of them, and listing stopped by

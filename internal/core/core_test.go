@@ -227,13 +227,18 @@ func TestDecideDisconnectedTriangles(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	g := graph.DisjointUnion(graph.Cycle(3), graph.Path(6), graph.Cycle(3))
 	h := graph.DisjointUnion(graph.Cycle(3), graph.Cycle(3))
-	got, err := Decide(g, h, Options{Seed: 1})
-	if err != nil || !got {
-		t.Fatalf("two triangles: got %v, %v", got, err)
+	// MaxRuns bounds the cover runs of a connected search, not the
+	// Lemma 4.1 colorings, so every budget finds the pair.
+	for _, runs := range []int{0, 2, 8, 17} {
+		for seed := uint64(0); seed < 20; seed++ {
+			if got, err := Decide(g, h, Options{Seed: seed, MaxRuns: runs}); err != nil || !got {
+				t.Errorf("two triangles, MaxRuns %d, seed %d: got %v, %v", runs, seed, got, err)
+			}
+		}
 	}
 	// Only one triangle present: must be false.
 	g2 := graph.DisjointUnion(graph.Cycle(3), graph.Path(9))
-	got, err = Decide(g2, h, Options{Seed: 1})
+	got, err := Decide(g2, h, Options{Seed: 1})
 	if err != nil || got {
 		t.Fatalf("one triangle: got %v, %v", got, err)
 	}

@@ -14,13 +14,11 @@ import (
 // O(l^k log n) repetitions certify absence w.h.p.; each successful
 // repetition is exact, so "yes" answers are always correct (component
 // images are automatically disjoint because the color classes are).
+// MaxRuns does not bound the colorings: it counts the cover runs of a
+// connected search, and each inner search makes its own.
 func decideDisconnected(g, h *graph.Graph, l int, opt Options) (bool, error) {
 	comps := splitComponents(h)
-	k := h.N()
-	reps := opt.MaxRuns
-	if reps == 0 {
-		reps = colorRepetitions(l, k, g.N())
-	}
+	reps := colorRepetitions(l, h.N(), g.N())
 	rng := opt.rng(2)
 	n := g.N()
 	color := make([]int8, n)

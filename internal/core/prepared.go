@@ -1,9 +1,9 @@
 package core
 
 // Shared-preprocessing support: the pipeline's target-side artifacts
-// (ESTC clusterings, k-d covers, nice band decompositions) are split out
-// of the query loops so they can be built once and served to many
-// queries.
+// (k-d covers with their nice band decompositions, each cut from a
+// clustering built for it) are split out of the query loops so they can
+// be built once and served to many queries.
 //
 // Two properties make the split sound:
 //
@@ -105,9 +105,6 @@ type PreparedBand struct {
 // decomposition precomputed. It is immutable after construction and safe
 // for concurrent use.
 type PreparedCover struct {
-	// Clustering is the ESTC or layered clustering that induced the
-	// cover.
-	Clustering *estc.Clustering
 	// BFSRounds is the cover's largest in-cluster BFS round count.
 	BFSRounds int
 	// Bands lists the cover's bands in cover order.
@@ -125,8 +122,7 @@ func (pb *PreparedBand) MemBytes() int64 {
 }
 
 // MemBytes returns the approximate heap footprint of the prepared cover in
-// bytes. The clustering that induced the cover is excluded: caches share
-// one clustering across many covers and account for it separately.
+// bytes: the sum over its prepared bands.
 func (pc *PreparedCover) MemBytes() int64 {
 	var b int64
 	for i := range pc.Bands {
@@ -165,7 +161,7 @@ func prepare(cov *cover.Cover, prev *PreparedCover, opt Options) (*PreparedCover
 			}
 		}
 	}
-	pc := &PreparedCover{Clustering: cov.Clustering, BFSRounds: cov.BFSRounds, Bands: make([]PreparedBand, len(cov.Bands))}
+	pc := &PreparedCover{BFSRounds: cov.BFSRounds, Bands: make([]PreparedBand, len(cov.Bands))}
 	var kept, rebuilt atomic.Int64
 	par.ForGrain(0, len(cov.Bands), 1, func(i int) {
 		injectBandFaults()
@@ -207,17 +203,17 @@ func PrepareSeparatingRun(g *graph.Graph, s []bool, k, d, run int, opt Options) 
 	return freshSource{g, opt}.Prepared(s, k, d, run)
 }
 
-// PrepareFromClustering decomposes the cover induced by an existing
-// clustering (shared across pattern diameters by a cache): the plain
-// cover when s is nil, else the separating cover for terminal mask s
-// (cover.Cut). It reuses the unchanged bands of prev, the same key's
-// cover before an edge edit, when prev is non-nil (see prepare), and
-// also returns how many bands were kept and how many decomposed.
+// PrepareFromClustering decomposes the cover induced by the clustering
+// cl: the plain cover when s is nil, else the separating cover for
+// terminal mask s (cover.Cut). It reuses the unchanged bands of prev,
+// the same key's cover before an edge edit, when prev is non-nil (see
+// prepare), and also returns how many bands were kept and how many
+// decomposed.
 // Separating bands are minors of the whole graph, so an edit anywhere
 // can change any of them; the bit-identity check reuses only the truly
 // untouched ones.
 func PrepareFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, prev *PreparedCover, k, d int, opt Options) (*PreparedCover, int, int) {
-	cov := cover.Cut(g, cl, s, cover.Params{K: k, D: d, Beta: opt.Beta}, opt.Tracker)
+	cov := cover.Cut(g, cl, s, cover.Params{K: k, D: d}, opt.Tracker)
 	return prepare(cov, prev, opt)
 }
 

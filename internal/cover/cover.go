@@ -118,10 +118,9 @@ func (b *Band) MemBytes() int64 {
 		int64(cap(b.Allowed)+cap(b.S)+cap(b.LowestLevelLocal))
 }
 
-// Cover is a set of bands plus the clustering that produced them.
+// Cover is the set of bands cut from one clustering.
 type Cover struct {
-	Bands      []*Band
-	Clustering *estc.Clustering
+	Bands []*Band
 	// BFSRounds is the largest in-cluster BFS round count (depth proxy).
 	BFSRounds int
 }
@@ -149,26 +148,26 @@ func Build(g *graph.Graph, p Params, rng *rand.Rand, tr *wd.Tracker) *Cover {
 }
 
 // FromClustering constructs the plain k-d cover induced by an existing
-// ESTC clustering. It is the second half of Build, split out so callers
-// serving many queries against one target (planarsi.Index) can reuse a
-// single clustering across every pattern diameter d.
+// clustering. It is the second half of Build, split out for callers that
+// build the clustering themselves (core.ClusterRun picks the ESTC or the
+// layered clustering of a run).
 func FromClustering(g *graph.Graph, cl *estc.Clustering, p Params, tr *wd.Tracker) *Cover {
 	return Cut(g, cl, nil, p, tr)
 }
 
 // SeparatingFromClustering constructs the Section 5.2.1 separating cover
-// induced by an existing ESTC clustering: bands become minors carrying
+// induced by an existing clustering: bands become minors carrying
 // Allowed and S marks. s is the terminal mask over the original graph.
 func SeparatingFromClustering(g *graph.Graph, cl *estc.Clustering, s []bool, p Params, tr *wd.Tracker) *Cover {
 	return Cut(g, cl, s, p, tr)
 }
 
-// Cut constructs the cover induced by an existing ESTC clustering: the
+// Cut constructs the cover induced by an existing clustering: the
 // plain k-d cover when s is nil, else the separating cover for the
 // terminal mask s. Both covers run the same in-cluster BFS and cut the
 // same level windows; only the band construction differs.
 func Cut(g *graph.Graph, cl *estc.Clustering, s []bool, p Params, tr *wd.Tracker) *Cover {
-	c := &Cover{Clustering: cl}
+	c := &Cover{}
 	members := clusterMembers(cl, g.N())
 	// One level array serves every cluster's BFS: clusters are disjoint,
 	// so the concurrent searches write disjoint entries, and a cluster

@@ -293,9 +293,16 @@ func TestBetaOverride(t *testing.T) {
 	g := graph.Grid(20, 20)
 	small := Build(g, Params{K: 4, D: 1, Beta: 1.5}, rng, nil)
 	big := Build(g, Params{K: 4, D: 1, Beta: 16}, rng, nil)
-	// Smaller beta gives smaller clusters, hence more of them.
-	if small.Clustering.NumClusters() <= big.Clustering.NumClusters() {
-		t.Fatalf("beta=1.5 gave %d clusters, beta=16 gave %d — expected more with smaller beta",
-			small.Clustering.NumClusters(), big.Clustering.NumClusters())
+	// Smaller beta gives smaller clusters, hence bands from more of them.
+	clusters := func(c *Cover) int {
+		seen := map[int32]bool{}
+		for _, b := range c.Bands {
+			seen[b.Cluster] = true
+		}
+		return len(seen)
+	}
+	if clusters(small) <= clusters(big) {
+		t.Fatalf("beta=1.5 cut bands from %d clusters, beta=16 from %d — expected more with smaller beta",
+			clusters(small), clusters(big))
 	}
 }

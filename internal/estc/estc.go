@@ -25,7 +25,6 @@
 package estc
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -50,54 +49,6 @@ type Clustering struct {
 
 // NumClusters returns the number of clusters.
 func (c *Clustering) NumClusters() int { return len(c.Center) }
-
-// Equal reports whether two clusterings are identical: same owners, same
-// centers, same round count. Incremental invalidation uses it to decide
-// whether a clustering memoized for an earlier graph generation can keep
-// serving after an edit — equality here guarantees every artifact derived
-// from the clustering is bit-identical to a fresh rebuild.
-func (c *Clustering) Equal(o *Clustering) bool {
-	if c == o {
-		return true
-	}
-	if c == nil || o == nil {
-		return false
-	}
-	return c.Rounds == o.Rounds &&
-		slices.Equal(c.Owner, o.Owner) &&
-		slices.Equal(c.Center, o.Center)
-}
-
-// MemBytes returns the approximate heap footprint of the clustering in
-// bytes (cache accounting for the serving layer's memory budget).
-func (c *Clustering) MemBytes() int64 {
-	return int64(cap(c.Owner))*4 + int64(cap(c.Center))*4
-}
-
-// Validate checks that the clustering is structurally sound for an
-// n-vertex graph: every vertex has an owner in [0, NumClusters) and
-// every center is a vertex. Snapshot decoding calls it so a clustering
-// restored from an untrusted file can never index out of bounds.
-func (c *Clustering) Validate(n int) error {
-	if len(c.Owner) != n {
-		return fmt.Errorf("estc: %d owners for %d vertices", len(c.Owner), n)
-	}
-	nc := int32(len(c.Center))
-	for v, o := range c.Owner {
-		if o < 0 || o >= nc {
-			return fmt.Errorf("estc: vertex %d owned by cluster %d, outside [0, %d)", v, o, nc)
-		}
-	}
-	for ci, ctr := range c.Center {
-		if ctr < 0 || int(ctr) >= n {
-			return fmt.Errorf("estc: cluster %d centered at %d, outside [0, %d)", ci, ctr, n)
-		}
-	}
-	if c.Rounds < 0 {
-		return fmt.Errorf("estc: negative round count %d", c.Rounds)
-	}
-	return nil
-}
 
 // CrossingEdges counts edges whose endpoints lie in different clusters.
 func (c *Clustering) CrossingEdges(g *graph.Graph) int {

@@ -74,7 +74,7 @@ func TestStatsAccounting(t *testing.T) {
 	opt := core.Options{Seed: 5, MaxRuns: 3}
 	ix := New(g, opt)
 
-	if st := ix.Stats(); st.Clusterings != 0 || st.PlainCovers != 0 || st.SeparatingCovers != 0 ||
+	if st := ix.Stats(); st.PlainCovers != 0 || st.SeparatingCovers != 0 ||
 		st.Bands != 0 || st.MemBytes != 0 {
 		t.Fatalf("fresh index has nonzero cache stats: %+v", st)
 	}
@@ -87,9 +87,8 @@ func TestStatsAccounting(t *testing.T) {
 	runs := core.CoverRuns(g.N(), opt)
 
 	st := ix.Stats()
-	if st.Clusterings != runs || st.PlainCovers != runs {
-		t.Fatalf("after Prewarm(%d,%d): clusterings=%d plainCovers=%d, want %d each",
-			k, d, st.Clusterings, st.PlainCovers, runs)
+	if st.PlainCovers != runs {
+		t.Fatalf("after Prewarm(%d,%d): plainCovers=%d, want %d", k, d, st.PlainCovers, runs)
 	}
 	if st.SeparatingCovers != 0 {
 		t.Fatalf("plain prewarm cached %d separating covers", st.SeparatingCovers)
@@ -103,7 +102,6 @@ func TestStatsAccounting(t *testing.T) {
 		pc := gen.Prepared(nil, k, d, run)
 		wantBytes += pc.MemBytes()
 		wantBands += len(pc.Bands)
-		wantBytes += core.ClusterRun(g, core.CoverBeta(k, opt), run, opt).MemBytes()
 	}
 	if st.MemBytes != wantBytes {
 		t.Fatalf("MemBytes = %d, want %d (sum over cached artifacts)", st.MemBytes, wantBytes)
@@ -139,7 +137,7 @@ func TestStatsAccounting(t *testing.T) {
 	// Reset drops the artifacts but keeps the lifetime query counter.
 	ix.Reset()
 	st3 := ix.Stats()
-	if st3.Clusterings != 0 || st3.PlainCovers != 0 || st3.SeparatingCovers != 0 ||
+	if st3.PlainCovers != 0 || st3.SeparatingCovers != 0 ||
 		st3.Bands != 0 || st3.MemBytes != 0 {
 		t.Fatalf("after Reset: %+v", st3)
 	}

@@ -156,10 +156,10 @@ func TestMemoStats(t *testing.T) {
 	}
 
 	cold := byClass()
-	if len(cold) != 5 {
-		t.Fatalf("MemoStats classes = %d, want 5", len(cold))
+	if len(cold) != 4 {
+		t.Fatalf("MemoStats classes = %d, want 4", len(cold))
 	}
-	for _, class := range []string{"clustering", "cover", "separating", "pattern", "epoch"} {
+	for _, class := range []string{"cover", "separating", "pattern", "epoch"} {
 		if _, ok := cold[class]; !ok {
 			t.Fatalf("missing class %q in %+v", class, cold)
 		}
@@ -175,9 +175,6 @@ func TestMemoStats(t *testing.T) {
 	warm := byClass()
 	if warm["cover"].Misses == 0 {
 		t.Fatalf("cold query recorded no cover misses: %+v", warm["cover"])
-	}
-	if warm["clustering"].Misses == 0 {
-		t.Fatalf("cold query recorded no clustering misses: %+v", warm["clustering"])
 	}
 	if warm["cover"].BuildSeconds <= 0 {
 		t.Fatalf("cover builds recorded no build time: %+v", warm["cover"])

@@ -34,12 +34,14 @@ func withWatchdog(t *testing.T, f func()) {
 }
 
 // TestMemoBuildsOffPool is the regression test for the memo table's one
-// rule: get is never called from a par pool task. Scan members of one
-// pattern size share a clustering, and so do Prewarm's shapes of one
-// size. When scan units and Prewarm runs were pool tasks, the
-// work-stealing join inside one unit's clustering build could run a
-// sibling unit on the building goroutine, and the sibling then blocked
-// on the build that goroutine held. Every round uses a fresh Index, so
+// rule: get is never called from a par pool task. Each round races
+// several requesters of the same cover keys: three Scans of one batch
+// after an edit, or Prewarm(4, 2) beside two Scans whose paw and C4
+// members draw the same run-0 and layered covers. When scan units and
+// Prewarm runs were pool tasks, the work-stealing join inside one
+// goroutine's cover build could run another requester's unit for the key
+// being built on the building goroutine, and that unit then blocked on
+// the build its own goroutine held. Every round uses a fresh Index, so
 // every round races the same builds from scratch.
 func TestMemoBuildsOffPool(t *testing.T) {
 	par.SetParallelism(4)
@@ -50,12 +52,27 @@ func TestMemoBuildsOffPool(t *testing.T) {
 	if testing.Short() {
 		rounds = 8
 	}
-	scan := func(t *testing.T, ix *Index, hs ...*graph.Graph) {
-		for i, r := range ix.Scan(context.Background(), hs) {
-			if r.Err != nil {
-				t.Errorf("member %d: %v", i, r.Err)
+	// The paw (a triangle with a pendant edge) misses the grid, so its
+	// shape group draws the layered cover too.
+	paw := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
+	batch := []*graph.Graph{graph.Path(4), graph.Cycle(4), paw, graph.Cycle(3), graph.Path(3), graph.Path(5)}
+	scan := func(t *testing.T, ix *Index) func() {
+		return func() {
+			for i, r := range ix.Scan(context.Background(), batch) {
+				if r.Err != nil {
+					t.Errorf("member %d: %v", i, r.Err)
+				}
 			}
 		}
+	}
+	// race runs every f at once and waits for all of them.
+	race := func(fs ...func()) {
+		var wg sync.WaitGroup
+		for _, f := range fs {
+			wg.Add(1)
+			go func() { defer wg.Done(); f() }()
+		}
+		wg.Wait()
 	}
 
 	t.Run("scan-after-edit", func(t *testing.T) {
@@ -66,7 +83,7 @@ func TestMemoBuildsOffPool(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				scan(t, ix, graph.Cycle(4), graph.Cycle(3), graph.Path(4))
+				race(scan(t, ix), scan(t, ix), scan(t, ix))
 			})
 		}
 	})
@@ -75,12 +92,7 @@ func TestMemoBuildsOffPool(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			withWatchdog(t, func() {
 				ix := New(g, opt)
-				var wg sync.WaitGroup
-				wg.Add(3)
-				go func() { defer wg.Done(); ix.Prewarm(4, 2) }()
-				go func() { defer wg.Done(); ix.Prewarm(4, 3) }()
-				go func() { defer wg.Done(); scan(t, ix, graph.Path(4)) }()
-				wg.Wait()
+				race(func() { ix.Prewarm(4, 2) }, scan(t, ix), scan(t, ix))
 			})
 		}
 	})

@@ -6,8 +6,8 @@ package index
 // old one.
 //
 // Migration is surgical but answer-preserving. For every completed memo
-// entry the cheap geometry is recomputed on the edited graph —
-// clusterings are a pure function of (Seed, stream, run) and O(n) to
+// entry the cheap geometry is recomputed on the edited graph — the
+// clustering is a pure function of (Seed, stream, run) and O(n) to
 // rebuild, cover band-cutting is one BFS per cluster — and diffed
 // against the old generation. The expensive artifacts (the nice tree
 // decompositions of the bands) are reused exactly when their band is
@@ -26,11 +26,9 @@ package index
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"planarsi/internal/core"
-	"planarsi/internal/estc"
 	"planarsi/internal/planarity"
 )
 
@@ -80,10 +78,8 @@ type EditResult struct {
 	// Added and Removed count the applied edits.
 	Added   int `json:"added"`
 	Removed int `json:"removed"`
-	// Clusterings, PlainCovers and SeparatingCovers describe migrated
-	// memo entries; Bands describes band decompositions within the
-	// migrated covers.
-	Clusterings      ClassDelta `json:"clusterings"`
+	// PlainCovers and SeparatingCovers describe migrated memo entries;
+	// Bands describes band decompositions within the migrated covers.
 	PlainCovers      ClassDelta `json:"plainCovers"`
 	SeparatingCovers ClassDelta `json:"separatingCovers"`
 	Bands            ClassDelta `json:"bands"`
@@ -137,59 +133,20 @@ func (ix *Index) ApplyEdits(b EditBatch) (EditResult, error) {
 // on demand, bit-identically. next is unpublished and editMu serializes
 // us, so filling its tables races nothing.
 func (ix *Index) migrate(old, next *generation, res *EditResult) {
-	var plain, sep []memoEntry[coverKey, *core.PreparedCover]
-	var clusters []memoEntry[clusterKey, *estc.Clustering]
-	old.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
-		if e.key.sep {
-			sep = append(sep, e)
-		} else {
-			plain = append(plain, e)
-		}
-	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
-		clusters = append(clusters, e)
-	})
-
-	// Clusterings first: covers share them, and the kept/rebuilt
-	// decision below wants the migrated pointer.
-	cls := make(map[clusterKey]*estc.Clustering)
-	res.Clusterings = next.clusters.carry(clusters, func(key clusterKey, cl *estc.Clustering) (*estc.Clustering, bool) {
-		cl2 := core.ClusterRun(next.g, math.Float64frombits(key.betaBits), key.run, ix.opt)
-		if cl.Equal(cl2) {
-			cl2 = cl
-		}
-		cls[key] = cl2
-		return cl2, cl2 == cl
-	})
-
 	refresh := func(key coverKey, pc *core.PreparedCover) (*core.PreparedCover, bool) {
-		beta := core.CoverBeta(key.k, ix.opt)
-		ckey := clusterKey{math.Float64bits(beta), key.run}
-		cl, ok := cls[ckey]
-		if !ok {
-			// The old generation memoized the cover but not its
-			// clustering (e.g. after a partial snapshot restore): build
-			// and install it, counted as a rebuilt clustering.
-			cl = core.ClusterRun(next.g, beta, key.run, ix.opt)
-			cls[ckey] = cl
-			next.clusters.put(ckey, cl, cl.MemBytes())
-			res.Clusterings.Rebuilt++
-		}
-		pc2, kept, rebuilt := next.prepare(key, cl, pc)
+		pc2, kept, rebuilt := next.prepare(key, pc)
 		res.Bands.Kept += kept
 		res.Bands.Rebuilt += rebuilt
-		// Every band reused, none appeared or disappeared, and the
-		// cover-level metadata (inducing clustering, BFS depth proxy)
-		// unchanged: pc2 references pc's band pointers throughout, so
-		// the two are bit-identical.
-		survived := rebuilt == 0 && len(pc2.Bands) == len(pc.Bands) &&
-			pc2.Clustering == pc.Clustering && pc2.BFSRounds == pc.BFSRounds
+		// Every band reused, none appeared or disappeared, and the BFS
+		// depth proxy unchanged: pc2 references pc's band pointers
+		// throughout, so the two are bit-identical.
+		survived := rebuilt == 0 && len(pc2.Bands) == len(pc.Bands) && pc2.BFSRounds == pc.BFSRounds
 		return pc2, survived
 	}
-	res.PlainCovers = next.plain.carry(plain, refresh)
-	res.SeparatingCovers = next.sep.carry(sep, refresh)
+	res.PlainCovers = next.plain.carry(old.plain, refresh)
+	res.SeparatingCovers = next.sep.carry(old.sep, refresh)
 
 	for c, d := range [numInvalClasses]ClassDelta{
-		invalClustering: res.Clusterings,
 		invalCover:      res.PlainCovers,
 		invalSeparating: res.SeparatingCovers,
 		invalBand:       res.Bands,

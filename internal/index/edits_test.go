@@ -158,8 +158,9 @@ func TestApplyEditsSurgical(t *testing.T) {
 	if got := inv["band"]; got.Retained != uint64(res.Bands.Kept) || got.Invalidated != uint64(res.Bands.Rebuilt) {
 		t.Fatalf("band counters %+v disagree with result %+v", got, res.Bands)
 	}
-	if inv["clustering"].Retained+inv["clustering"].Invalidated == 0 {
-		t.Fatal("no clustering migration recorded")
+	if got := inv["cover"]; got.Retained != uint64(res.PlainCovers.Kept) || got.Invalidated != uint64(res.PlainCovers.Rebuilt) ||
+		got.Retained+got.Invalidated == 0 {
+		t.Fatalf("cover counters %+v disagree with result %+v", got, res.PlainCovers)
 	}
 	if st := ix.Stats(); st.Epoch != 1 {
 		t.Fatalf("Stats.Epoch = %d, want 1", st.Epoch)

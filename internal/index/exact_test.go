@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -186,5 +187,20 @@ func TestExactNegativesAgainstOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A Scan of a disconnected pattern runs the whole Lemma 4.1 coloring
+// loop at any MaxRuns, as the one-shot Decide does.
+func TestScanDisconnectedIgnoresMaxRuns(t *testing.T) {
+	g := graph.DisjointUnion(graph.Cycle(3), graph.Path(6), graph.Cycle(3))
+	h := graph.DisjointUnion(graph.Cycle(3), graph.Cycle(3))
+	for _, runs := range []int{2, 8, 17} {
+		for seed := uint64(0); seed < 20; seed++ {
+			r := New(g, core.Options{Seed: seed, MaxRuns: runs}).Scan(context.Background(), []*graph.Graph{h})[0]
+			if r.Err != nil || !r.Found {
+				t.Errorf("MaxRuns %d, seed %d: got %v, %v; want true", runs, seed, r.Found, r.Err)
+			}
+		}
 	}
 }

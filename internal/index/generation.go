@@ -2,8 +2,8 @@ package index
 
 // Artifact generations: the copy-on-write layer beneath live edge
 // mutation (ApplyEdits). Everything derived from the target graph — the
-// graph itself, its lazy planar embedding, and the three memoized
-// artifact tables — lives in a generation. The Index holds an atomic
+// graph itself, its lazy planar embedding, and the two memoized cover
+// tables — lives in a generation. The Index holds an atomic
 // pointer to the current one; a query pins exactly one generation for
 // its whole life, so it always sees one consistent (graph, artifacts)
 // world even while edits land concurrently. ApplyEdits builds a
@@ -12,22 +12,20 @@ package index
 // generation, which is then held alive only by the queries still
 // draining on it.
 //
-// The generation carries the three memo tables (see memo.go) and the
+// The generation carries the two cover tables (see memo.go) and the
 // CoverSource implementation the core pipeline consumes.
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"planarsi/internal/core"
-	"planarsi/internal/estc"
 	"planarsi/internal/graph"
 	"planarsi/internal/planarity"
 )
 
 // generation is one immutable-graph world: target graph, lazy embedding,
-// and the memoized artifact tables built against that graph. epoch
+// and the memoized cover tables built against that graph. epoch
 // counts the edit batches applied before this generation existed; refs
 // counts its pins (one for being current, plus one per in-flight query).
 type generation struct {
@@ -46,9 +44,8 @@ type generation struct {
 	embedErr   error
 	embedBytes atomic.Int64
 
-	clusters *memo[clusterKey, *estc.Clustering]
-	plain    *memo[coverKey, *core.PreparedCover]
-	sep      *memo[coverKey, *core.PreparedCover]
+	plain *memo
+	sep   *memo
 
 	// refs is the pin count; retired marks a generation that has been
 	// swapped out. When a retired generation's last pin drops, drainOnce
@@ -62,12 +59,11 @@ type generation struct {
 // pre-pinned once for its tenure as the current generation.
 func (ix *Index) newGeneration(epoch uint64, g *graph.Graph) *generation {
 	gen := &generation{
-		ix:       ix,
-		epoch:    epoch,
-		g:        g,
-		clusters: newMemo[clusterKey, *estc.Clustering](&ix.memo[memoClustering]),
-		plain:    newMemo[coverKey, *core.PreparedCover](&ix.memo[memoPlainCover]),
-		sep:      newMemo[coverKey, *core.PreparedCover](&ix.memo[memoSepCover]),
+		ix:    ix,
+		epoch: epoch,
+		g:     g,
+		plain: newMemo(&ix.memo[memoPlainCover]),
+		sep:   newMemo(&ix.memo[memoSepCover]),
 	}
 	gen.refs.Store(1)
 	return gen
@@ -132,35 +128,22 @@ func (gen *generation) adoptEmbedding(from *generation) {
 	})
 }
 
-// completed visits every completed entry of the generation's tables:
-// plain and separating covers first (cover), then clusterings (cluster).
-// The tables lock separately, and a cover completes only after its
-// clustering, so this order guarantees that every visited cover's
-// clustering is visited too. Stats, MemoStats, Snapshot and migration
-// all list the tables through here. Each visit runs under its table's
-// lock (see memo.each).
-func (gen *generation) completed(cover func(memoEntry[coverKey, *core.PreparedCover]), cluster func(memoEntry[clusterKey, *estc.Clustering])) {
-	gen.plain.each(cover)
-	gen.sep.each(cover)
-	gen.clusters.each(cluster)
-}
-
-// clustering returns the memoized clustering for (beta, run): ESTC, or
-// the layered clustering for the default path's layered run.
-func (gen *generation) clustering(beta float64, run int) *estc.Clustering {
-	return gen.clusters.get(clusterKey{math.Float64bits(beta), run}, func() *estc.Clustering {
-		return core.ClusterRun(gen.g, beta, run, gen.ix.opt)
-	})
+// completed visits every completed entry of the generation's cover
+// tables, plain then separating. Stats, MemoStats, Snapshot and
+// migration all list the tables through here. Each visit runs under its
+// table's lock (see memo.each).
+func (gen *generation) completed(visit func(memoEntry)) {
+	gen.plain.each(visit)
+	gen.sep.each(visit)
 }
 
 // Prepared implements core.CoverSource against this generation's graph:
 // the memoized prepared cover for run `run` of pattern shape (k, d),
 // plain when s is nil and separating for terminal set s otherwise,
 // identical to the one core.PrepareRun (PrepareSeparatingRun) would
-// build fresh. Both kinds share the memoized (beta, run) clustering.
-// On the default path that is two covers per (s, k, d), run 0 and the
-// layered run, whatever the budget: a listing and a witness search's
-// second run share the layered one.
+// build fresh. On the default path that is two covers per (s, k, d),
+// run 0 and the layered run, whatever the budget: a listing and a
+// witness search's second run share the layered one.
 //
 // Runs past core.CoverRuns are built fresh and not cached: only the
 // paper loop's listing asks for them, and its adaptive stopping rule
@@ -173,23 +156,22 @@ func (gen *generation) Prepared(s []bool, k, d, run int) *core.PreparedCover {
 	if key.sep {
 		t = gen.sep
 	}
-	beta := core.CoverBeta(k, gen.ix.opt)
-	if run >= core.CoverRuns(gen.g.N(), gen.ix.opt) {
-		return t.uncached(func() *core.PreparedCover {
-			pc, _, _ := gen.prepare(key, core.ClusterRun(gen.g, beta, run, gen.ix.opt), nil)
-			return pc
-		})
-	}
-	return t.get(key, func() *core.PreparedCover {
-		pc, _, _ := gen.prepare(key, gen.clustering(beta, run), nil)
+	build := func() *core.PreparedCover {
+		pc, _, _ := gen.prepare(key, nil)
 		return pc
-	})
+	}
+	if run >= core.CoverRuns(gen.g.N(), gen.ix.opt) {
+		return t.uncached(build)
+	}
+	return t.get(key, build)
 }
 
-// prepare builds key's cover on this generation's graph from the
-// clustering cl, reusing the unchanged bands of prev, the key's cover
-// before an edge edit, when prev is non-nil (see
-// core.PrepareFromClustering).
-func (gen *generation) prepare(key coverKey, cl *estc.Clustering, prev *core.PreparedCover) (*core.PreparedCover, int, int) {
-	return core.PrepareFromClustering(gen.g, cl, unpackMask(key.mask, gen.g.N()), prev, key.k, key.d, gen.ix.opt)
+// prepare builds key's cover on this generation's graph as the one-shot
+// path does, from a fresh core.ClusterRun, reusing the unchanged bands
+// of prev, the key's cover before an edge edit, when prev is non-nil
+// (see core.PrepareFromClustering).
+func (gen *generation) prepare(key coverKey, prev *core.PreparedCover) (*core.PreparedCover, int, int) {
+	opt := gen.ix.opt
+	cl := core.ClusterRun(gen.g, core.CoverBeta(key.k, opt), key.run, opt)
+	return core.PrepareFromClustering(gen.g, cl, unpackMask(key.mask, gen.g.N()), prev, key.k, key.d, opt)
 }

@@ -17,22 +17,24 @@
 // build, so answers with and without the Index are identical for equal
 // Options.
 //
-// Memoization keys:
+// The Index memoizes prepared covers and compiled patterns, nothing
+// else. Covers are keyed
 //
-//   - clusterings by (beta, run) where beta = 2k (or Options.Beta), so
-//     one clustering serves every pattern diameter of a size class;
 //   - plain prepared covers by (k, d, run);
 //   - separating prepared covers by (k, d, run, terminal set).
 //
-// On the default path run is 0 (ESTC) or 1 (the layered cover every
-// miss and every listing ends with), so a shape holds at most two covers
+// A cover build clusters the target for its run (core.ClusterRun) and
+// cuts and decomposes the cover from that clustering, exactly as the
+// one-shot path does; the clustering is O(n) and is not kept. On the
+// default path run is 0 (ESTC) or 1 (the layered cover every miss and
+// every listing ends with), so a shape holds at most two covers
 // whatever the run budget (core.CoverRuns).
 //
 // Seed and Heuristic are fixed per Index (they are part of its Options),
 // so they need not appear in the keys. All methods are safe for
-// concurrent use: each artifact class lives in one memo table (see
+// concurrent use: each cover class lives in one memo table (see
 // memo.go) whose lookups take a short lock and whose builds run once per
-// key, so two goroutines asking for the same artifact build it once and
+// key, so two goroutines asking for the same cover build it once and
 // share it.
 //
 // The target is live: ApplyEdits applies a batch of edge insertions and
@@ -53,7 +55,6 @@ import (
 	"sync/atomic"
 
 	"planarsi/internal/core"
-	"planarsi/internal/estc"
 	"planarsi/internal/fault"
 	"planarsi/internal/graph"
 	"planarsi/internal/obs"
@@ -103,11 +104,6 @@ type Index struct {
 	porder   []string
 }
 
-type clusterKey struct {
-	betaBits uint64
-	run      int
-}
-
 // coverKey keys both cover tables. sep marks a separating cover, whose
 // terminal set mask is packed into a byte string (packMask): an exact
 // key, so distinct terminal sets can never collide. Plain covers leave
@@ -119,8 +115,8 @@ type coverKey struct {
 }
 
 // New builds an Index over the target g with the given pipeline options.
-// Construction itself is O(1): clusterings, covers and band
-// decompositions are built lazily on first use and memoized for the
+// Construction itself is O(1): covers and band decompositions are built
+// lazily on first use and memoized for the
 // Index's lifetime (use Prewarm to pay the cost up front). Options.Seed
 // fixes the Index's randomness — an Index answers exactly as the one-shot
 // API would with the same Options.
@@ -577,18 +573,17 @@ func offPool(n int, f func(i int)) {
 // footprint and query traffic. The serving layer's LRU eviction charges an
 // Index MemBytes + GraphBytes against its memory budget.
 type Stats struct {
-	// Clusterings, PlainCovers and SeparatingCovers count fully built
-	// memoized artifacts (artifacts still under construction are
-	// excluded, so counts and bytes always describe completed state).
-	Clusterings      int `json:"clusterings"`
+	// PlainCovers and SeparatingCovers count fully built memoized
+	// covers (covers still under construction are excluded, so counts
+	// and bytes always describe completed state).
 	PlainCovers      int `json:"plainCovers"`
 	SeparatingCovers int `json:"separatingCovers"`
 	// Bands is the total number of prepared band decompositions across
 	// the cached covers.
 	Bands int `json:"bands"`
-	// MemBytes approximates the heap held by the cached artifacts Reset
-	// can reclaim (clusterings + prepared covers), excluding the target
-	// graph and its embedding.
+	// MemBytes approximates the heap held by the cached prepared covers,
+	// which Reset can reclaim, excluding the target graph and its
+	// embedding.
 	MemBytes int64 `json:"memBytes"`
 	// GraphBytes approximates the heap held by the target graph itself,
 	// plus its cached planar embedding once one has been computed. The
@@ -621,16 +616,13 @@ func (ix *Index) Stats() Stats {
 		Sweeps:     ix.sweeps.Load(),
 		Epoch:      gen.epoch,
 	}
-	gen.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
+	gen.completed(func(e memoEntry) {
 		if e.key.sep {
 			st.SeparatingCovers++
 		} else {
 			st.PlainCovers++
 		}
 		st.Bands += len(e.val.Bands)
-		st.MemBytes += e.bytes
-	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
-		st.Clusterings++
 		st.MemBytes += e.bytes
 	})
 	return st

@@ -305,8 +305,8 @@ func cachedCovers(ix *Index) int {
 }
 
 // TestCacheReuse pins down the memoization contract: repeated requests
-// return the same prepared artifacts, and clusterings are shared across
-// pattern diameters of one size class.
+// return the same prepared cover, and distinct shapes and terminal sets
+// get covers of their own.
 func TestCacheReuse(t *testing.T) {
 	ix := New(graph.Grid(6, 6), core.Options{Seed: 9})
 	gen := ix.acquire()
@@ -318,23 +318,17 @@ func TestCacheReuse(t *testing.T) {
 	if got := cachedCovers(ix); got != 1 {
 		t.Errorf("cached covers = %d, want 1", got)
 	}
-	// Same k, different d: new cover, same clustering.
 	c := gen.Prepared(nil, 4, 3, 0)
 	if c == a {
 		t.Error("distinct (k,d) shapes must not share a prepared cover")
 	}
-	if got := ix.Stats().Clusterings; got != 1 {
-		t.Errorf("cached clusterings = %d, want 1 (shared across d)", got)
-	}
-	if a.Clustering != c.Clustering {
-		t.Error("covers of one (beta, run) must share the clustering")
-	}
-	// Separating covers share the clustering too.
 	s := make([]bool, 36)
 	s[0], s[35] = true, true
-	sp := gen.Prepared(s, 4, 2, 0)
-	if sp.Clustering != a.Clustering {
-		t.Error("separating cover must reuse the (beta, run) clustering")
+	if sp := gen.Prepared(s, 4, 2, 0); sp == a || sp != gen.Prepared(s, 4, 2, 0) {
+		t.Error("a separating cover must be cached apart from the plain one")
+	}
+	if got := cachedCovers(ix); got != 3 {
+		t.Errorf("cached covers = %d, want 3", got)
 	}
 	// Runs past the decide budget must not be memoized (the listing
 	// loop can request arbitrarily deep run indices).
@@ -347,7 +341,7 @@ func TestCacheReuse(t *testing.T) {
 	}
 	ix.release(gen)
 	ix.Reset()
-	if cachedCovers(ix) != 0 || ix.Stats().Clusterings != 0 {
+	if cachedCovers(ix) != 0 {
 		t.Error("Reset left artifacts cached")
 	}
 	gen = ix.acquire()

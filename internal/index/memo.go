@@ -7,18 +7,13 @@ import (
 	"time"
 
 	"planarsi/internal/core"
-	"planarsi/internal/estc"
 )
 
-// artifact is what a memo table holds: an immutable value with a heap
-// footprint (*estc.Clustering, *core.PreparedCover).
-type artifact interface{ MemBytes() int64 }
-
-// memo is one artifact class's table: every clustering, plain cover and
-// separating cover of a generation is built at most once per key here
-// and shared by every query, and every reader of the tables — Stats,
-// MemoStats, Snapshot, FromSnapshot, ApplyEdits migration — goes
-// through the same few methods.
+// memo is one cover table: every plain or separating prepared cover of
+// a generation is built at most once per key here and shared by every
+// query, and every reader of the tables — Stats, MemoStats, Snapshot,
+// FromSnapshot, ApplyEdits migration — goes through the same few
+// methods.
 //
 // The one rule: get is never called from a par pool task. A build runs
 // par loops, and a pool join helps by running any ready task on the
@@ -26,26 +21,26 @@ type artifact interface{ MemBytes() int64 }
 // goroutine was building would wait forever. Queries and Prewarm call
 // get from their own goroutines, between their par loops (the run loops
 // in internal/core fetch each run's cover before sweeping its bands).
-type memo[K comparable, V artifact] struct {
+type memo struct {
 	ctr   *memoCounters
 	mu    sync.Mutex
-	cells map[K]*memoCell[V]
+	cells map[coverKey]*memoCell
 }
 
 // memoCell is one key's entry. ready is closed once the build has
 // returned or panicked; done (written under memo.mu before ready closes)
 // marks a completed build whose val and bytes are published.
-type memoCell[V artifact] struct {
+type memoCell struct {
 	ready chan struct{}
 	done  bool
-	val   V
+	val   *core.PreparedCover
 	bytes int64
 }
 
-// memoEntry is one completed entry, as entries lists it.
-type memoEntry[K comparable, V artifact] struct {
-	key   K
-	val   V
+// memoEntry is one completed entry, as each visits it.
+type memoEntry struct {
+	key   coverKey
+	val   *core.PreparedCover
 	bytes int64
 }
 
@@ -53,8 +48,8 @@ type memoEntry[K comparable, V artifact] struct {
 // with; its query's Guard reports it and the next get rebuilds.
 var errBuildPanicked = errors.New("index: artifact build panicked concurrently; retry")
 
-func newMemo[K comparable, V artifact](ctr *memoCounters) *memo[K, V] {
-	return &memo[K, V]{ctr: ctr, cells: make(map[K]*memoCell[V])}
+func newMemo(ctr *memoCounters) *memo {
+	return &memo{ctr: ctr, cells: make(map[coverKey]*memoCell)}
 }
 
 // get returns key's value, running build on the first request.
@@ -63,11 +58,11 @@ func newMemo[K comparable, V artifact](ctr *memoCounters) *memo[K, V] {
 // that panics drops its cell, so the next get rebuilds from scratch:
 // builds are deterministic, so the rebuild yields the identical
 // artifact.
-func (m *memo[K, V]) get(key K, build func() V) V {
+func (m *memo) get(key coverKey, build func() *core.PreparedCover) *core.PreparedCover {
 	m.mu.Lock()
 	c, ok := m.cells[key]
 	if !ok {
-		c = &memoCell[V]{ready: make(chan struct{})}
+		c = &memoCell{ready: make(chan struct{})}
 		m.cells[key] = c
 	}
 	hit := ok && c.done
@@ -86,7 +81,7 @@ func (m *memo[K, V]) get(key K, build func() V) V {
 // fill runs c's build, charging its wall time to the class, and
 // publishes the value with its bytes. If build panics the cell is
 // dropped instead. Either way its waiters are released.
-func (m *memo[K, V]) fill(key K, c *memoCell[V], build func() V) {
+func (m *memo) fill(key coverKey, c *memoCell, build func() *core.PreparedCover) {
 	defer func() {
 		m.mu.Lock()
 		if !c.done {
@@ -103,7 +98,7 @@ func (m *memo[K, V]) fill(key K, c *memoCell[V], build func() V) {
 }
 
 // timed runs build, charging its wall time to the class.
-func (m *memo[K, V]) timed(build func() V) V {
+func (m *memo) timed(build func() *core.PreparedCover) *core.PreparedCover {
 	t0 := time.Now()
 	v := build()
 	m.ctr.buildNanos.Add(time.Since(t0).Nanoseconds())
@@ -112,7 +107,7 @@ func (m *memo[K, V]) timed(build func() V) V {
 
 // uncached builds a value without caching it: every such access is a
 // miss, and its build time is charged like a memoized build's.
-func (m *memo[K, V]) uncached(build func() V) V {
+func (m *memo) uncached(build func() *core.PreparedCover) *core.PreparedCover {
 	m.ctr.touch(false)
 	return m.timed(build)
 }
@@ -120,13 +115,13 @@ func (m *memo[K, V]) uncached(build func() V) V {
 // put installs an already built value with its accounted bytes (carried
 // verbatim from a snapshot or an old generation), reporting false when
 // key is already present.
-func (m *memo[K, V]) put(key K, v V, bytes int64) bool {
+func (m *memo) put(key coverKey, v *core.PreparedCover, bytes int64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.cells[key]; dup {
 		return false
 	}
-	c := &memoCell[V]{ready: make(chan struct{}), done: true, val: v, bytes: bytes}
+	c := &memoCell{ready: make(chan struct{}), done: true, val: v, bytes: bytes}
 	close(c.ready)
 	m.cells[key] = c
 	return true
@@ -135,24 +130,25 @@ func (m *memo[K, V]) put(key K, v V, bytes int64) bool {
 // each calls visit on every completed entry, in no particular order,
 // without copying the table. Builds still running are left out, so the
 // visit describes completed state. visit runs under the table's lock and
-// must not call back into it. Readers go through generation.completed,
-// which visits the tables in their safe order.
-func (m *memo[K, V]) each(visit func(memoEntry[K, V])) {
+// must not call back into it.
+func (m *memo) each(visit func(memoEntry)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for key, c := range m.cells {
 		if c.done {
-			visit(memoEntry[K, V]{key, c.val, c.bytes})
+			visit(memoEntry{key, c.val, c.bytes})
 		}
 	}
 }
 
-// carry installs es, the completed entries of the same table in the
+// carry installs the completed entries of old, the same table in the
 // previous generation. refresh computes an entry's successor on the
 // edited graph and reports whether the old value survived; a survivor
 // moves over verbatim (same pointer, same bytes). The returned delta
 // counts both outcomes.
-func (m *memo[K, V]) carry(es []memoEntry[K, V], refresh func(K, V) (V, bool)) ClassDelta {
+func (m *memo) carry(old *memo, refresh func(coverKey, *core.PreparedCover) (*core.PreparedCover, bool)) ClassDelta {
+	var es []memoEntry
+	old.each(func(e memoEntry) { es = append(es, e) })
 	var d ClassDelta
 	for _, e := range es {
 		v, kept := refresh(e.key, e.val)
@@ -183,15 +179,14 @@ func (m *memo[K, V]) carry(es []memoEntry[K, V], refresh func(K, V) (V, bool)) C
 
 // Artifact classes, in the order MemoStats reports them.
 const (
-	memoClustering = iota
-	memoPlainCover
+	memoPlainCover = iota
 	memoSepCover
 	memoPattern
 	memoEpoch
 	numMemoClasses
 )
 
-var memoClassNames = [numMemoClasses]string{"clustering", "cover", "separating", "pattern", "epoch"}
+var memoClassNames = [numMemoClasses]string{"cover", "separating", "pattern", "epoch"}
 
 // Invalidation classes, in the order InvalidationStats reports them.
 // Unlike the memo classes these count artifacts migrated by ApplyEdits:
@@ -199,14 +194,13 @@ var memoClassNames = [numMemoClasses]string{"clustering", "cover", "separating",
 // (a rebuilt cover implies at least one rebuilt band; a kept cover
 // implies all bands kept).
 const (
-	invalClustering = iota
-	invalCover
+	invalCover = iota
 	invalSeparating
 	invalBand
 	numInvalClasses
 )
 
-var invalClassNames = [numInvalClasses]string{"clustering", "cover", "separating", "band"}
+var invalClassNames = [numInvalClasses]string{"cover", "separating", "band"}
 
 // memoCounters is one artifact class's traffic counters.
 type memoCounters struct {
@@ -232,10 +226,10 @@ type invalCounters struct {
 
 // MemoStats is one artifact class's cache-traffic snapshot.
 type MemoStats struct {
-	// Class names the artifact class: "clustering" (ESTC clusterings),
-	// "cover" (plain prepared covers), "separating" (separating
-	// prepared covers), "pattern" (compiled patterns keyed by canonical
-	// form), "epoch" (artifact migration across edit generations).
+	// Class names the artifact class: "cover" (plain prepared covers),
+	// "separating" (separating prepared covers), "pattern" (compiled
+	// patterns keyed by canonical form), "epoch" (artifact migration
+	// across edit generations).
 	Class string `json:"class"`
 	// Hits counts accesses that found a fully built entry; Misses
 	// counts the rest (entry absent, still building, or past
@@ -244,10 +238,8 @@ type MemoStats struct {
 	// artifacts rebuilt.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// BuildSeconds totals wall time spent inside this class's builds.
-	// Cover builds include the time of a clustering build they trigger,
-	// so classes overlap: the column prices each class's critical path,
-	// not a partition of CPU time.
+	// BuildSeconds totals wall time spent inside this class's builds; a
+	// cover build includes the clustering it cuts the cover from.
 	BuildSeconds float64 `json:"buildSeconds"`
 	// Bytes and Entries describe the fully built entries currently
 	// resident (the same accounting Stats aggregates across classes).
@@ -258,7 +250,7 @@ type MemoStats struct {
 }
 
 // MemoStats snapshots the per-class memo-cache traffic and residency,
-// ordered clustering, cover, separating, pattern, epoch.
+// ordered cover, separating, pattern, epoch.
 func (ix *Index) MemoStats() []MemoStats {
 	out := make([]MemoStats, numMemoClasses)
 	for c := range out {
@@ -278,16 +270,13 @@ func (ix *Index) MemoStats() []MemoStats {
 
 	gen := ix.acquire()
 	defer ix.release(gen)
-	gen.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
+	gen.completed(func(e memoEntry) {
 		c := memoPlainCover
 		if e.key.sep {
 			c = memoSepCover
 		}
 		out[c].Entries++
 		out[c].Bytes += e.bytes
-	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
-		out[memoClustering].Entries++
-		out[memoClustering].Bytes += e.bytes
 	})
 	ix.pmu.Lock()
 	for key := range ix.patterns {
@@ -303,10 +292,9 @@ func (ix *Index) MemoStats() []MemoStats {
 // retained verbatim. The serving layer exports these as
 // planarsi_index_invalidations_total / planarsi_index_retained_total.
 type InvalidationStats struct {
-	// Class names the artifact class: "clustering", "cover",
-	// "separating" (memo entries) or "band" (band decompositions within
-	// the migrated covers — the granularity invalidation is surgical
-	// at).
+	// Class names the artifact class: "cover", "separating" (memo
+	// entries) or "band" (band decompositions within the migrated
+	// covers — the granularity invalidation is surgical at).
 	Class string `json:"class"`
 	// Invalidated counts artifacts an edit actually touched, rebuilt
 	// through the fresh-build path; Retained counts artifacts that
@@ -317,7 +305,7 @@ type InvalidationStats struct {
 }
 
 // InvalidationStats snapshots the per-class mutation tallies, ordered
-// clustering, cover, separating, band.
+// cover, separating, band.
 func (ix *Index) InvalidationStats() []InvalidationStats {
 	out := make([]InvalidationStats, numInvalClasses)
 	for c := range out {

@@ -6,16 +6,12 @@ import (
 	"time"
 
 	"planarsi/internal/core"
+	"planarsi/internal/graph"
 )
 
-// sized is a test artifact whose footprint is its value.
-type sized int64
-
-func (s sized) MemBytes() int64 { return int64(s) }
-
 // entriesOf lists m's completed entries.
-func entriesOf[K comparable, V artifact](m *memo[K, V]) (es []memoEntry[K, V]) {
-	m.each(func(e memoEntry[K, V]) { es = append(es, e) })
+func entriesOf(m *memo) (es []memoEntry) {
+	m.each(func(e memoEntry) { es = append(es, e) })
 	return es
 }
 
@@ -25,13 +21,15 @@ func entriesOf[K comparable, V artifact](m *memo[K, V]) (es []memoEntry[K, V]) {
 // the next get rebuilds the value and publishes its bytes.
 func TestMemoTablePanickedBuild(t *testing.T) {
 	var ctr memoCounters
-	m := newMemo[int, sized](&ctr)
+	m := newMemo(&ctr)
+	key := coverKey{k: 3, d: 2}
+	pc := core.PrepareRun(graph.Grid(3, 3), 3, 2, 0, core.Options{})
 
 	started, release := make(chan struct{}), make(chan struct{})
 	builder, waiter := make(chan error, 1), make(chan error, 1)
 	go func() {
 		builder <- Guard(func() error {
-			m.get(1, func() sized {
+			m.get(key, func() *core.PreparedCover {
 				close(started)
 				<-release
 				panic("build failed")
@@ -42,9 +40,9 @@ func TestMemoTablePanickedBuild(t *testing.T) {
 	<-started
 	go func() {
 		waiter <- Guard(func() error {
-			m.get(1, func() sized {
+			m.get(key, func() *core.PreparedCover {
 				t.Error("a waiter ran a second build")
-				return 0
+				return nil
 			})
 			return nil
 		})
@@ -70,19 +68,19 @@ func TestMemoTablePanickedBuild(t *testing.T) {
 		t.Fatalf("panicked build left entries %+v", es)
 	}
 
-	if v := m.get(1, func() sized { return 7 }); v != 7 {
-		t.Fatalf("rebuild returned %d, want 7", v)
+	if v := m.get(key, func() *core.PreparedCover { return pc }); v != pc {
+		t.Fatalf("rebuild returned %p, want %p", v, pc)
 	}
-	if es := entriesOf(m); len(es) != 1 || es[0].bytes != 7 {
-		t.Fatalf("after rebuild: entries %+v; want one of 7 bytes", es)
+	if es := entriesOf(m); len(es) != 1 || es[0].bytes != pc.MemBytes() || es[0].bytes == 0 {
+		t.Fatalf("after rebuild: entries %+v; want one of %d bytes", es, pc.MemBytes())
 	}
-	if v := m.get(1, func() sized { t.Error("a completed entry was rebuilt"); return 0 }); v != 7 {
-		t.Fatalf("hit returned %d, want 7", v)
+	if v := m.get(key, func() *core.PreparedCover { t.Error("a completed entry was rebuilt"); return nil }); v != pc {
+		t.Fatalf("hit returned %p, want %p", v, pc)
 	}
 	if h, mi := ctr.hits.Load(), ctr.misses.Load(); h != 1 || mi != 3 {
 		t.Fatalf("hits/misses = %d/%d, want 1/3", h, mi)
 	}
-	if m.put(1, 9, 9) {
+	if m.put(key, &core.PreparedCover{}, 9) {
 		t.Fatal("put replaced a present key")
 	}
 }
@@ -96,7 +94,7 @@ func TestStatsWalkInPlace(t *testing.T) {
 	cold, warm := New(g, core.Options{Seed: 5}), New(g, core.Options{Seed: 5})
 	warm.Prewarm(4, 2)
 	warm.Prewarm(3, 1)
-	if st := warm.Stats(); st.PlainCovers == 0 || st.Clusterings == 0 {
+	if st := warm.Stats(); st.PlainCovers == 0 {
 		t.Fatalf("warm Index holds nothing: %+v", st)
 	}
 	for name, read := range map[string]func(*Index){

@@ -6,11 +6,12 @@ package index
 // instead of re-paying the target-side preprocessing.
 //
 // What is snapshotted: the target graph, the pipeline configuration
-// (Seed, Engine, MaxRuns, Heuristic, Beta), the lifetime query counter,
-// and every *completed* memoized artifact — clusterings by (beta, run),
-// plain prepared covers by (k, d, run), separating covers by (k, d,
-// run, terminal mask) — together with their accounted byte footprints,
-// carried verbatim so a restored Index reports byte-identical Stats.
+// (Seed, Engine, MaxRuns, Heuristic, Beta, PaperLoop), the lifetime
+// query and sweep counters, the edit epoch, and every *completed*
+// memoized cover — plain prepared covers by (k, d, run), separating
+// covers by (k, d, run, terminal mask) — together with their accounted
+// byte footprints, carried verbatim so a restored Index reports
+// byte-identical Stats.
 //
 // What is not: artifacts still under construction when Save runs
 // (their build has not completed; the restored Index rebuilds them
@@ -25,8 +26,6 @@ import (
 	"slices"
 	"strings"
 
-	"planarsi/internal/core"
-	"planarsi/internal/estc"
 	"planarsi/internal/snap"
 )
 
@@ -46,26 +45,16 @@ func (ix *Index) Snapshot() *snap.Snapshot {
 		Epoch:   gen.epoch,
 		Graph:   gen.g,
 	}
-	gen.completed(func(e memoEntry[coverKey, *core.PreparedCover]) {
+	gen.completed(func(e memoEntry) {
 		ca := snap.CoverArtifact{K: e.key.k, D: e.key.d, Run: e.key.run, Bytes: e.bytes, Mask: e.key.mask, PC: e.val}
 		if e.key.sep {
 			s.Sep = append(s.Sep, ca)
 		} else {
 			s.Plain = append(s.Plain, ca)
 		}
-	}, func(e memoEntry[clusterKey, *estc.Clustering]) {
-		s.Clusters = append(s.Clusters, snap.ClusterArtifact{
-			BetaBits: e.key.betaBits, Run: e.key.run, Bytes: e.bytes, C: e.val,
-		})
 	})
 	sortCovers(s.Plain)
 	sortCovers(s.Sep)
-	slices.SortFunc(s.Clusters, func(a, b snap.ClusterArtifact) int {
-		if c := cmp.Compare(a.BetaBits, b.BetaBits); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Run, b.Run)
-	})
 	return s
 }
 
@@ -109,11 +98,6 @@ func FromSnapshot(s *snap.Snapshot) (*Index, error) {
 	// resumes the saved mutation history.
 	gen := ix.cur.Load()
 	gen.epoch = s.Epoch
-	for _, ca := range s.Clusters {
-		if !gen.clusters.put(clusterKey{ca.BetaBits, ca.Run}, ca.C, ca.Bytes) {
-			return nil, fmt.Errorf("%w: duplicate clustering key (beta bits %#x, run %d)", snap.ErrFormat, ca.BetaBits, ca.Run)
-		}
-	}
 	for _, ca := range s.Plain {
 		if !gen.plain.put(coverKey{k: ca.K, d: ca.D, run: ca.Run}, ca.PC, ca.Bytes) {
 			return nil, fmt.Errorf("%w: duplicate plain cover key (k=%d d=%d run=%d)", snap.ErrFormat, ca.K, ca.D, ca.Run)

@@ -154,7 +154,7 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 		}
 	}
 	writeHeader(b, "planarsi_index_memo_build_seconds_total",
-		"Wall time spent building artifacts, per graph and artifact class (classes overlap: cover builds include nested clustering builds).", "counter")
+		"Wall time spent building artifacts, per graph and artifact class.", "counter")
 	for _, gi := range rst.Graphs {
 		for _, ms := range gi.Memo {
 			writeSample(b, "planarsi_index_memo_build_seconds_total", memoLabels(gi.Name, ms.Class), ms.BuildSeconds)

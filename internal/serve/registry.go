@@ -3,9 +3,9 @@
 // query scheduler that coalesces concurrent requests into shared
 // Index.Scan batches, and the HTTP handlers behind the planarsid daemon.
 //
-// The paper's pipeline amortizes target-side preprocessing (ESTC
-// clusterings, k-d covers, nice band decompositions) across queries; the
-// Index memoizes those artifacts in-process. This package turns that
+// The paper's pipeline amortizes target-side preprocessing (k-d covers
+// and their nice band decompositions) across queries; the Index
+// memoizes those artifacts in-process. This package turns that
 // in-process cache into a service: graphs live in a ref-counted registry
 // whose cached artifacts are evicted LRU-first under a memory budget
 // (driven by Index.Stats accounting), and concurrent requests against the

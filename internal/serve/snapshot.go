@@ -36,10 +36,9 @@ type SnapshotInfo struct {
 	// N and M describe the snapshotted host graph.
 	N int `json:"n"`
 	M int `json:"m"`
-	// Clusterings and Covers count the cached artifacts carried by the
-	// snapshot (covers = plain + separating).
-	Clusterings int `json:"clusterings"`
-	Covers      int `json:"covers"`
+	// Covers counts the cached covers carried by the snapshot (plain +
+	// separating).
+	Covers int `json:"covers"`
 }
 
 // snapshotFile maps a registry name to its file inside dir. Names pass
@@ -179,7 +178,6 @@ func (s *Server) snapshotInfo(name, path string) (SnapshotInfo, error) {
 	info.N = e.Graph().N()
 	info.M = e.Graph().M()
 	st := e.Index().Stats()
-	info.Clusterings = st.Clusterings
 	info.Covers = st.PlainCovers + st.SeparatingCovers
 	return info, nil
 }

@@ -278,7 +278,7 @@ func TestIntrospectionMetricFamilies(t *testing.T) {
 		`planarsi_index_memo_misses_total{class="cover",graph="grid"}`,
 		`planarsi_index_memo_build_seconds_total{class="cover",graph="grid"}`,
 		`planarsi_index_memo_bytes{class="cover",graph="grid"}`,
-		`planarsi_index_memo_entries{class="clustering",graph="grid"}`,
+		`planarsi_index_memo_entries{class="cover",graph="grid"}`,
 	} {
 		line := sampleLine(body, name)
 		if line == "" {

@@ -1,13 +1,13 @@
 // Package snap is the persistence subsystem: a versioned, endian-stable
 // binary codec for the pipeline's reusable preprocessing artifacts —
-// target graphs, ESTC clusterings, k-d cover bands, nice tree
-// decompositions and prepared covers — packaged as an Index snapshot
-// that the batch-query engine can save and restore.
+// target graphs, k-d cover bands, nice tree decompositions and prepared
+// covers — packaged as an Index snapshot that the batch-query engine can
+// save and restore.
 //
-// The paper front-loads work into exactly these artifacts (the
-// clustering of Lemma 2.3, the cover of Theorem 2.4 and the band
+// The paper front-loads work into exactly these artifacts (the cover of
+// Theorem 2.4, cut from the clustering of Lemma 2.3, and the band
 // decompositions feeding Section 3's dynamic programs); planarsi.Index
-// memoizes them in RAM, and this package makes them durable, so a
+// memoizes the covers in RAM, and this package makes them durable, so a
 // restarted daemon warm-boots from disk instead of re-paying the
 // O(d·n) preprocessing per pinned graph.
 //
@@ -20,8 +20,8 @@
 //	section  tag (uint32 LE), payload length (uint32 LE),
 //	         payload bytes, CRC-32/IEEE of the payload (uint32 LE)
 //
-// Sections appear in a fixed order (meta, graph, clusterings, plain
-// covers, separating covers, end) and every one is mandatory, so a
+// Sections appear in a fixed order (meta, graph, plain covers,
+// separating covers, end) and every one is mandatory, so a
 // truncated file always fails with an explicit error. All integers are
 // little-endian regardless of host; float64s are stored as their IEEE
 // bit patterns.
@@ -34,8 +34,8 @@
 // present before allocating, section payloads are read incrementally so
 // a lying length field cannot force a large allocation, CRC mismatches
 // and trailing garbage are rejected, and every decoded artifact is
-// revalidated (graph.FromCSR, estc Validate, treedecomp CheckBounds +
-// ValidateNice, cover Band.Validate) so a hostile file can produce an
+// revalidated (graph.FromCSR, treedecomp CheckBounds + ValidateNice,
+// cover Band.Validate) so a hostile file can produce an
 // error but never a panic, an out-of-bounds index or an unbounded
 // allocation.
 package snap
@@ -61,14 +61,14 @@ const magic = "PLSISNAP"
 // 4 records Options.PaperLoop: cover index 1 is the layered cover on
 // the default path and an ESTC cover under the paper loop, and a v3
 // file's run-1 entries are ESTC covers this build would otherwise take
-// for the exact layered run.
-const Version uint32 = 4
+// for the exact layered run. Version 5 drops the clustering table and
+// each cover's clustering reference: an Index memoizes covers only.
+const Version uint32 = 5
 
 // Section tags, in their mandatory file order.
 const (
 	tagMeta uint32 = iota + 1
 	tagGraph
-	tagClusters
 	tagPlain
 	tagSep
 	tagEnd

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,19 +14,16 @@ import (
 )
 
 // makeSnapshot builds a fully representative snapshot over an r-by-c
-// grid target: one shared clustering, a plain prepared cover
-// referencing it, and a separating cover.
+// grid target: a plain prepared cover and a separating cover.
 func makeSnapshot(t testing.TB, r, c, k, d int) *Snapshot {
 	t.Helper()
 	g := graph.Grid(r, c)
 	opt := core.Options{Seed: 7}
-	beta := core.CoverBeta(k, opt)
-	cl := core.ClusterRun(g, beta, 0, opt)
-	plain, _, _ := core.PrepareFromClustering(g, cl, nil, nil, k, d, opt)
+	plain := core.PrepareRun(g, k, d, 0, opt)
 	mask := make([]bool, g.N())
 	last := g.N() - 1
 	mask[0], mask[last] = true, true
-	sep, _, _ := core.PrepareFromClustering(g, cl, mask, nil, k, d, opt)
+	sep := core.PrepareSeparatingRun(g, mask, k, d, 0, opt)
 	packed := make([]byte, (g.N()+7)/8)
 	packed[0] |= 1
 	packed[last/8] |= 1 << (last % 8)
@@ -39,9 +35,6 @@ func makeSnapshot(t testing.TB, r, c, k, d int) *Snapshot {
 		Queries: 42,
 		Sweeps:  17,
 		Graph:   g,
-		Clusters: []ClusterArtifact{{
-			BetaBits: math.Float64bits(beta), Run: 0, Bytes: cl.MemBytes(), C: cl,
-		}},
 		Plain: []CoverArtifact{{
 			K: k, D: d, Run: 0, Bytes: plain.MemBytes(), PC: plain,
 		}},
@@ -82,9 +75,6 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Graph, s.Graph) {
 		t.Errorf("graph differs after round trip")
 	}
-	if !reflect.DeepEqual(got.Clusters, s.Clusters) {
-		t.Errorf("clusterings differ after round trip")
-	}
 	// Covers hold pointer-rich structures; compare by deep value.
 	if len(got.Plain) != 1 || !reflect.DeepEqual(got.Plain[0].PC.Bands, s.Plain[0].PC.Bands) {
 		t.Errorf("plain cover differs after round trip")
@@ -94,11 +84,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Sep[0].Mask != s.Sep[0].Mask {
 		t.Errorf("terminal mask differs after round trip")
-	}
-	// The cover's clustering must be restored as a pointer into the
-	// shared table, exactly like the live Index's sharing.
-	if got.Plain[0].PC.Clustering != got.Clusters[0].C {
-		t.Errorf("plain cover does not share the table clustering")
 	}
 	if got.Plain[0].PC.BFSRounds != s.Plain[0].PC.BFSRounds {
 		t.Errorf("BFSRounds differ after round trip")
@@ -187,10 +172,14 @@ func TestRejectsWrongMagicAndVersion(t *testing.T) {
 	if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrFormat) {
 		t.Fatalf("bad magic: got %v", err)
 	}
-	bad = bytes.Clone(data)
-	binary.LittleEndian.PutUint32(bad[8:], Version+1)
-	if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrFormat) {
-		t.Fatalf("future version: got %v", err)
+	// A v4 file carries a clustering section where this build reads the
+	// plain covers.
+	for _, v := range []uint32{4, Version + 1} {
+		bad = bytes.Clone(data)
+		binary.LittleEndian.PutUint32(bad[8:], v)
+		if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrFormat) {
+			t.Fatalf("version %d: got %v", v, err)
+		}
 	}
 }
 
@@ -244,7 +233,7 @@ func TestEmptySnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if got.Graph.N() != 5 || len(got.Clusters)+len(got.Plain)+len(got.Sep) != 0 {
+	if got.Graph.N() != 5 || len(got.Plain)+len(got.Sep) != 0 {
 		t.Fatalf("empty snapshot round trip mismatch: %+v", got)
 	}
 }

@@ -7,22 +7,10 @@ import (
 
 	"planarsi/internal/core"
 	"planarsi/internal/cover"
-	"planarsi/internal/estc"
 	"planarsi/internal/graph"
 	"planarsi/internal/match"
 	"planarsi/internal/treedecomp"
 )
-
-// ClusterArtifact is one memoized ESTC clustering with its cache key
-// ((beta bits, run) — the Index's clusterKey) and its accounted
-// footprint. Bytes is carried verbatim so a restored Index reports
-// byte-identical Stats to the one that saved it.
-type ClusterArtifact struct {
-	BetaBits uint64
-	Run      int
-	Bytes    int64
-	C        *estc.Clustering
-}
 
 // CoverArtifact is one memoized prepared cover with its cache key. Mask
 // is the packed terminal set of separating covers (the Index's sepKey
@@ -36,11 +24,9 @@ type CoverArtifact struct {
 
 // Snapshot is the decoded form of a snapshot file: a target graph, the
 // pipeline configuration its artifacts were built under, and the
-// memoized artifact tables of an Index. Name and Pinned carry the
-// serving layer's registry identity (empty/false for bare Index
-// snapshots). Every artifact a Read returns has been revalidated, and
-// every clustering referenced by a cover is resolved to a shared
-// pointer, exactly as in the live Index that saved it.
+// memoized cover tables of an Index. Name and Pinned carry the serving
+// layer's registry identity (empty/false for bare Index snapshots).
+// Every artifact a Read returns has been revalidated.
 type Snapshot struct {
 	Name    string
 	Pinned  bool
@@ -53,9 +39,8 @@ type Snapshot struct {
 	Epoch uint64
 	Graph *graph.Graph
 
-	Clusters []ClusterArtifact
-	Plain    []CoverArtifact
-	Sep      []CoverArtifact
+	Plain []CoverArtifact
+	Sep   []CoverArtifact
 }
 
 func encodeGraph(e *enc, g *graph.Graph) {
@@ -98,32 +83,6 @@ func decodeGraph(d *dec) *graph.Graph {
 		return nil
 	}
 	return g
-}
-
-func encodeClustering(e *enc, c *estc.Clustering) {
-	e.i32s(c.Owner)
-	e.i32s(c.Center)
-	e.u32(uint32(c.Rounds))
-}
-
-func decodeClustering(d *dec, n int) *estc.Clustering {
-	c := &estc.Clustering{Owner: d.i32s(), Center: d.i32s(), Rounds: int(d.u32())}
-	if d.e != nil {
-		return nil
-	}
-	// The wire Owner of an empty clustering decodes as a non-nil empty
-	// slice; normalize to the in-memory form estc.Cluster builds.
-	if len(c.Owner) == 0 {
-		c.Owner = nil
-	}
-	if len(c.Center) == 0 {
-		c.Center = nil
-	}
-	if err := c.Validate(n); err != nil {
-		d.fail("%v", err)
-		return nil
-	}
-	return c
 }
 
 func encodeNice(e *enc, nd *treedecomp.Nice) {
@@ -271,23 +230,9 @@ func decodePreparedBand(d *dec, targetN int) core.PreparedBand {
 	return pb
 }
 
-// encodePreparedCover writes a prepared cover. The clustering is not
-// embedded: clusterRef indexes the snapshot's shared clustering table
-// (-1 followed by an inline clustering covers the off-table case), so
-// the clustering shared by many covers is stored once, mirroring the
-// pointer sharing of the live Index.
-func encodePreparedCover(e *enc, pc *core.PreparedCover, refs map[*estc.Clustering]int32) error {
-	if pc.Clustering == nil {
-		return fmt.Errorf("snap: prepared cover without a clustering")
-	}
-	ref, ok := refs[pc.Clustering]
-	if !ok {
-		ref = -1
-	}
-	e.i32(ref)
-	if ref < 0 {
-		encodeClustering(e, pc.Clustering)
-	}
+// encodePreparedCover writes a prepared cover: its bands, then its BFS
+// round count.
+func encodePreparedCover(e *enc, pc *core.PreparedCover) error {
 	e.u32(uint32(len(pc.Bands)))
 	for i := range pc.Bands {
 		if err := encodePreparedBand(e, &pc.Bands[i]); err != nil {
@@ -298,24 +243,7 @@ func encodePreparedCover(e *enc, pc *core.PreparedCover, refs map[*estc.Clusteri
 	return nil
 }
 
-func decodePreparedCover(d *dec, targetN int, clusters []ClusterArtifact) *core.PreparedCover {
-	ref := d.i32()
-	var cl *estc.Clustering
-	switch {
-	case d.e != nil:
-		return nil
-	case ref >= 0:
-		if int(ref) >= len(clusters) {
-			d.fail("clustering ref %d outside table of %d", ref, len(clusters))
-			return nil
-		}
-		cl = clusters[ref].C
-	case ref == -1:
-		cl = decodeClustering(d, targetN)
-	default:
-		d.fail("negative clustering ref %d", ref)
-		return nil
-	}
+func decodePreparedCover(d *dec, targetN int) *core.PreparedCover {
 	// A minimal encoded prepared band (flags, one-vertex graph, Orig,
 	// cluster/level, mask flags, width) occupies well over 16 payload
 	// bytes, so this bounds the band count by the bytes actually
@@ -325,7 +253,7 @@ func decodePreparedCover(d *dec, targetN int, clusters []ClusterArtifact) *core.
 	if d.e != nil {
 		return nil
 	}
-	pc := &core.PreparedCover{Clustering: cl}
+	pc := &core.PreparedCover{}
 	for i := 0; i < nb; i++ {
 		pb := decodePreparedBand(d, targetN)
 		if d.e != nil {
@@ -416,20 +344,6 @@ func Write(w io.Writer, s *Snapshot) error {
 		return err
 	}
 
-	e = enc{}
-	refs := make(map[*estc.Clustering]int32, len(s.Clusters))
-	e.u32(uint32(len(s.Clusters)))
-	for i, ca := range s.Clusters {
-		e.u64(ca.BetaBits)
-		e.i32(int32(ca.Run))
-		e.i64(ca.Bytes)
-		encodeClustering(&e, ca.C)
-		refs[ca.C] = int32(i)
-	}
-	if err := writeSection(w, tagClusters, e.b); err != nil {
-		return err
-	}
-
 	for _, sec := range []struct {
 		tag  uint32
 		list []CoverArtifact
@@ -445,7 +359,7 @@ func Write(w io.Writer, s *Snapshot) error {
 			if sec.sep {
 				e.str(ca.Mask)
 			}
-			if err := encodePreparedCover(&e, ca.PC, refs); err != nil {
+			if err := encodePreparedCover(&e, ca.PC); err != nil {
 				return err
 			}
 		}
@@ -497,35 +411,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	n := s.Graph.N()
 
-	if payload, err = readSection(r, tagClusters, "clusters"); err != nil {
-		return nil, err
-	}
-	d = &dec{b: payload, ctx: "clusters"}
-	nc := d.count(1)
-	for i := 0; i < nc && d.e == nil; i++ {
-		ca := ClusterArtifact{
-			BetaBits: d.u64(),
-			Run:      int(d.i32()),
-			Bytes:    d.i64(),
-		}
-		ca.C = decodeClustering(d, n)
-		if d.e != nil {
-			break
-		}
-		if beta := math.Float64frombits(ca.BetaBits); math.IsNaN(beta) || math.IsInf(beta, 0) || beta <= 0 {
-			d.fail("clustering %d: invalid beta key %v", i, beta)
-			break
-		}
-		if ca.Run < 0 || ca.Bytes < 0 {
-			d.fail("clustering %d: negative run %d or bytes %d", i, ca.Run, ca.Bytes)
-			break
-		}
-		s.Clusters = append(s.Clusters, ca)
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-
 	for _, sec := range []struct {
 		tag  uint32
 		name string
@@ -547,7 +432,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 			if sec.sep {
 				ca.Mask = d.str()
 			}
-			ca.PC = decodePreparedCover(d, n, s.Clusters)
+			ca.PC = decodePreparedCover(d, n)
 			if d.e != nil {
 				break
 			}

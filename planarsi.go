@@ -45,10 +45,10 @@
 // pays the usual preprocessing cost; every further query over the same
 // shape — any pattern with equal vertex count k and diameter d — reuses
 // the cached covers and decompositions and pays only for its dynamic
-// programs. Clusterings are memoized by (clustering parameter 2k, run)
-// and shared across all diameters of a size class; prepared covers are
-// memoized by (k, d, run); separating covers additionally key on the
-// terminal set. Seed and Heuristic are fixed per Index.
+// programs. Prepared covers are memoized by (k, d, run); separating
+// covers additionally key on the terminal set. Each cover build clusters
+// the target for its run first, and only the cover is kept. Seed and
+// Heuristic are fixed per Index.
 //
 // Determinism and correctness are unchanged: per-run randomness is
 // derived purely from (Options.Seed, run), so an Index returns exactly
@@ -173,7 +173,9 @@ type Options struct {
 	// MaxRuns bounds the cover runs of a search. Any value but 1 (0
 	// included) allows the random run and the exact layered run; 1
 	// makes one random run, whose negatives hold w.h.p. only. Listing
-	// and counting make one layered run whatever the value.
+	// and counting make one layered run whatever the value. It does not
+	// bound the colorings of a disconnected pattern (Lemma 4.1), whose
+	// count depends on the pattern and the target alone.
 	MaxRuns int
 	// Heuristic selects the band tree-decomposition heuristic.
 	Heuristic Heuristic
@@ -295,8 +297,8 @@ var ErrNonPlanarEdit = index.ErrNonPlanarEdit
 
 // LoadIndex restores an Index from a snapshot previously written with
 // Index.Save: the target graph, options and every completed cached
-// artifact (clusterings, prepared covers, band decompositions) come
-// back behind the same memoization keys, so queries that hit the
+// artifact (prepared covers with their band decompositions) come back
+// behind the same memoization keys, so queries that hit the
 // snapshot's cache skip preprocessing entirely. A restored Index
 // answers byte-identically to the Index that saved it — and to a fresh
 // NewIndex with the same graph and Options. The snapshot format is
@@ -370,7 +372,8 @@ func VertexConnectivity(g *Graph, opt Options) (ConnectivityResult, error) {
 	})
 }
 
-// VerifyCut checks that removing the given vertices disconnects g.
+// VerifyCut checks that removing the given vertices disconnects g. A cut
+// naming a vertex outside g or one vertex twice does not verify.
 func VerifyCut(g *Graph, cut []int32) bool {
 	return conn.VerifyCut(g, cut)
 }

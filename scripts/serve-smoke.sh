@@ -117,18 +117,18 @@ check snapshot '"name":"grid"' "$(curl -sf -X POST "http://$addr/snapshot")"
 echo "serve-smoke: snapshot file ok"
 
 stop
-echo "serve-smoke: graceful shutdown ok (snapshots persisted)"
+persisted=$(sed -n 's/.*persisted graph grid (covers=\([0-9]*\),.*/\1/p' "$tmp/log" | tail -1)
+[ -n "$persisted" ] && [ "$persisted" -gt 0 ] || fail "persisted covers" "$(cat "$tmp/log")"
+echo "serve-smoke: graceful shutdown ok (snapshot persisted with covers=$persisted)"
 
 # Warm restart: the daemon must restore the grid from its snapshot
-# (skipping the edge-list preload and the preprocessing), report a
-# non-empty restored cover cache in the log, and serve identical
+# (skipping the edge-list preload and the preprocessing), restore
+# exactly the covers the shutdown persisted, and serve identical
 # answers.
 boot
-warm=$(grep "warm boot: restored graph grid" "$tmp/log" || true)
-case "$warm" in
-    *"covers="[1-9]*) echo "serve-smoke: warm boot ok ($(echo "$warm" | sed 's/.*(\(.*\)).*/\1/'))" ;;
-    *) fail "warm boot" "$(cat "$tmp/log")" ;;
-esac
+restored=$(sed -n 's/.*warm boot: restored graph grid (.*covers=\([0-9]*\)).*/\1/p' "$tmp/log" | head -1)
+[ "$restored" = "$persisted" ] || fail "warm boot covers (want $persisted)" "${restored:-none}; $(cat "$tmp/log")"
+echo "serve-smoke: warm boot ok (covers=$restored restored)"
 check "warm skip-preload" "already restored from snapshot" "$(cat "$tmp/log")"
 check "warm count" '"count":32' "$(curl -sf -X POST "http://$addr/count" -d "$c4")"
 check "warm decide C3" '"found":false' "$(curl -sf -X POST "http://$addr/decide" -d "$c3")"
