@@ -117,16 +117,13 @@ fuzz-edits:
 benchstat:
 	$(GO) test -bench 'Table1|Fig6Connectivity|Fig7Separating|StateSet' -benchmem -count 5 -run '^$$' . ./internal/match
 
-# Pinned-seed smoke benchmark: every benchmark seeds its own PCG, so a
-# single iteration both exercises the perf-critical paths end to end and
+# Pinned-seed smoke benchmark: every root benchmark once, plus the flat
+# state-set micro-benchmarks of internal/match. Every benchmark seeds its
+# own PCG, so a single iteration both exercises its path end to end and
 # fails loudly if a result drifts (each benchmark asserts its answers).
-# Fig7Separating covers the separating DP where every call hits, and
-# Fig6Connectivity (connectivity 2-5) the searches that miss.
-# Fig5PathDAG and AblationShortcut run the path-DAG engine on long path
-# targets, where the shortcut construction does most of the work.
-# ListAll lists the 392 4-cycles of an 8x8 grid in one layered run.
 bench-smoke:
-	$(GO) test -bench 'Table1DecideOurs|Fig6Connectivity|Fig7Separating|StateSet|ScanMultiPattern|Fig5PathDAG|AblationShortcut|ListAll' -benchtime 1x -benchmem -run '^$$' . ./internal/match
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' .
+	$(GO) test -bench StateSet -benchtime 1x -benchmem -run '^$$' ./internal/match
 
 # The paper's claims as shape checks: every experiment of
 # internal/experiments (Table 1, Figs 1-7, Thm 4.2/4.4, Lemma 4.1, the

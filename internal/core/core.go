@@ -18,7 +18,8 @@
 // answer. Listing makes that layered run alone. Negatives are therefore
 // exact except at MaxRuns 1, under Options.PaperLoop (the paper's loop,
 // kept for the experiments) and in the coloring loop of disconnected
-// patterns (Lemma 4.1), where they hold w.h.p.
+// patterns (Lemma 4.1), where they hold w.h.p. A disconnected pattern
+// reaches that loop only when each of its components occurs on its own.
 package core
 
 import (
@@ -69,7 +70,9 @@ type Options struct {
 	// second one exact, and MaxRuns 1 makes one ESTC run. Listing makes
 	// one exact run whatever the budget. It bounds the cover runs of a
 	// connected search only: the Lemma 4.1 loop of a disconnected
-	// pattern tries up to O(l^k log n) colorings whatever MaxRuns is.
+	// pattern searches the whole target for each component at the
+	// default budget, then tries up to O(l^k log n) colorings, whatever
+	// MaxRuns is.
 	MaxRuns int
 	// PaperLoop runs the source paper's Monte Carlo loop: every run on a
 	// fresh ESTC cover, up to MaxRuns of them, and listing stopped by
@@ -122,8 +125,11 @@ func (o Options) Config() Options {
 func (o Options) SameConfig(p Options) bool { return o.Config() == p.Config() }
 
 // Stats reports what a pipeline call did. For a disconnected pattern
-// (Lemma 4.1) it counts the inner searches: the cover repetitions and
-// bands of every color-class search that ran.
+// (Lemma 4.1) it counts the inner searches: the whole-target search of
+// each distinct component, then every color-class search that ran. A
+// miss ends after the former when some component is absent from the
+// target; one whose components all occur, never disjointly, runs the
+// whole coloring loop.
 type Stats struct {
 	// Runs is the number of cover repetitions executed.
 	Runs int
@@ -244,9 +250,9 @@ func DecideFrom(src CoverSource, g, h *graph.Graph, opt Options) (bool, error) {
 		return res, err
 	}
 	if _, l := graph.Components(h); l > 1 {
-		// The Lemma 4.1 extension searches color-class induced subgraphs
-		// of g, which no target-side cache can serve.
-		return decideDisconnected(g, h, l, opt)
+		// The Lemma 4.1 extension draws its whole-target component
+		// searches from src; no cache serves its color-class searches.
+		return decideDisconnected(src, g, h, l, opt)
 	}
 	if h.N() == 1 {
 		return g.N() >= 1, nil

@@ -229,7 +229,7 @@ func TestDecideDisconnectedTriangles(t *testing.T) {
 	h := graph.DisjointUnion(graph.Cycle(3), graph.Cycle(3))
 	// MaxRuns bounds the cover runs of a connected search, not the
 	// Lemma 4.1 colorings, so every budget finds the pair.
-	for _, runs := range []int{0, 2, 8, 17} {
+	for _, runs := range []int{0, 1, 2, 8, 17} {
 		for seed := uint64(0); seed < 20; seed++ {
 			if got, err := Decide(g, h, Options{Seed: seed, MaxRuns: runs}); err != nil || !got {
 				t.Errorf("two triangles, MaxRuns %d, seed %d: got %v, %v", runs, seed, got, err)

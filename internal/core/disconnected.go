@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"planarsi/internal/graph"
+	"planarsi/internal/match"
 	"planarsi/internal/par"
 )
 
@@ -16,8 +17,29 @@ import (
 // images are automatically disjoint because the color classes are).
 // MaxRuns does not bound the colorings: it counts the cover runs of a
 // connected search, and each inner search makes its own.
-func decideDisconnected(g, h *graph.Graph, l int, opt Options) (bool, error) {
+//
+// No coloring can succeed when a component is absent from the whole
+// target, so the loop first searches g for each distinct component
+// (isomorphic components share one search), drawing covers from src,
+// and answers false at the first miss. Those searches run at the default
+// budget (MaxRuns 0): a miss is exact off the paper loop and holds
+// w.h.p. under it, whatever MaxRuns is. Misses in which every component
+// occurs, but never disjointly, still run the whole coloring loop.
+func decideDisconnected(src CoverSource, g, h *graph.Graph, l int, opt Options) (bool, error) {
 	comps := splitComponents(h)
+	whole := opt
+	whole.MaxRuns = 0
+	seen := make(map[string]bool)
+	for _, c := range comps {
+		// A single vertex needs no search: validate's k <= n leaves a host.
+		if key := match.CanonicalKey(c); c.N() > 1 && !seen[key] {
+			seen[key] = true
+			hits, err := witnessRuns(src, nil, g.N(), []*graph.Graph{c}, decideKind, whole)
+			if err != nil || hits[0] == nil {
+				return false, err
+			}
+		}
+	}
 	reps := colorRepetitions(l, h.N(), g.N())
 	rng := opt.rng(2)
 	n := g.N()

@@ -27,21 +27,29 @@ import (
 // each pattern's early exit: a pattern certified in one band drops out of
 // its sibling bands (and of later runs) without stopping its batch-mates.
 
-// checkGroup enforces the group contract — connected patterns sharing one
-// (k, d) shape, 2 <= k <= min(n, match.MaxK). The Index's batch grouping
-// guarantees it and trivial patterns are the caller's; violations are
-// caller bugs.
-func checkGroup(g *graph.Graph, hs []*graph.Graph) {
-	k, d := hs[0].N(), graph.Diameter(hs[0])
-	if k < 2 || k > match.MaxK || k > g.N() {
-		panic(fmt.Sprintf("core: group sweep requires 2 <= k <= min(n, %d), got k=%d n=%d", match.MaxK, k, g.N()))
+// GroupShape is the group contract. It reports ok when the pattern h
+// may join a group sweep against g: h is connected, 2 <= k <= min(n,
+// match.MaxK) for its vertex count k, and h has at most g's edge count.
+// Then d is h's diameter, and patterns of one shape (k, d) share every
+// prepared cover. Any other pattern is trivial, oversized or
+// disconnected, and the per-pattern entry points (DecideFrom,
+// CountFrom) answer it.
+func GroupShape(g, h *graph.Graph) (k, d int, ok bool) {
+	k = h.N()
+	if k < 2 || k > match.MaxK || k > g.N() || h.M() > g.M() || !graph.IsConnected(h) {
+		return k, 0, false
 	}
+	return k, graph.Diameter(h), true
+}
+
+// checkGroup enforces the group contract (GroupShape) on every pattern
+// of hs, all of one shape. The Index's batch grouping guarantees it;
+// violations are caller bugs.
+func checkGroup(g *graph.Graph, hs []*graph.Graph) {
+	k, d, _ := GroupShape(g, hs[0])
 	for _, h := range hs {
-		if _, l := graph.Components(h); l > 1 {
-			panic("core: group sweep requires connected patterns")
-		}
-		if h.N() != k || graph.Diameter(h) != d {
-			panic("core: group sweep requires patterns of one (k, d) shape")
+		if hk, hd, ok := GroupShape(g, h); !ok || hk != k || hd != d {
+			panic(fmt.Sprintf("core: group sweep requires connected patterns of one (k, d) shape with 2 <= k <= min(n, %d) and at most m edges, got k=%d d=%d n=%d", match.MaxK, hk, hd, g.N()))
 		}
 	}
 }

@@ -9,8 +9,9 @@
 // counts for work, synchronous round counts for depth, success
 // frequencies for probabilistic claims — and reports the measured values
 // next to what the paper predicts. The cmd/paperbench binary prints these
-// tables, and make paper-smoke gates CI on their shape checks; the root
-// bench_test.go exercises the same functions under testing.B.
+// tables, and make paper-smoke gates CI on their shape checks. This is
+// the one paper-claims harness: the root benchmarks time the pipeline's
+// hot paths and check no claim.
 //
 // Every pipeline call here sets core.Options.PaperLoop (and
 // conn.Options.PaperLoop), so the experiments measure the paper's Monte
@@ -26,7 +27,7 @@ import (
 
 // Config scales the experiments.
 type Config struct {
-	// Quick shrinks the sweeps for fast runs (used by benchmarks and CI;
+	// Quick shrinks the sweeps for fast runs (used by tests and CI;
 	// paperbench defaults to the full sweeps).
 	Quick bool
 	// Seed makes every experiment reproducible.

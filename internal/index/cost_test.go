@@ -156,10 +156,10 @@ func TestMemoStats(t *testing.T) {
 	}
 
 	cold := byClass()
-	if len(cold) != 4 {
-		t.Fatalf("MemoStats classes = %d, want 4", len(cold))
+	if len(cold) != 3 {
+		t.Fatalf("MemoStats classes = %d, want 3", len(cold))
 	}
-	for _, class := range []string{"cover", "separating", "pattern", "epoch"} {
+	for _, class := range []string{"cover", "separating", "epoch"} {
 		if _, ok := cold[class]; !ok {
 			t.Fatalf("missing class %q in %+v", class, cold)
 		}

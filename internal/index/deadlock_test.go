@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"planarsi/internal/core"
+	"planarsi/internal/fault"
 	"planarsi/internal/graph"
 	"planarsi/internal/par"
 )
@@ -42,10 +43,16 @@ func withWatchdog(t *testing.T, f func()) {
 // goroutine's cover build could run another requester's unit for the key
 // being built on the building goroutine, and that unit then blocked on
 // the build its own goroutine held. Every round uses a fresh Index, so
-// every round races the same builds from scratch.
+// every round races the same builds from scratch, and every band sleeps
+// 1ms (band.latency) so that the requesters meet inside a build on
+// every run, not by chance.
 func TestMemoBuildsOffPool(t *testing.T) {
 	par.SetParallelism(4)
 	defer par.SetParallelism(0)
+	if err := fault.Enable("band.latency=dur:1ms", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
 	g := editBase(8, 8)
 	opt := core.Options{Seed: 5}
 	rounds := 30

@@ -190,8 +190,26 @@ func TestExactNegativesAgainstOracle(t *testing.T) {
 	}
 }
 
-// A Scan of a disconnected pattern runs the whole Lemma 4.1 coloring
-// loop at any MaxRuns, as the one-shot Decide does.
+// A disconnected pattern with a component absent from the whole target
+// ends with that component's own search, one-shot and through Scan: C3+C3
+// on a triangle-free grid makes C3's two runs, not the Lemma 4.1
+// coloring loop.
+func TestDisconnectedMissEndsEarly(t *testing.T) {
+	g := graph.Grid(16, 16)
+	h := graph.DisjointUnion(graph.Cycle(3), graph.Cycle(3))
+	var one, scan core.Stats
+	if found, err := core.Decide(g, h, core.Options{Seed: 1, Stats: &one}); err != nil || found || one.Runs > 4 {
+		t.Errorf("one-shot: found %v, err %v, %d runs; want false in at most 4 runs", found, err, one.Runs)
+	}
+	r := New(g, core.Options{Seed: 1, Stats: &scan}).Scan(context.Background(), []*graph.Graph{h})[0]
+	if r.Err != nil || r.Found || scan.Runs > 4 {
+		t.Errorf("Scan: found %v, err %v, %d runs; want false in at most 4 runs", r.Found, r.Err, scan.Runs)
+	}
+}
+
+// A Scan of a disconnected pattern whose components all occur runs the
+// whole Lemma 4.1 coloring loop at any MaxRuns, as the one-shot Decide
+// does.
 func TestScanDisconnectedIgnoresMaxRuns(t *testing.T) {
 	g := graph.DisjointUnion(graph.Cycle(3), graph.Path(6), graph.Cycle(3))
 	h := graph.DisjointUnion(graph.Cycle(3), graph.Cycle(3))

@@ -17,8 +17,7 @@
 // build, so answers with and without the Index are identical for equal
 // Options.
 //
-// The Index memoizes prepared covers and compiled patterns, nothing
-// else. Covers are keyed
+// The Index memoizes prepared covers, nothing else. Covers are keyed
 //
 //   - plain prepared covers by (k, d, run);
 //   - separating prepared covers by (k, d, run, terminal set).
@@ -57,6 +56,7 @@ import (
 	"planarsi/internal/core"
 	"planarsi/internal/fault"
 	"planarsi/internal/graph"
+	"planarsi/internal/match"
 	"planarsi/internal/obs"
 	"planarsi/internal/par"
 )
@@ -94,14 +94,6 @@ type Index struct {
 	// advances: how many migrated artifacts were retained verbatim vs
 	// rebuilt, cumulative over the Index's lifetime.
 	inval [numInvalClasses]invalCounters
-
-	// pmu guards the compiled-pattern cache (see compile.go); porder is
-	// its FIFO eviction queue, oldest key first. Compiled patterns are
-	// derived from patterns alone, so the cache is epoch-independent and
-	// survives ApplyEdits untouched.
-	pmu      sync.Mutex
-	patterns map[string]*compiled
-	porder   []string
 }
 
 // coverKey keys both cover tables. sep marks a separating cover, whose
@@ -121,10 +113,7 @@ type coverKey struct {
 // fixes the Index's randomness — an Index answers exactly as the one-shot
 // API would with the same Options.
 func New(g *graph.Graph, opt core.Options) *Index {
-	ix := &Index{
-		opt:      opt,
-		patterns: make(map[string]*compiled),
-	}
+	ix := &Index{opt: opt}
 	ix.cur.Store(ix.newGeneration(0, g))
 	return ix
 }
@@ -238,8 +227,8 @@ func query[T any](ctx context.Context, ix *Index, body func(gen *generation, opt
 
 // Decide reports whether the pattern h occurs in the target. Answers
 // equal core.Decide's for the Index's Options: exact, except for false
-// answers at MaxRuns 1, under PaperLoop or for disconnected patterns,
-// which hold w.h.p.
+// answers at MaxRuns 1, under PaperLoop or for disconnected patterns
+// whose components each occur, which hold w.h.p.
 func (ix *Index) Decide(h *graph.Graph) (bool, error) {
 	return ix.DecideCtx(context.Background(), h)
 }
@@ -329,14 +318,14 @@ type ScanResult struct {
 // The whole batch pins one artifact generation: every member is answered
 // against the same target graph even when ApplyEdits lands mid-scan.
 //
-// Batch members are canonicalized through the compiled-pattern cache:
-// isomorphic members dedupe into one query, and distinct connected
-// members sharing a (size, diameter) shape run as one multi-pattern DP
-// sweep — every decomposition is walked once for the whole group rather
-// than once per pattern (see Stats.Sweeps). Grouping never changes
-// answers: a deduped member gets the first isomorph's answer (Decide is
-// isomorphism-invariant), and the shared sweep maintains per-pattern
-// state sets identical to the solo runs'.
+// Batch members inside the group contract (core.GroupShape) are
+// canonicalized (match.CanonicalKey): isomorphic members dedupe into
+// one query, and distinct members sharing a (size, diameter) shape run
+// as one multi-pattern DP sweep — every decomposition is walked once for
+// the whole group rather than once per pattern (see Stats.Sweeps).
+// Grouping never changes answers: a deduped member gets the first
+// isomorph's answer (Decide is isomorphism-invariant), and the shared
+// sweep maintains per-pattern state sets identical to the solo runs'.
 //
 // Each pattern runs under a panic Guard: a panic beneath one member
 // (carried off pool workers by par's scopes) becomes that member's
@@ -371,12 +360,13 @@ type scanShape struct {
 	k, d int
 }
 
-// scanBatch is the shared Scan/ScanCount engine. It compiles every
-// member (charging queries and the per-member fault point), dedupes
-// isomorphic members, groups the rest by (k, d) shape and dispatches
-// the resulting units — solo queries and multi-pattern group sweeps —
-// concurrently, all against one pinned generation. The units run off the
-// pool (see offPool) because each fetches memoized artifacts.
+// scanBatch is the shared Scan/ScanCount engine. It classifies every
+// member once (charging queries and the per-member fault point),
+// dedupes isomorphic members, groups the rest by (k, d) shape and
+// dispatches the resulting units — solo queries and multi-pattern group
+// sweeps — concurrently, all against one pinned generation. The units
+// run off the pool (see offPool) because each fetches memoized
+// artifacts.
 func (ix *Index) scanBatch(ctx context.Context, patterns []*graph.Graph, count bool) []ScanResult {
 	out := make([]ScanResult, len(patterns))
 	gen := ix.acquire()
@@ -384,57 +374,47 @@ func (ix *Index) scanBatch(ctx context.Context, patterns []*graph.Graph, count b
 	opt, stop := ix.queryOptions(ctx)
 	defer stop()
 
-	// Phase 1: canonicalize sequentially. Each member is charged one
-	// query and passes one fault checkpoint here, whatever unit it later
-	// joins; a member that panics during compilation fails alone.
-	comps := make([]*compiled, len(patterns))
-	failed := make([]bool, len(patterns))
-	for i := range patterns {
-		ix.queries.Add(1)
-		err := Guard(func() error {
-			fault.Check(fault.QueryPanic)
-			comps[i] = ix.compile(patterns[i])
-			return nil
-		})
-		if err != nil {
-			out[i].Err = ctxErr(ctx, err)
-			failed[i] = true
-		}
-	}
-
-	// Phase 2: classify. Members the group pipeline cannot model — too
-	// large or empty (nil compile), disconnected, k = 1, or trivially
-	// absent — go solo through the unbatched pipeline, which classifies
-	// them exactly as a singleton query would. The rest dedupe by
-	// canonical key and group by shape, preserving first-appearance
-	// order so dispatch is deterministic.
+	// Classify sequentially. Each member is charged one query and passes
+	// one fault checkpoint here, whatever unit it later joins; a member
+	// that panics here fails alone. Members outside the group contract go
+	// solo through the unbatched pipeline, which answers them exactly as
+	// a singleton query would. The rest dedupe by canonical key and group
+	// by shape, in first-appearance order so dispatch is deterministic.
 	var solos []int
 	groups := make(map[scanShape][]*scanUniq)
 	uniqs := make(map[string]*scanUniq)
 	var order []scanShape
-	for i, c := range comps {
-		if failed[i] {
-			continue
-		}
-		if c == nil || !c.connected || c.k < 2 || c.k > gen.g.N() || patterns[i].M() > gen.g.M() {
+	for i, h := range patterns {
+		ix.queries.Add(1)
+		var sh scanShape
+		var key string
+		var ok bool
+		err := Guard(func() error {
+			fault.Check(fault.QueryPanic)
+			if sh.k, sh.d, ok = core.GroupShape(gen.g, h); ok {
+				key = match.CanonicalKey(h)
+			}
+			return nil
+		})
+		switch {
+		case err != nil:
+			out[i].Err = ctxErr(ctx, err)
+		case !ok:
 			solos = append(solos, i)
-			continue
+		case uniqs[key] != nil:
+			uniqs[key].members = append(uniqs[key].members, i)
+		default:
+			u := &scanUniq{h: h, members: []int{i}}
+			uniqs[key] = u
+			if len(groups[sh]) == 0 {
+				order = append(order, sh)
+			}
+			groups[sh] = append(groups[sh], u)
 		}
-		if u, ok := uniqs[c.key]; ok {
-			u.members = append(u.members, i)
-			continue
-		}
-		u := &scanUniq{h: patterns[i], members: []int{i}}
-		uniqs[c.key] = u
-		sh := scanShape{c.k, c.d}
-		if len(groups[sh]) == 0 {
-			order = append(order, sh)
-		}
-		groups[sh] = append(groups[sh], u)
 	}
 
-	// Phase 3: dispatch all units concurrently — one per solo member,
-	// one per shape group.
+	// Dispatch all units concurrently — one per solo member, one per
+	// shape group.
 	offPool(len(solos)+len(order), func(u int) {
 		if u < len(solos) {
 			i := solos[u]
@@ -641,8 +621,4 @@ func (ix *Index) Reset() {
 	ix.cur.Store(next)
 	ix.retire(old)
 	ix.editMu.Unlock()
-	ix.pmu.Lock()
-	ix.patterns = make(map[string]*compiled)
-	ix.porder = nil
-	ix.pmu.Unlock()
 }

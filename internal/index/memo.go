@@ -181,12 +181,11 @@ func (m *memo) carry(old *memo, refresh func(coverKey, *core.PreparedCover) (*co
 const (
 	memoPlainCover = iota
 	memoSepCover
-	memoPattern
 	memoEpoch
 	numMemoClasses
 )
 
-var memoClassNames = [numMemoClasses]string{"cover", "separating", "pattern", "epoch"}
+var memoClassNames = [numMemoClasses]string{"cover", "separating", "epoch"}
 
 // Invalidation classes, in the order InvalidationStats reports them.
 // Unlike the memo classes these count artifacts migrated by ApplyEdits:
@@ -227,9 +226,8 @@ type invalCounters struct {
 // MemoStats is one artifact class's cache-traffic snapshot.
 type MemoStats struct {
 	// Class names the artifact class: "cover" (plain prepared covers),
-	// "separating" (separating prepared covers), "pattern" (compiled
-	// patterns keyed by canonical form), "epoch" (artifact migration
-	// across edit generations).
+	// "separating" (separating prepared covers) or "epoch" (artifact
+	// migration across edit generations).
 	Class string `json:"class"`
 	// Hits counts accesses that found a fully built entry; Misses
 	// counts the rest (entry absent, still building, or past
@@ -250,7 +248,7 @@ type MemoStats struct {
 }
 
 // MemoStats snapshots the per-class memo-cache traffic and residency,
-// ordered cover, separating, pattern, epoch.
+// ordered cover, separating, epoch.
 func (ix *Index) MemoStats() []MemoStats {
 	out := make([]MemoStats, numMemoClasses)
 	for c := range out {
@@ -278,12 +276,6 @@ func (ix *Index) MemoStats() []MemoStats {
 		out[c].Entries++
 		out[c].Bytes += e.bytes
 	})
-	ix.pmu.Lock()
-	for key := range ix.patterns {
-		out[memoPattern].Entries++
-		out[memoPattern].Bytes += int64(len(key)) + compiledBytes
-	}
-	ix.pmu.Unlock()
 	return out
 }
 

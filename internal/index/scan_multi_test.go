@@ -129,18 +129,6 @@ func TestScanDedupeAndSweepAccounting(t *testing.T) {
 	if s := st.Sweeps - base.Sweeps; s != 1 {
 		t.Fatalf("group batch dispatched %d sweeps, want 1", s)
 	}
-
-	// The compiled-pattern cache saw every member; the four C4 isomorphs
-	// after the first are hits.
-	for _, ms := range ix.MemoStats() {
-		if ms.Class != "pattern" {
-			continue
-		}
-		if ms.Misses < 2 || ms.Hits < 3 {
-			t.Fatalf("pattern cache traffic hits=%d misses=%d, want >=3 hits and >=2 misses",
-				ms.Hits, ms.Misses)
-		}
-	}
 }
 
 // TestScanGroupPanicFallsBackToSolo: a panic inside a shared group

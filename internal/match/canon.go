@@ -9,14 +9,13 @@ import (
 )
 
 // Pattern canonicalization: isomorphic patterns map to one canonical
-// labeled form, so a compiled-pattern cache can key on the form and a
-// batched scan can dedupe isomorphic members before dispatching DP
-// sweeps. The algorithm is the classic individualize-and-refine scheme
-// sized for k <= MaxK: iterated degree (1-WL color) refinement narrows
-// the candidate orderings, backtracking individualizes one vertex of the
-// first non-singleton color class at a time, and among the discrete
-// colorings reached the lexicographically minimal adjacency encoding
-// wins. Refinement, class selection and branching are all
+// labeled form, so a batched scan can dedupe isomorphic members before
+// dispatching DP sweeps. The algorithm is the classic
+// individualize-and-refine scheme sized for k <= MaxK: iterated degree
+// (1-WL color) refinement narrows the candidate orderings, backtracking
+// individualizes one vertex of the first non-singleton color class at a
+// time, and among the discrete colorings reached the lexicographically
+// minimal adjacency encoding wins. Refinement, class selection and branching are all
 // isomorphism-invariant, so isomorphic inputs explore isomorphic search
 // trees and pick identical minimal encodings.
 //

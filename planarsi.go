@@ -174,8 +174,9 @@ type Options struct {
 	// included) allows the random run and the exact layered run; 1
 	// makes one random run, whose negatives hold w.h.p. only. Listing
 	// and counting make one layered run whatever the value. It does not
-	// bound the colorings of a disconnected pattern (Lemma 4.1), whose
-	// count depends on the pattern and the target alone.
+	// bound a disconnected pattern (Lemma 4.1): its components are first
+	// searched in the whole target at the default budget, and the count
+	// of its colorings depends on the pattern and the target alone.
 	MaxRuns int
 	// Heuristic selects the band tree-decomposition heuristic.
 	Heuristic Heuristic
@@ -205,7 +206,8 @@ func (o Options) core() core.Options {
 // Decide reports whether the pattern h occurs in the target g as a
 // subgraph (Theorem 2.1 for connected patterns, Lemma 4.1 for
 // disconnected ones). True answers are exact; so are false ones, except
-// at MaxRuns 1 and for disconnected patterns, where they hold w.h.p.
+// at MaxRuns 1 and for disconnected patterns whose components each
+// occur, where they hold w.h.p.
 func Decide(g, h *Graph, opt Options) (bool, error) {
 	return core.Decide(g, h, opt.core())
 }
@@ -312,11 +314,11 @@ func LoadIndex(r io.Reader) (*Index, error) {
 // h: isomorphic patterns (up to MaxPatternSize vertices) yield
 // identical copies, so the result serves as a canonical representative
 // for deduplication. The Index canonicalizes internally — batched scans
-// dedupe isomorphic members and share compiled pattern entries
-// automatically — so this is for clients that want to dedupe or key on
-// patterns themselves. For rare refinement-resistant patterns an
-// internal search budget may keep the input labeling; the result is
-// then still isomorphic to h, merely not cross-labeling canonical.
+// dedupe isomorphic members automatically — so this is for clients that
+// want to dedupe or key on patterns themselves. For rare
+// refinement-resistant patterns an internal search budget may keep the
+// input labeling; the result is then still isomorphic to h, merely not
+// cross-labeling canonical.
 func CanonicalPattern(h *Graph) *Graph {
 	c, _ := match.Canonicalize(h)
 	return c
@@ -326,7 +328,8 @@ func CanonicalPattern(h *Graph) *Graph {
 // opaque comparable string: isomorphic patterns map to equal keys, and
 // equal keys always denote isomorphic patterns (with the same budget
 // caveat as CanonicalPattern — equal keys remain sound regardless).
-// This is the key the Index's compiled-pattern cache uses internally.
+// This is the key on which the Index's batched scans dedupe isomorphic
+// members.
 func CanonicalPatternKey(h *Graph) string {
 	return match.CanonicalKey(h)
 }
